@@ -243,8 +243,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     method = RateMethod(args.method)
     cfg = _smoothing(args) if method is RateMethod.REFINED else None
     report = identify(ts, method=method, cfg=cfg, aux_a=args.aux_a)
-    rs = direct_rates(ts) if method is RateMethod.DIRECT else refined_rates(ts, cfg)
-    flag = stability_flag(rs, threshold=args.threshold)
+    flag = stability_flag(report.rates, threshold=args.threshold)
 
     lines = [f"# identification: {ts.label or args.input}"]
     lines.append("rank  model               linearization     r_squared      rms        dropped")

@@ -84,10 +84,15 @@ class Candidate:
 
 @dataclass(frozen=True)
 class IdentificationReport:
-    """Candidates ranked best-fit first; winner is the top entry."""
+    """Candidates ranked best-fit first; winner is the top entry.
+
+    ``rates`` are the growth rates of the series that the rate-based
+    tests ranked, computed with the requested method.
+    """
 
     candidates: tuple[Candidate, ...]
     winner: Candidate
+    rates: RateSeries
     notes: tuple[str, ...] = ()
 
 
@@ -249,5 +254,5 @@ def identify(
         ),
     )
     return IdentificationReport(
-        candidates=tuple(ranked), winner=ranked[0], notes=tuple(notes)
+        candidates=tuple(ranked), winner=ranked[0], rates=rs, notes=tuple(notes)
     )

@@ -115,6 +115,17 @@ class TestFitCommand:
         assert code == 2
         assert "millions" in capsys.readouterr().err
 
+    def test_non_finite_size_in_rates_file_is_exit_2(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,0.10,1.0\n1,0.09,nan\n2,0.08,3.0\n3,0.07,4.0\n")
+        model_file = tmp_path / "m.txt"
+        code = main(["fit", str(rates), "--linearization", "r-vs-s", "--out", str(model_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sizes contain non-finite" in err
+        assert "Traceback" not in err
+        assert not model_file.exists()
+
     def test_scan_aux_selects_displacement(self, tmp_path):
         a0, b0, r0 = 10.0, 6.0, 0.25
         t = np.arange(0.0, 40.0)

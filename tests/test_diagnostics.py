@@ -11,8 +11,10 @@ from growthcast import (
     StabilityStatus,
     TimeSeries,
     ValidationError,
+    direct_rates,
     identify,
     normalize,
+    refined_rates,
     stability_flag,
     trajectory_at,
 )
@@ -100,6 +102,16 @@ class TestIdentify:
         ts = TimeSeries(t, 1.0 / (10.0 - t))
         report = identify(ts, method=RateMethod.REFINED, cfg=SmoothingConfig(5, 2))
         assert report.winner.model_kind is ModelKind.HYPERBOLIC
+
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    def test_report_carries_the_ranked_rates(self, method):
+        t = np.linspace(0.0, 9.0, 40)
+        ts = TimeSeries(t, np.exp(0.02 * t) + t)
+        report = identify(ts, method=method)
+        expected = direct_rates(ts) if method is RateMethod.DIRECT else refined_rates(ts)
+        assert report.rates.method is method
+        np.testing.assert_array_equal(report.rates.times, expected.times)
+        np.testing.assert_array_equal(report.rates.rates, expected.rates)
 
     def test_shifted_exp_skipped_without_aux(self):
         t = np.linspace(0.0, 9.0, 60)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthcast import (
     DomainError,
@@ -16,7 +18,9 @@ from growthcast import (
     refined_rates,
 )
 
-from oracles import poly_derivative_over_value
+from growthcast.rates import RateSeries, _local_poly_gradients
+
+from oracles import exact_local_poly_gradients, local_poly_gradients, poly_derivative_over_value
 
 
 def series(times, values, **kw):
@@ -128,6 +132,104 @@ class TestRefinedRates:
         rs = refined_rates(series(t, p), SmoothingConfig(window=5, degree=2))
         expected = poly_derivative_over_value(coeffs, t)
         np.testing.assert_allclose(rs.rates, expected, rtol=1e-9)
+
+
+def spaced_times(spacing, n):
+    i = np.arange(n, dtype=float)
+    if spacing == "uniform":
+        return i
+    if spacing == "jittered":
+        return i + np.random.default_rng(n).uniform(-0.3, 0.3, n)
+    return 1800.0 + 0.01 * i  # calendar-year offsets
+
+
+def assert_within_rounding(grads, reference, floor=0.0):
+    tol = 1e-10 * np.abs(reference) + 1e-13 * np.max(np.abs(reference)) + floor
+    excess = np.abs(grads - reference) / tol
+    assert np.all(np.isfinite(grads))
+    assert excess.max() <= 1.0, f"worst point at {excess.max():.3g} x the bound"
+
+
+class TestBatchedGradients:
+    """The batched least-squares kernel against the per-point SVD loop.
+
+    Bound: |g - g_loop| <= 1e-10*|g_loop| + 1e-13*max|g_loop| on
+    smooth series. A 1e-12 relative bound would be tighter than the loop
+    itself agrees with an independent pinv solve (about 1.4-1.6e-12 on
+    smooth series of 2e4 points, window 7, degree 3).
+    """
+
+    @pytest.mark.parametrize("spacing", ["uniform", "jittered", "calendar"])
+    @pytest.mark.parametrize("window", [3, 5, 7, 9, 11])
+    def test_matches_loop_on_smooth_growth(self, spacing, window):
+        for n in (window, window + 1, 200):
+            t = spaced_times(spacing, n)
+            step = (t[-1] - t[0]) / (n - 1)
+            v = 100.0 * np.exp(0.03 * (t - t[0]) / step)
+            for degree in range(1, window):
+                cfg = SmoothingConfig(window=window, degree=degree)
+                assert_within_rounding(
+                    _local_poly_gradients(t, v, cfg), local_poly_gradients(t, v, cfg)
+                )
+
+    @pytest.mark.parametrize("degree", [9, 10])
+    def test_near_square_windows_on_noisy_data_match_exact_solution(self, degree):
+        # here the loop itself misses the exact derivative by 1.4e-10 and
+        # 2.7e-10 of max|g|, so the two solvers differ by more than the
+        # class bound; the batched kernel is held to the exact solution
+        rng = np.random.default_rng(degree)
+        t = np.arange(11.0) + rng.uniform(-0.3, 0.3, 11)
+        v = 100.0 * np.exp(0.03 * np.arange(11)) * (1.0 + 0.01 * rng.standard_normal(11))
+        cfg = SmoothingConfig(window=11, degree=degree)
+        exact = exact_local_poly_gradients(t, v, cfg)
+        grads = _local_poly_gradients(t, v, cfg)
+        assert np.max(np.abs(grads - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+@st.composite
+def series_and_config(draw):
+    window = draw(st.sampled_from([3, 5, 7, 9, 11]))
+    degree = draw(st.integers(1, min(window - 1, 6)))
+    n = draw(st.integers(window, 40))
+    step = draw(st.floats(1e-3, 1e3))
+    start = draw(st.floats(-1e4, 1e4))
+    gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    times = start + step * np.cumsum(gaps)
+    assume(np.all(np.diff(times) > 0))
+    return times, np.asarray(values), SmoothingConfig(window=window, degree=degree)
+
+
+@settings(deadline=None, derandomize=True)
+@given(series_and_config())
+def test_batched_gradients_match_loop_on_random_series(case):
+    """Random increasing times and positive values, windows 3..11.
+
+    Same bound as TestBatchedGradients plus 1e-13*max|S|/min(dt): on a
+    constant stretch g is 0 and both solvers return rounding noise of
+    size eps*|S|/dt, which no bound relative to g covers. Degrees stop
+    at 6: from degree 7 up, random values on windows 9 and 11 make the
+    problem ill-conditioned enough to separate any two stable solvers
+    by several times the bound (see
+    test_near_square_windows_on_noisy_data_match_exact_solution).
+    """
+    times, values, cfg = case
+    floor = 1e-13 * np.max(values) / np.min(np.diff(times))
+    assert_within_rounding(
+        _local_poly_gradients(times, values, cfg),
+        local_poly_gradients(times, values, cfg),
+        floor,
+    )
+
+
+class TestRateSeriesInvariants:
+    @pytest.mark.parametrize("field", ["times", "rates", "sizes"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_validation_error(self, field, bad):
+        arrays = {"times": [0.0, 1.0, 2.0], "rates": [0.1, 0.2, 0.3], "sizes": [1.0, 2.0, 3.0]}
+        arrays[field][1] = bad
+        with pytest.raises(ValidationError, match=f"{field} contain non-finite"):
+            RateSeries(**arrays)
 
 
 class TestDirectRefinedAgreement:
