@@ -17,11 +17,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .fileio import write_projection, write_rates, write_scenario_table, _fmt
+from .errors import ConfigError, DomainError
+from .fileio import format_float, write_projection, write_rates, write_scenario_table
 from .fitting import PolyFit
-from .forecast import Projection, compare_scenarios, project, project_normalized
-from .models import Model, ModelKind, Params, features, rate_at
+from .forecast import (
+    Projection,
+    compare_scenarios,
+    integrate_rate_function,
+    project,
+    project_normalized,
+)
+from .models import Model, ModelKind, Params, features, normalize, rate_at, trajectory_at
 from .rates import RateMethod, RateSeries
 
 CASE_NAMES = ("uk-gdpcap", "world-pop", "japan-gdp")
@@ -37,7 +43,7 @@ class CheckResult:
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        computed = "n/a" if self.computed is None else _fmt(self.computed)
+        computed = "n/a" if self.computed is None else format_float(self.computed)
         return f"{verdict}  {self.check_id}: computed {computed}, expected {self.expected_text} ({self.detail})"
 
 
@@ -85,15 +91,10 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
 
     if kind == "value":
         proj = projections[scenario]
-        from .models import trajectory_at
-
         computed = float(trajectory_at(proj.model, check["t"]))
     elif kind == "integration_consistency":
         # dual route: closed-form trajectory of the linear rate law vs
         # exact-antiderivative integration of the same law as a polynomial
-        from .forecast import integrate_rate_function
-        from .models import normalize, trajectory_at
-
         m = models[scenario]
         t0, t1 = float(check["t0"]), float(check["t1"])
         grid = np.linspace(t0, t1, 179)
@@ -127,7 +128,7 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
             check_id=check["id"],
             passed=passed,
             computed=computed,
-            expected_text=f"in [{_fmt(lo)}, {_fmt(hi)}]",
+            expected_text=f"in [{format_float(lo)}, {format_float(hi)}]",
             detail="interval check",
         )
 
@@ -146,7 +147,7 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
         check_id=check["id"],
         passed=passed,
         computed=computed,
-        expected_text=_fmt(expected),
+        expected_text=format_float(expected),
         detail=detail,
     )
 
@@ -154,8 +155,6 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
 def _feature_summary_lines(
     models: dict[str, Model], projections: dict[str, Projection]
 ) -> list[str]:
-    from .errors import DomainError
-
     lines = []
     for name, m in models.items():
         if name in projections:
@@ -168,15 +167,15 @@ def _feature_summary_lines(
                 if m.kind is ModelKind.LINEAR_T and m.params.b < 0:
                     t_star = m.t_ref - m.params.a / m.params.b
                     lines.append(
-                        f"feature  {name}: rate zero-crossing at t = {_fmt(t_star)} "
+                        f"feature  {name}: rate zero-crossing at t = {format_float(t_star)} "
                         "(maximum value requires an anchor)\n"
                     )
                 continue
         bits = [feat.kind.value]
         if feat.t_star is not None:
-            bits.append(f"t_star = {_fmt(feat.t_star)}")
+            bits.append(f"t_star = {format_float(feat.t_star)}")
         if feat.s_star is not None:
-            bits.append(f"s_star = {_fmt(feat.s_star)}")
+            bits.append(f"s_star = {format_float(feat.s_star)}")
         if feat.note:
             bits.append(f"({feat.note})")
         lines.append(f"feature  {name}: {', '.join(bits)}\n")

@@ -23,6 +23,7 @@ from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
 from .errors import ConfigError, GrowthcastError, InputError, NumericError
 from .fileio import (
     fit_report_comments,
+    format_float,
     read_model,
     read_rates,
     write_model,
@@ -30,7 +31,6 @@ from .fileio import (
     write_rates,
     write_series,
     write_sidecar,
-    _fmt,
 )
 from .fitting import (
     LinearizationKind,
@@ -40,14 +40,9 @@ from .fitting import (
     scan_shifted_aux,
 )
 from .forecast import integrate_discrete, integrate_rate_function, project, project_normalized
-from .models import Model, ModelKind
+from .models import LOG_LIFT
 from .rates import RateMethod, SmoothingConfig, direct_rates, rate_of_transform, refined_rates
 from .timeseries import TransformKind, load_series
-
-# rates computed on ln(series) describe the growth of ln S; fitting them
-# with a time- or size-linear law therefore identifies the log-of-size
-# families on the original series
-_LOG_LIFT = {ModelKind.LINEAR_T: ModelKind.LOGLOG_T, ModelKind.LINEAR_S: ModelKind.LOGLOG_S}
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -157,17 +152,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if lin is LinearizationKind.SHIFTED_LN_VS_T and args.aux_a is None:
             lo, hi = _parse_pair(args.scan_aux, "--scan-aux")
             best_a, report = scan_shifted_aux(rs, lo, hi, t_range=t_range)
-            comments = [f"aux a = {_fmt(best_a)} selected by r^2 scan over [{lo}, {hi}]"]
+            comments = [f"aux a = {format_float(best_a)} selected by r^2 scan over [{lo}, {hi}]"]
             comments += fit_report_comments(report)
         else:
             report = fit_rate_model(rs, lin, t_range=t_range, aux_a=args.aux_a, unit=unit)
             comments = fit_report_comments(report)
         model = report.model
-        if meta.get("transform") == "log" and model.kind in _LOG_LIFT:
-            model = Model(
-                kind=_LOG_LIFT[model.kind], params=model.params,
-                t_ref=model.t_ref, unit=model.unit,
-            )
+        if meta.get("transform") == "log" and model.kind in LOG_LIFT:
+            model = replace(model, kind=LOG_LIFT[model.kind])
             comments.append(
                 "input rates were of ln(series); kind lifted to the log-of-size family"
             )
@@ -179,7 +171,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ("input", str(args.input)),
             ("linearization", args.linearization),
             ("range", args.range or ""),
-            ("aux_a", "" if args.aux_a is None else _fmt(args.aux_a)),
+            ("aux_a", "" if args.aux_a is None else format_float(args.aux_a)),
             ("scan_aux", args.scan_aux or ""),
         ],
     )

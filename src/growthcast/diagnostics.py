@@ -29,8 +29,8 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .fitting import LinearizationKind, fit_line, linearize, linearize_series
-from .models import ModelKind
+from .fitting import LinearizationKind, fit_line, linearize, linearize_series, model_kind_for
+from .models import LOG_LIFT, ModelKind
 from .rates import RateMethod, RateSeries, SmoothingConfig, direct_rates, refined_rates, rate_of_transform
 from .timeseries import TimeSeries, TransformKind
 
@@ -131,10 +131,10 @@ def _constant_rate_candidate(rs: RateSeries) -> Candidate:
 def _line_candidate(
     rs: RateSeries,
     lin: LinearizationKind,
-    model_kind: ModelKind,
     transform: Optional[TransformKind] = None,
     aux_a: Optional[float] = None,
 ) -> Optional[Candidate]:
+    """The linearity test of ``lin``; rates of ln S test the lifted family."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FitWarning)
@@ -147,7 +147,8 @@ def _line_candidate(
 
     note = ""
     valid = True
-    if model_kind in (ModelKind.LINEAR_S, ModelKind.LOGLOG_S):
+    kind = model_kind_for(lin)
+    if kind is ModelKind.LINEAR_S:
         # a = 0 is outside this family (the law degenerates to R ~ S,
         # which is the hyperbolic family); demote when the intercept is
         # numerically zero.
@@ -156,7 +157,7 @@ def _line_candidate(
             valid = False
             note = "intercept consistent with zero: law reduces to rate proportional to size"
     return Candidate(
-        model_kind=model_kind,
+        model_kind=LOG_LIFT[kind] if transform is TransformKind.LOG else kind,
         linearization=lin,
         r_squared=fit.r_squared,
         rms_residual=fit.rms_residual,
@@ -190,13 +191,13 @@ def identify(
     notes: list[str] = []
     candidates: list[Candidate] = [_constant_rate_candidate(rs)]
 
-    for lin, kind in (
-        (LinearizationKind.R_VS_T, ModelKind.LINEAR_T),
-        (LinearizationKind.R_VS_S, ModelKind.LINEAR_S),
-        (LinearizationKind.RECIP_R_VS_T, ModelKind.RATE_RECIP_LINEAR),
-        (LinearizationKind.LN_R_VS_T, ModelKind.RATE_LN_LINEAR),
+    for lin in (
+        LinearizationKind.R_VS_T,
+        LinearizationKind.R_VS_S,
+        LinearizationKind.RECIP_R_VS_T,
+        LinearizationKind.LN_R_VS_T,
     ):
-        cand = _line_candidate(rs, lin, kind)
+        cand = _line_candidate(rs, lin)
         if cand is not None:
             candidates.append(cand)
 
@@ -208,7 +209,7 @@ def identify(
         fit = fit_line(xs, ys)
         candidates.append(
             Candidate(
-                model_kind=ModelKind.HYPERBOLIC,
+                model_kind=model_kind_for(LinearizationKind.RECIP_S_VS_T),
                 linearization=LinearizationKind.RECIP_S_VS_T,
                 r_squared=fit.r_squared,
                 rms_residual=fit.rms_residual,
@@ -222,11 +223,8 @@ def identify(
     if np.all(ts.values > 0):
         try:
             rs_log = rate_of_transform(ts, TransformKind.LOG, method, cfg)
-            for lin, kind in (
-                (LinearizationKind.R_VS_T, ModelKind.LOGLOG_T),
-                (LinearizationKind.R_VS_S, ModelKind.LOGLOG_S),
-            ):
-                cand = _line_candidate(rs_log, lin, kind, transform=TransformKind.LOG)
+            for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S):
+                cand = _line_candidate(rs_log, lin, transform=TransformKind.LOG)
                 if cand is not None:
                     candidates.append(cand)
         except (NumericError, ValidationError):
@@ -235,9 +233,7 @@ def identify(
         notes.append("log-of-size tests skipped (series has non-positive values)")
 
     if aux_a is not None:
-        cand = _line_candidate(
-            rs, LinearizationKind.SHIFTED_LN_VS_T, ModelKind.RATE_SHIFTED_EXP, aux_a=aux_a
-        )
+        cand = _line_candidate(rs, LinearizationKind.SHIFTED_LN_VS_T, aux_a=aux_a)
         if cand is not None:
             candidates.append(cand)
     else:

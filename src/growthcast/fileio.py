@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ValidationError
 from .fitting import FitReport
 from .forecast import Projection, ScenarioReport
 from .models import Model, ModelKind, Params
@@ -29,7 +29,8 @@ PathLike = Union[str, Path]
 _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """Shortest exact round-trip text of a float, as every output file writes it."""
     return repr(float(x))
 
 
@@ -41,7 +42,7 @@ def write_series(path: PathLike, ts: TimeSeries, delimiter: str = ",") -> None:
     lines = [_meta_block({"label": ts.label, "unit": ts.unit})]
     lines.append(f"t{delimiter}value\n")
     for t, v in zip(ts.times, ts.values):
-        lines.append(f"{_fmt(t)}{delimiter}{_fmt(v)}\n")
+        lines.append(f"{format_float(t)}{delimiter}{format_float(v)}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -60,7 +61,7 @@ def write_rates(
     }
     lines = [_meta_block(meta), f"t{delimiter}rate{delimiter}size\n"]
     for t, r, s in zip(rs.times, rs.rates, rs.sizes):
-        lines.append(f"{_fmt(t)}{delimiter}{_fmt(r)}{delimiter}{_fmt(s)}\n")
+        lines.append(f"{format_float(t)}{delimiter}{format_float(r)}{delimiter}{format_float(s)}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -132,7 +133,7 @@ def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> N
         val = record[key]
         if val is None:
             continue
-        rendered = val if isinstance(val, str) else _fmt(val)
+        rendered = val if isinstance(val, str) else format_float(val)
         lines.append(f"{key} = {rendered}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
@@ -171,7 +172,10 @@ def read_model(path: PathLike) -> Model:
     params = Params(
         a=numeric.get("a"), b=numeric.get("b"), r=numeric.get("r"), C=numeric.get("C")
     )
-    return Model(kind=kind, params=params, t_ref=t_ref, unit=unit)
+    try:
+        return Model(kind=kind, params=params, t_ref=t_ref, unit=unit)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def fit_report_comments(report: FitReport) -> list[str]:
@@ -179,8 +183,8 @@ def fit_report_comments(report: FitReport) -> list[str]:
     line = report.line
     out = [
         f"linearization: {report.linearization.value}",
-        f"line: intercept = {_fmt(line.intercept)}, slope = {_fmt(line.slope)}",
-        f"fit: r_squared = {_fmt(line.r_squared)}, rms_residual = {_fmt(line.rms_residual)}, "
+        f"line: intercept = {format_float(line.intercept)}, slope = {format_float(line.slope)}",
+        f"fit: r_squared = {format_float(line.r_squared)}, rms_residual = {format_float(line.rms_residual)}, "
         f"n_points = {line.n_points}, dropped_points = {line.dropped_points}",
     ]
     out.extend(f"warning: {w}" for w in report.warnings)
@@ -191,49 +195,49 @@ def write_projection(path: PathLike, proj: Projection, delimiter: str = ",") -> 
     m = proj.model
     p = m.params
     param_text = ", ".join(
-        f"{k} = {_fmt(v)}"
+        f"{k} = {format_float(v)}"
         for k, v in (("a", p.a), ("b", p.b), ("r", p.r), ("C", p.C))
         if v is not None
     )
     feat = proj.features
     feat_bits = [f"feature: {feat.kind.value}"]
     if feat.t_star is not None:
-        feat_bits.append(f"t_star = {_fmt(feat.t_star)}")
+        feat_bits.append(f"t_star = {format_float(feat.t_star)}")
     if feat.s_star is not None:
-        feat_bits.append(f"s_star = {_fmt(feat.s_star)}")
+        feat_bits.append(f"s_star = {format_float(feat.s_star)}")
     meta_lines = [
         f"# label: {proj.series.label}\n",
         f"# unit: {proj.series.unit}\n" if proj.series.unit else "",
-        f"# model: {m.kind.value} ({param_text}), t_ref = {_fmt(m.t_ref)}\n",
-        f"# anchor: t0 = {_fmt(proj.anchor[0])}, s0 = {_fmt(proj.anchor[1])}\n",
+        f"# model: {m.kind.value} ({param_text}), t_ref = {format_float(m.t_ref)}\n",
+        f"# anchor: t0 = {format_float(proj.anchor[0])}, s0 = {format_float(proj.anchor[1])}\n",
         "# " + ", ".join(feat_bits) + ("" if not feat.note else f" ({feat.note})") + "\n",
     ]
     meta_lines.extend(f"# warning: {w}\n" for w in proj.warnings)
     lines = meta_lines + [f"t{delimiter}value\n"]
     for t, v in zip(proj.series.times, proj.series.values):
-        lines.append(f"{_fmt(t)}{delimiter}{_fmt(v)}\n")
+        lines.append(f"{format_float(t)}{delimiter}{format_float(v)}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def write_scenario_table(path: PathLike, report: ScenarioReport, delimiter: str = ",") -> None:
     """Scenario-by-year table with feature columns, plot-ready."""
-    header = ["scenario"] + [_fmt(y) for y in report.report_years]
+    header = ["scenario"] + [format_float(y) for y in report.report_years]
     header += ["feature", "feature_t", "feature_s"]
     lines = [
         _meta_block(
             {
                 "unit": report.unit,
-                "indistinguishable_threshold": _fmt(report.threshold),
+                "indistinguishable_threshold": format_float(report.threshold),
             }
         ),
         delimiter.join(header) + "\n",
     ]
     for row in report.rows:
         cells = [row.label]
-        cells += ["" if v is None else _fmt(v) for v in row.values]
+        cells += ["" if v is None else format_float(v) for v in row.values]
         cells.append(row.features.kind.value)
-        cells.append("" if row.features.t_star is None else _fmt(row.features.t_star))
-        cells.append("" if row.features.s_star is None else _fmt(row.features.s_star))
+        cells.append("" if row.features.t_star is None else format_float(row.features.t_star))
+        cells.append("" if row.features.s_star is None else format_float(row.features.s_star))
         lines.append(delimiter.join(cells) + "\n")
     flag_cells = ["indistinguishable"]
     flag_cells += [

@@ -303,15 +303,19 @@ def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
     return ts.times[keep], 1.0 / ts.values[keep], dropped
 
 
+def _range_mask(times: np.ndarray, t_range: tuple[float, float], what: str) -> np.ndarray:
+    """The times inside [t1, t2]; at least two must be."""
+    t1, t2 = t_range
+    keep = (times >= t1) & (times <= t2)
+    if int(keep.sum()) < 2:
+        raise DegenerateFitError(f"fewer than 2 {what} inside t range [{t1}, {t2}]")
+    return keep
+
+
 def _restrict(rs: RateSeries, t_range: Optional[tuple[float, float]]) -> RateSeries:
     if t_range is None:
         return rs
-    t1, t2 = t_range
-    keep = (rs.times >= t1) & (rs.times <= t2)
-    if int(keep.sum()) < 2:
-        raise DegenerateFitError(
-            f"fewer than 2 rate points inside t range [{t1}, {t2}]"
-        )
+    keep = _range_mask(rs.times, t_range, "rate points")
     return RateSeries(
         times=rs.times[keep],
         rates=rs.rates[keep],
@@ -322,11 +326,7 @@ def _restrict(rs: RateSeries, t_range: Optional[tuple[float, float]]) -> RateSer
 
 
 def _line_to_model(kind: LinearizationKind, line: LineFit, aux_a: Optional[float]) -> Model:
-    if kind is LinearizationKind.R_VS_T:
-        params = Params(a=line.intercept, b=line.slope)
-    elif kind is LinearizationKind.R_VS_S:
-        params = Params(a=line.intercept, b=line.slope)
-    elif kind is LinearizationKind.RECIP_R_VS_T:
+    if kind in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S, LinearizationKind.RECIP_R_VS_T):
         params = Params(a=line.intercept, b=line.slope)
     elif kind is LinearizationKind.LN_R_VS_T:
         params = Params(a=math.exp(line.intercept), b=line.slope)
@@ -392,10 +392,7 @@ def fit_reciprocal_series(
     the returned model arrives normalized.
     """
     if t_range is not None:
-        t1, t2 = t_range
-        keep = (ts.times >= t1) & (ts.times <= t2)
-        if int(keep.sum()) < 2:
-            raise DegenerateFitError(f"fewer than 2 points inside t range [{t1}, {t2}]")
+        keep = _range_mask(ts.times, t_range, "points")
         ts = TimeSeries(ts.times[keep], ts.values[keep], label=ts.label, unit=ts.unit)
     xs, ys, dropped = linearize_series(ts)
     if xs.size < 2:

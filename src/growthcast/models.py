@@ -18,6 +18,14 @@ RATE_LN_LINEAR       a exp(b t')                     S = C exp((a/b) exp(b t'))
 RATE_SHIFTED_EXP     1 / (a - b exp(-r t'))          S = C exp(t'/a + ln(a - b e^(-r t'))/(r a))
 ===================  ==============================  =========================================
 
+LOGLOG_T and LOGLOG_S are LINEAR_T and LINEAR_S applied to F = ln S
+(``LOG_LIFT``): their rates, features and normalization run the base law
+on F, anchored at ln s0, with the chain rule R_S = F R_F and exp of a
+size-valued feature. LOGLOG_T keeps its own closed form F = C exp(a t' +
+b t'^2 / 2), where C takes the sign of ln s0: an anchor below S = 1
+(C < 0) turns the extremum of F at t' = -a/b upside down, so S has a
+maximum there when b C < 0 and a minimum when b C > 0.
+
 All trajectory evaluation happens on ln S internally and exponentiates
 only at the output boundary, so families whose exponents reach several
 hundred on raw calendar years stay evaluable.
@@ -53,6 +61,9 @@ SINGULARITY_GUARD_YEARS = 1e-9
 
 #: |ln C| beyond this cannot be represented as a float C.
 _LOG_FLOAT_LIMIT = 700.0
+
+#: exp(x) is a finite float for x below this.
+_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class ModelKind(Enum):
@@ -107,6 +118,12 @@ SIZE_DEPENDENT_KINDS = frozenset(
     {ModelKind.HYPERBOLIC, ModelKind.LINEAR_S, ModelKind.LOGLOG_T, ModelKind.LOGLOG_S}
 )
 
+#: The log-of-size lift: base law -> that law applied to F = ln S. Rates
+#: of ln S that a base law fits name the lifted family of the series.
+LOG_LIFT = {ModelKind.LINEAR_T: ModelKind.LOGLOG_T, ModelKind.LINEAR_S: ModelKind.LOGLOG_S}
+
+_LIFT_BASE = {lifted: base for base, lifted in LOG_LIFT.items()}
+
 
 @dataclass(frozen=True)
 class Model:
@@ -125,11 +142,13 @@ class Model:
 
     def __post_init__(self) -> None:
         required, nonzero = _PARAM_RULES[self.kind]
-        for name in required:
-            if getattr(self.params, name) is None:
+        p = self.params
+        for name, val in (("a", p.a), ("b", p.b), ("r", p.r), ("C", p.C), ("t_ref", self.t_ref)):
+            if val is None and name in required:
                 raise ValidationError(f"{self.kind.value} requires parameter {name!r}")
-        for name in nonzero:
-            if getattr(self.params, name) == 0.0:
+            if val is not None and not math.isfinite(val):
+                raise ValidationError(f"{self.kind.value} parameter {name!r} must be finite, got {val}")
+            if val == 0.0 and name in nonzero:
                 raise ValidationError(f"{self.kind.value} requires {name!r} != 0")
 
     @property
@@ -239,17 +258,17 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
     tt, scalar = _as_array(t)
     tp = tt - m.t_ref
     p = m.params
-    kind = m.kind
+    kind = _LIFT_BASE.get(m.kind, m.kind)
 
     if kind is ModelKind.EXP_CONST:
         c = _require_c(m, positive=True)
         out = math.log(c) + p.a * tp
+    elif m.kind is ModelKind.LOGLOG_T:
+        # F = C e^g, not exp(ln C + g): C < 0 for an anchor below S = 1
+        out = _require_c(m) * np.exp(p.a * tp + 0.5 * p.b * tp * tp)
     elif kind is ModelKind.LINEAR_T:
         c = _require_c(m, positive=True)
         out = math.log(c) + p.a * tp + 0.5 * p.b * tp * tp
-    elif kind is ModelKind.LOGLOG_T:
-        c = _require_c(m)
-        out = c * np.exp(p.a * tp + 0.5 * p.b * tp * tp)
     elif kind is ModelKind.HYPERBOLIC:
         c = _require_c(m)
         _guard_singularity(tp, c / p.b, m)
@@ -260,13 +279,14 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
                 f"(singular at t = {m.t_ref + c / p.b})"
             )
         out = -np.log(denom)
-    elif kind in (ModelKind.LINEAR_S, ModelKind.LOGLOG_S):
+    elif kind is ModelKind.LINEAR_S:
         c = _require_c(m)
         ts_prime = _linear_s_singular_time(p.a, p.b, c)
         if ts_prime is not None:
             _guard_singularity(tp, ts_prime, m)
-        log_denom = _log_recip_denominator(m, tp)
-        out = -log_denom if kind is ModelKind.LINEAR_S else np.exp(-log_denom)
+        out = -_log_recip_denominator(m, tp)
+        if kind is not m.kind:
+            out = np.exp(out)  # the base law gives ln F; ln S = F
     elif kind is ModelKind.RATE_RECIP_LINEAR:
         c = _require_c(m, positive=True)
         _guard_singularity(tp, -p.a / p.b, m)
@@ -309,19 +329,23 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
 
     Size-dependent kinds take the current size ``s``; when omitted the
     model must be normalized and s defaults to trajectory_at(m, t). For
-    the LOGLOG kinds the returned value is the growth rate of S itself,
+    the lifted kinds the returned value is the growth rate of S itself,
     obtained by chain rule from the rate of F = ln S:
     (1/S) dS/dt = dF/dt = F * R_F.
     """
     tt, scalar = _as_array(t)
     tp = tt - m.t_ref
     p = m.params
-    kind = m.kind
+    kind = _LIFT_BASE.get(m.kind, m.kind)
 
-    if kind in SIZE_DEPENDENT_KINDS:
+    if m.kind in SIZE_DEPENDENT_KINDS:
         if s is None:
             s = trajectory_at(m, tt if not scalar else float(tt))
         s_arr = np.asarray(s, dtype=float)
+        if kind is not m.kind:
+            if np.any(s_arr <= 0):
+                raise DomainError(f"{m.kind.value} rate needs s > 0 (it scales with ln s)")
+            s_arr = np.log(s_arr)  # the base law sees F = ln S
     else:
         s_arr = None
 
@@ -333,15 +357,6 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
         out = p.b * s_arr
     elif kind is ModelKind.LINEAR_S:
         out = p.a + p.b * s_arr
-    elif kind is ModelKind.LOGLOG_T:
-        if np.any(s_arr <= 0):
-            raise DomainError("loglog_t rate needs s > 0 (it scales with ln s)")
-        out = (p.a + p.b * tp) * np.log(s_arr)
-    elif kind is ModelKind.LOGLOG_S:
-        if np.any(s_arr <= 0):
-            raise DomainError("loglog_s rate needs s > 0 (it scales with ln s)")
-        f = np.log(s_arr)
-        out = f * (p.a + p.b * f)
     elif kind is ModelKind.RATE_RECIP_LINEAR:
         lin = p.a + p.b * tp
         if np.any(lin == 0):
@@ -357,6 +372,8 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
     else:  # pragma: no cover - enum is exhaustive
         raise ValidationError(f"unknown model kind {kind!r}")
 
+    if kind is not m.kind:
+        out = s_arr * out  # R_S = F * R_F
     return float(out) if scalar else np.asarray(out, dtype=float)
 
 
@@ -364,18 +381,28 @@ def features(m: Model) -> Features:
     """The model's critical point: maximum, asymptote, singularity, or NONE.
 
     Kinds whose feature location or value depends on the normalization
-    constant require a normalized model.
+    constant require a normalized model. A size beyond the float range
+    is left out (s_star None) and the note says so.
     """
     p = m.params
-    kind = m.kind
+    kind = _LIFT_BASE.get(m.kind, m.kind)
+    lifted = kind is not m.kind
 
     if kind is ModelKind.EXP_CONST:
         return Features(FeatureKind.NONE, note="constant rate: pure exponential, no finite feature")
 
     if kind is ModelKind.LINEAR_T:
-        if p.b < 0:
+        # a lifted F = C e^g with C < 0 turns the extremum of g upside down
+        flip = lifted and _require_c(m) < 0
+        if p.b != 0 and (p.b < 0) != flip:
             t_star = m.t_ref - p.a / p.b
-            return Features(FeatureKind.MAXIMUM, t_star=t_star, s_star=trajectory_at(m, t_star))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _sized(FeatureKind.MAXIMUM, trajectory_at(m, t_star), t_star)
+        if flip and p.b < 0:
+            return Features(
+                FeatureKind.NONE,
+                note=f"C < 0: ln S is negative with a minimum of S at t = {m.t_ref - p.a / p.b}",
+            )
         return Features(FeatureKind.NONE, note="rate never crosses zero from above (b >= 0)")
 
     if kind is ModelKind.HYPERBOLIC:
@@ -387,31 +414,11 @@ def features(m: Model) -> Features:
     if kind is ModelKind.LINEAR_S:
         if p.b < 0:
             if p.a > 0:
-                return Features(FeatureKind.ASYMPTOTE, s_star=-p.a / p.b)
+                s_star = -p.a / p.b
+                if lifted:
+                    s_star = math.exp(s_star) if s_star < _LN_FLOAT_MAX else math.inf
+                return _sized(FeatureKind.ASYMPTOTE, s_star)
             return Features(FeatureKind.NONE, note="a < 0 and b < 0: rate negative, decaying size")
-        ts = _linear_s_singular_time(p.a, p.b, _require_c(m))
-        if ts is None:
-            return Features(
-                FeatureKind.NONE,
-                note="b > 0 but the denominator never vanishes for these parameters",
-            )
-        return Features(FeatureKind.SINGULARITY, t_star=m.t_ref + ts)
-
-    if kind is ModelKind.LOGLOG_T:
-        if p.b < 0:
-            c = _require_c(m)
-            tp = -p.a / p.b
-            f_star = c * math.exp(p.a * tp + 0.5 * p.b * tp * tp)
-            return Features(
-                FeatureKind.MAXIMUM, t_star=m.t_ref + tp, s_star=math.exp(f_star)
-            )
-        return Features(FeatureKind.NONE, note="rate of ln S never crosses zero from above")
-
-    if kind is ModelKind.LOGLOG_S:
-        if p.b < 0:
-            if p.a > 0:
-                return Features(FeatureKind.ASYMPTOTE, s_star=math.exp(-p.a / p.b))
-            return Features(FeatureKind.NONE, note="a < 0 and b < 0: ln S decays")
         ts = _linear_s_singular_time(p.a, p.b, _require_c(m))
         if ts is None:
             return Features(
@@ -439,37 +446,41 @@ def features(m: Model) -> Features:
     raise ValidationError(f"unknown model kind {kind!r}")  # pragma: no cover
 
 
+def _sized(kind: FeatureKind, s_star: float, t_star: Optional[float] = None) -> Features:
+    """A feature that has a size; one beyond the float range is left out."""
+    if math.isfinite(s_star):
+        return Features(kind, t_star=t_star, s_star=s_star)
+    return Features(kind, t_star=t_star, note=f"{kind.value} size is beyond the float range")
+
+
 def normalize(m: Model, t0: float, s0: float) -> Model:
     """Fix the normalization constant so the trajectory passes (t0, s0).
 
     Solves the closed form for C in log-space, so anchoring at calendar
     years with large exponents stays exact. Raises DomainError when s0
     violates the kind's positivity needs or when C falls outside float
-    range (re-express the model with t_ref near t0 in that case).
+    range (re-express the model with t_ref near t0 in that case). A
+    lifted kind anchors its base law at F0 = ln s0.
     """
     if s0 <= 0:
         raise DomainError(f"anchor size must be positive, got {s0}")
     tp = t0 - m.t_ref
     p = m.params
-    kind = m.kind
+    kind = _LIFT_BASE.get(m.kind, m.kind)
+    if kind is not m.kind:
+        s0 = math.log(s0)
+        if s0 == 0.0:
+            raise DomainError(f"{m.kind.value} cannot anchor at s0 = 1 (ln s0 = 0)")
 
     if kind is ModelKind.HYPERBOLIC:
         c = 1.0 / s0 + p.b * tp
     elif kind is ModelKind.LINEAR_S:
-        c = _scaled_reciprocal_constant(1.0 / s0 + p.b / p.a, p.a, tp, kind)
-    elif kind is ModelKind.LOGLOG_S:
-        f0 = math.log(s0)
-        if f0 == 0.0:
-            raise DomainError("loglog_s cannot anchor at s0 = 1 (ln s0 = 0)")
-        c = _scaled_reciprocal_constant(1.0 / f0 + p.b / p.a, p.a, tp, kind)
-    elif kind is ModelKind.LOGLOG_T:
-        f0 = math.log(s0)
-        if f0 == 0.0:
-            raise DomainError("loglog_t cannot anchor at s0 = 1 (ln s0 = 0)")
-        g = p.a * tp + 0.5 * p.b * tp * tp
-        c = _exp_or_raise(math.log(abs(f0)) - g, kind) * math.copysign(1.0, f0)
+        if s0 < 0:  # only a lifted anchor, ln s0, can be negative
+            raise DomainError(f"{m.kind.value} closed form needs ln s0 > 0, got ln s0 = {s0}")
+        c = _scaled_reciprocal_constant(1.0 / s0 + p.b / p.a, p.a, tp, m.kind)
     else:
-        # multiplicative C: ln C = ln s0 - g(t0')
+        # multiplicative C: ln |C| = ln |s0| - g(t0'); only a lifted
+        # anchor (ln s0) can be negative, and C takes its sign
         if kind is ModelKind.EXP_CONST:
             g = p.a * tp
         elif kind is ModelKind.LINEAR_T:
@@ -488,7 +499,7 @@ def normalize(m: Model, t0: float, s0: float) -> Model:
             g = tp / p.a + math.log(shifted) / (p.r * p.a)
         else:  # pragma: no cover - enum is exhaustive
             raise ValidationError(f"unknown model kind {kind!r}")
-        c = _exp_or_raise(math.log(s0) - g, kind)
+        c = math.copysign(_exp_or_raise(math.log(abs(s0)) - g, m.kind), s0)
 
     return replace(m, params=replace(p, C=c))
 

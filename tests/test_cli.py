@@ -214,6 +214,41 @@ class TestForecastCommand:
         code = main(["forecast", str(model_file), "--grid", "0:10:1", "--out", str(tmp_path / "p.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "record, t_star",
+        [
+            # S(t*) = exp(ln 100 * e^45): the value of F is finite, S is not
+            ("kind = loglog_t\na = 0.3\nb = -0.001\n", "300.0"),
+            ("kind = linear_t\na = 0.3\nb = -1e-05\n", "29999.999999999996"),
+        ],
+        ids=["loglog_t", "linear_t"],
+    )
+    def test_maximum_beyond_float_range_keeps_its_time(self, tmp_path, record, t_star):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(record, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model_file), "--anchor", "0:100",
+            "--grid", "0:10:1", "--out", str(out),
+        ])
+        assert code == 0
+        text = out.read_text()
+        assert f"# feature: maximum, t_star = {t_star} (" in text
+        assert "beyond the float range" in text
+        assert "s_star" not in text and "inf" not in text
+
+    def test_non_finite_model_parameter_is_exit_2(self, tmp_path, capsys):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text("kind = linear_t\na = nan\nb = 0.1\n", encoding="utf-8")
+        code = main([
+            "forecast", str(model_file), "--anchor", "0:100",
+            "--grid", "0:10:1", "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(model_file) in err and "'a'" in err
+
 
 class TestIntegrateCommand:
     def test_discrete_reconstruction_round_trip(self, tmp_path):

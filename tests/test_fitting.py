@@ -27,6 +27,7 @@ from growthcast import (
     scan_shifted_aux,
     trajectory_at,
 )
+from growthcast.models import LOG_LIFT
 
 
 def rate_series(times, rates, sizes=None, **kw):
@@ -202,9 +203,6 @@ class TestLinearize:
         assert dropped == 0
 
 
-_F_SPACE_INNER = {ModelKind.LOGLOG_T: ModelKind.LINEAR_T, ModelKind.LOGLOG_S: ModelKind.LINEAR_S}
-
-
 class TestFitRateModel:
     def test_synthetic_logistic_recovery(self):
         m = Model(ModelKind.LINEAR_S, Params(a=1.0, b=-1.0, C=1.0))
@@ -292,16 +290,9 @@ class TestParameterRecovery:
     """Noise-free rates from known parameters round-trip through each
     family's linearization to 1e-8 relative."""
 
-    def check(self, m, times, lin, expect, aux_a=None, f_space=False):
-        if f_space:
-            # the log-of-size families are fitted on the rates OF ln S,
-            # whose law is the corresponding plain family applied to F
-            inner = Model(_F_SPACE_INNER[m.kind], m.params)
-            sizes = trajectory_at(inner, times)  # = F = ln S
-            rates = rate_at(inner, times, s=sizes)
-        else:
-            sizes = trajectory_at(m, times)
-            rates = rate_at(m, times)
+    def check(self, m, times, lin, expect, aux_a=None):
+        sizes = trajectory_at(m, times)
+        rates = rate_at(m, times)
         rs = rate_series(times, rates, sizes)
         report = fit_rate_model(rs, lin, aux_a=aux_a)
         for name, want in expect.items():
@@ -334,15 +325,19 @@ class TestParameterRecovery:
         assert report.model.params.b == pytest.approx(1.3, rel=1e-8)
         assert report.model.params.C == pytest.approx(9.0, rel=1e-8)
 
+    # the log-of-size families are fitted on the rates OF F = ln S, whose
+    # law is the base family of the lift applied to F
     def test_loglog_t(self):
-        m = Model(ModelKind.LOGLOG_T, Params(a=0.1, b=-0.002, C=3.0))
-        self.check(m, np.linspace(0.0, 20.0, 40), LinearizationKind.R_VS_T,
-                   {"a": 0.1, "b": -0.002}, f_space=True)
+        f_law = Model(ModelKind.LINEAR_T, Params(a=0.1, b=-0.002, C=3.0))
+        assert LOG_LIFT[f_law.kind] is ModelKind.LOGLOG_T
+        self.check(f_law, np.linspace(0.0, 20.0, 40), LinearizationKind.R_VS_T,
+                   {"a": 0.1, "b": -0.002})
 
     def test_loglog_s(self):
-        m = Model(ModelKind.LOGLOG_S, Params(a=0.5, b=-0.08, C=1.5))
-        self.check(m, np.linspace(0.0, 15.0, 40), LinearizationKind.R_VS_S,
-                   {"a": 0.5, "b": -0.08}, f_space=True)
+        f_law = Model(ModelKind.LINEAR_S, Params(a=0.5, b=-0.08, C=1.5))
+        assert LOG_LIFT[f_law.kind] is ModelKind.LOGLOG_S
+        self.check(f_law, np.linspace(0.0, 15.0, 40), LinearizationKind.R_VS_S,
+                   {"a": 0.5, "b": -0.08})
 
     def test_rate_recip_linear(self):
         m = Model(ModelKind.RATE_RECIP_LINEAR, Params(a=5.0, b=0.7, C=1.0))

@@ -20,6 +20,7 @@ from growthcast import (
     rate_at,
     trajectory_at,
 )
+from growthcast.models import LOG_LIFT
 
 
 def model(kind, t_ref=0.0, unit="", **params):
@@ -109,6 +110,14 @@ class TestParamValidation:
     def test_unused_fields_are_ignored(self):
         m = model(ModelKind.EXP_CONST, a=0.02, r=0.5)
         assert rate_at(m, 3.0) == 0.02
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "r", "C", "t_ref"])
+    def test_non_finite_field_is_named(self, field, bad):
+        fields = dict(a=10.0, b=5.0, r=0.2, C=1.0, t_ref=0.0)
+        fields[field] = bad
+        with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
+            model(ModelKind.RATE_SHIFTED_EXP, **fields)
 
 
 class TestRateAt:
@@ -278,6 +287,38 @@ class TestFeatures:
         with pytest.raises(DomainError):
             features(m)
 
+    def test_maximum_beyond_float_range_has_no_value(self):
+        m = normalize(model(ModelKind.LINEAR_T, a=0.3, b=-1e-5), 0.0, 100.0)
+        f = features(m)
+        assert f.kind is FeatureKind.MAXIMUM
+        assert f.t_star == pytest.approx(30000.0)
+        assert f.s_star is None and "float range" in f.note
+
+    def test_loglog_t_below_one_has_a_minimum_not_a_maximum(self):
+        # ln s0 < 0 gives C < 0: F = C e^g is most negative where g peaks
+        m = normalize(model(ModelKind.LOGLOG_T, a=0.1, b=-0.01), 0.0, 0.5)
+        assert m.params.C < 0
+        s = trajectory_at(m, np.array([0.0, 10.0, 20.0]))
+        assert s[1] < s[0] and s[1] < s[2]
+        f = features(m)
+        assert f.kind is FeatureKind.NONE
+        assert "minimum" in f.note and "t = 10.0" in f.note
+
+    def test_loglog_t_below_one_rising_law_has_a_maximum(self):
+        # b > 0 with C < 0: the trough of g is the peak of F = C e^g
+        m = normalize(model(ModelKind.LOGLOG_T, a=0.1, b=0.01), 0.0, 0.5)
+        f = features(m)
+        assert f.kind is FeatureKind.MAXIMUM
+        assert f.t_star == -10.0
+        assert f.s_star == trajectory_at(m, -10.0)
+        assert trajectory_at(m, np.array([-12.0, -8.0])).max() < f.s_star
+
+    def test_loglog_s_asymptote_beyond_float_range_has_no_value(self):
+        m = normalize(model(ModelKind.LOGLOG_S, a=10.0, b=-0.01), 0.0, 2.0)
+        f = features(m)
+        assert f.kind is FeatureKind.ASYMPTOTE
+        assert f.s_star is None and "float range" in f.note
+
 
 class TestNormalize:
     def test_unit_logistic_constant(self):
@@ -303,6 +344,11 @@ class TestNormalize:
     def test_non_positive_anchor_rejected(self):
         with pytest.raises(DomainError):
             normalize(model(ModelKind.EXP_CONST, a=0.02), 0.0, -1.0)
+
+    def test_loglog_s_below_one_rejected(self):
+        # its closed form is evaluated through ln F, so F = ln S must be > 0
+        with pytest.raises(DomainError, match=r"ln s0 = -0\.69"):
+            normalize(model(ModelKind.LOGLOG_S, a=0.5, b=-0.08), 0.0, 0.5)
 
     def test_unrepresentable_constant_suggests_t_ref(self):
         m = model(ModelKind.LINEAR_T, a=3.452, b=-1.726e-3)  # t_ref = 0
@@ -376,6 +422,66 @@ class TestSignatures:
         np.testing.assert_allclose(
             trajectory_at(loglog, t), np.exp(trajectory_at(inner, t)), rtol=1e-12
         )
+
+
+class TestLogLift:
+    """The log-of-size kinds are their base laws applied to F = ln S."""
+
+    @staticmethod
+    def draws(seed, n=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            t_ref = float(rng.choice([0.0, 3.7, 1950.0]))
+            a = float(rng.uniform(0.05, 0.5))
+            b = float(rng.uniform(-0.05, 0.05))
+            yield rng, t_ref, a, b
+
+    @pytest.mark.parametrize("base", list(LOG_LIFT))
+    def test_rate_is_ln_s_times_base_rate_of_ln_s(self, base):
+        for rng, t_ref, a, b in self.draws(1):
+            t = t_ref + rng.uniform(-50.0, 50.0, 9)
+            s = np.exp(rng.uniform(1e-3, 8.0, 9))  # s > 1
+            f = np.log(s)
+            lifted = model(LOG_LIFT[base], t_ref=t_ref, a=a, b=b)
+            plain = model(base, t_ref=t_ref, a=a, b=b)
+            assert np.array_equal(rate_at(lifted, t, s), f * rate_at(plain, t, f))
+            assert rate_at(lifted, t[0], s[0]) == f[0] * rate_at(plain, t[0], f[0])
+
+    @pytest.mark.parametrize("base", list(LOG_LIFT))
+    def test_normalize_anchors_base_at_ln_s0(self, base):
+        for rng, t_ref, a, b in self.draws(2):
+            t0 = t_ref + float(rng.uniform(-5.0, 5.0))
+            s0 = math.exp(float(rng.uniform(0.05, 5.0)))
+            lifted = normalize(model(LOG_LIFT[base], t_ref=t_ref, a=a, b=b), t0, s0)
+            plain = normalize(model(base, t_ref=t_ref, a=a, b=b), t0, math.log(s0))
+            assert lifted.params.C == plain.params.C
+
+    def test_loglog_s_log_trajectory_is_linear_s_trajectory(self):
+        for rng, t_ref, a, _ in self.draws(3):
+            b = -float(rng.uniform(0.01, 0.5))  # logistic in F: no singularity
+            c = float(np.exp(rng.uniform(-3.0, 5.0)))
+            t = t_ref + rng.uniform(-20.0, 60.0, 11)
+            lifted = model(ModelKind.LOGLOG_S, t_ref=t_ref, a=a, b=b, C=c)
+            plain = model(ModelKind.LINEAR_S, t_ref=t_ref, a=a, b=b, C=c)
+            assert np.array_equal(log_trajectory_at(lifted, t), trajectory_at(plain, t))
+
+    def test_errors_name_the_lifted_kind(self):
+        loglog_t = model(ModelKind.LOGLOG_T, a=0.1, b=-0.01)
+        loglog_s = model(ModelKind.LOGLOG_S, a=0.05, b=0.01)
+        with pytest.raises(DomainError, match="loglog_t"):
+            trajectory_at(loglog_t, 1.0)  # not normalized
+        with pytest.raises(DomainError, match="loglog_s"):
+            rate_at(loglog_s, 1.0, s=-2.0)
+        with pytest.raises(DomainError, match="loglog_t"):
+            normalize(loglog_t, 0.0, 1.0)
+        with pytest.raises(DomainError, match="normalization constant for loglog_t"):
+            normalize(model(ModelKind.LOGLOG_T, a=0.1, b=0.01), 2000.0, 5.0)
+        sing = normalize(loglog_s, 0.0, 2.0)
+        t_sing = features(sing).t_star
+        with pytest.raises(SingularityError, match="loglog_s"):
+            trajectory_at(sing, t_sing)
+        with pytest.raises(DomainError, match="loglog_s"):
+            trajectory_at(sing, t_sing + 1.0)
 
 
 class TestIntegrateRational:
