@@ -5,9 +5,14 @@ Data files are UTF-8 delimited text with a header row and optional
 ``key = value`` records with the fixed field set
 {kind, a, b, r, C, t_ref, unit}; fields a kind does not use are absent.
 
-Everything written here is deterministic: floats are rendered with
-repr (shortest exact round-trip) and no timestamps enter data files.
-Run metadata goes into a ``.meta`` sidecar next to each output.
+Everything written here is deterministic: every float cell is its
+repr (shortest exact round-trip, :func:`format_float`) and no
+timestamps enter data files. Run metadata goes into a ``.meta`` sidecar
+next to each output.
+
+Data rows are streamed to the file in chunks of ``_CHUNK_ROWS`` rows,
+each chunk formatted in one ``%`` operation, so a 10^6-row projection
+is never held in memory as text.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ PathLike = Union[str, Path]
 
 _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 
+#: Rows formatted per write in :func:`_write_table`; bounds the text held in memory.
+_CHUNK_ROWS = 1 << 16
+
 
 def format_float(x: float) -> str:
     """Shortest exact round-trip text of a float, as every output file writes it."""
@@ -38,12 +46,24 @@ def _meta_block(meta: dict[str, str]) -> str:
     return "".join(f"# {k}: {v}\n" for k, v in meta.items() if v != "")
 
 
+def _write_table(path: PathLike, head: str, delimiter: str, *columns: np.ndarray) -> None:
+    """Write ``head``, then one delimited row per index of the float64 columns.
+
+    Each cell is the text :func:`format_float` gives: ``tolist`` yields
+    Python floats and ``%r`` of a Python float is its repr.
+    """
+    row = delimiter.replace("%", "%%").join(["%r"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk = np.column_stack([c[start:stop] for c in columns])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_series(path: PathLike, ts: TimeSeries, delimiter: str = ",") -> None:
-    lines = [_meta_block({"label": ts.label, "unit": ts.unit})]
-    lines.append(f"t{delimiter}value\n")
-    for t, v in zip(ts.times, ts.values):
-        lines.append(f"{format_float(t)}{delimiter}{format_float(v)}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    head = _meta_block({"label": ts.label, "unit": ts.unit}) + f"t{delimiter}value\n"
+    _write_table(path, head, delimiter, ts.times, ts.values)
 
 
 def write_rates(
@@ -59,10 +79,8 @@ def write_rates(
         "transform": transform,
         "unit": unit,
     }
-    lines = [_meta_block(meta), f"t{delimiter}rate{delimiter}size\n"]
-    for t, r, s in zip(rs.times, rs.rates, rs.sizes):
-        lines.append(f"{format_float(t)}{delimiter}{format_float(r)}{delimiter}{format_float(s)}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    head = _meta_block(meta) + f"t{delimiter}rate{delimiter}size\n"
+    _write_table(path, head, delimiter, rs.times, rs.rates, rs.sizes)
 
 
 def _read_table(path: PathLike, delimiter: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -213,10 +231,8 @@ def write_projection(path: PathLike, proj: Projection, delimiter: str = ",") -> 
         "# " + ", ".join(feat_bits) + ("" if not feat.note else f" ({feat.note})") + "\n",
     ]
     meta_lines.extend(f"# warning: {w}\n" for w in proj.warnings)
-    lines = meta_lines + [f"t{delimiter}value\n"]
-    for t, v in zip(proj.series.times, proj.series.values):
-        lines.append(f"{format_float(t)}{delimiter}{format_float(v)}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    head = "".join(meta_lines) + f"t{delimiter}value\n"
+    _write_table(path, head, delimiter, proj.series.times, proj.series.values)
 
 
 def write_scenario_table(path: PathLike, report: ScenarioReport, delimiter: str = ",") -> None:

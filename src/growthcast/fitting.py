@@ -110,6 +110,11 @@ class PolyFit:
             )
         if self.degree < 0:
             raise ValidationError("degree must be non-negative")
+        fields = {"coefficients": coef, "rms_residual": self.rms_residual,
+                  "t_min": self.t_min, "t_max": self.t_max}
+        for name, val in fields.items():
+            if not np.all(np.isfinite(val)):
+                raise ValidationError(f"PolyFit field {name!r} must be finite, got {val}")
         if self.t_min >= self.t_max:
             raise ValidationError("t_min must be below t_max")
         coef.setflags(write=False)

@@ -101,40 +101,43 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
     times = rs.times
     matches = np.nonzero(np.abs(times - t0) <= _ANCHOR_ALIGN_YEARS)[0]
     if matches.size:
-        grid = times.copy()
+        grid = times
         anchor_idx = int(matches[0])
-        # rate i bridges (grid[i-1], grid[i]); rate 0 has no left neighbor
-        rate_for_step = rs.rates
+        step_rates = rs.rates[1:]  # rate 0 has no left neighbor
     elif t0 < times[0] - _ANCHOR_ALIGN_YEARS:
         grid = np.concatenate(([t0], times))
         anchor_idx = 0
-        rate_for_step = np.concatenate(([np.nan], rs.rates))  # rate i bridges into grid[i]
+        step_rates = rs.rates
     else:
         raise ValidationError(
             f"anchor time {t0} neither matches a rate time nor precedes the first "
             f"rate time {times[0]}"
         )
 
-    values = np.empty_like(grid)
-    values[anchor_idx] = s0
-    for i in range(anchor_idx + 1, grid.size):
-        dt = grid[i] - grid[i - 1]
-        factor = 1.0 + rate_for_step[i] * dt
-        if factor <= 0:
-            raise CollapseError(
-                f"step into t = {grid[i]} would drive the size non-positive "
-                f"(1 + R*dt = {factor})"
-            )
-        values[i] = values[i - 1] * factor
-    for i in range(anchor_idx - 1, -1, -1):
-        dt = grid[i + 1] - grid[i]
-        factor = 1.0 + rate_for_step[i + 1] * dt
-        if factor <= 0:
-            raise CollapseError(
-                f"backward step into t = {grid[i]} would drive the size non-positive "
-                f"(1 + R*dt = {factor})"
-            )
-        values[i] = values[i + 1] / factor
+    # factors[i] = 1 + R dt of the step between grid[i] and grid[i + 1]
+    factors = 1.0 + step_rates * np.diff(grid)
+    forward = factors[anchor_idx:]
+    backward = factors[:anchor_idx][::-1]
+    bad = np.flatnonzero(forward <= 0)
+    if bad.size:
+        i = anchor_idx + 1 + int(bad[0])
+        raise CollapseError(
+            f"step into t = {grid[i]} would drive the size non-positive "
+            f"(1 + R*dt = {factors[i - 1]})"
+        )
+    bad = np.flatnonzero(backward <= 0)
+    if bad.size:
+        i = anchor_idx - 1 - int(bad[0])
+        raise CollapseError(
+            f"backward step into t = {grid[i]} would drive the size non-positive "
+            f"(1 + R*dt = {factors[i]})"
+        )
+    # accumulate is strictly sequential, so each value is the running
+    # product (quotient) the step rule defines, rounded step by step
+    values = np.concatenate((
+        np.divide.accumulate(np.concatenate(([s0], backward)))[:0:-1],
+        np.multiply.accumulate(np.concatenate(([s0], forward))),
+    ))
 
     return TimeSeries(times=grid, values=values, label=rs.source_label, unit="")
 
@@ -207,6 +210,11 @@ def _project_evaluated(
             "fewer than 2 grid points remain before the singularity; nothing to project"
         )
     values = trajectory_at(m, g)
+    beyond = np.flatnonzero(~np.isfinite(values))
+    if beyond.size:
+        raise NumericError(
+            f"{m.kind.value} size is beyond the float range at t = {g[beyond[0]]}"
+        )
     series = TimeSeries(
         times=g, values=values, label=label or m.kind.value, unit=m.unit
     )

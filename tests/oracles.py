@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's own evaluation paths: plain
 Python/NumPy arithmetic, classical fixed-step Runge-Kutta, SciPy's
-adaptive quadrature, per-window LAPACK least squares and exact rational
-arithmetic.
+adaptive quadrature, per-window LAPACK least squares, exact rational
+arithmetic and plain Python loops.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+
+from growthcast import CollapseError
 
 
 def rk4_log_integrate(
@@ -132,3 +134,37 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
                 a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
         prev = a[k][k]
     return sign * a[m - 1][m - 1]
+
+
+def integrate_discrete_loop(
+    grid: np.ndarray, rate_for_step: np.ndarray, anchor_idx: int, s0: float
+) -> np.ndarray:
+    """Discrete step integration, one step per loop iteration.
+
+    The loop that ``forecast.integrate_discrete`` replaced, kept as its
+    reference. ``rate_for_step[i]`` bridges (grid[i - 1], grid[i]); the
+    size at ``grid[anchor_idx]`` is s0, later sizes multiply by 1 + R dt
+    and earlier ones divide by it. Raises CollapseError, with the
+    library's message, at the first factor <= 0 in each direction.
+    """
+    values = np.empty_like(grid)
+    values[anchor_idx] = s0
+    for i in range(anchor_idx + 1, grid.size):
+        dt = grid[i] - grid[i - 1]
+        factor = 1.0 + rate_for_step[i] * dt
+        if factor <= 0:
+            raise CollapseError(
+                f"step into t = {grid[i]} would drive the size non-positive "
+                f"(1 + R*dt = {factor})"
+            )
+        values[i] = values[i - 1] * factor
+    for i in range(anchor_idx - 1, -1, -1):
+        dt = grid[i + 1] - grid[i]
+        factor = 1.0 + rate_for_step[i + 1] * dt
+        if factor <= 0:
+            raise CollapseError(
+                f"backward step into t = {grid[i]} would drive the size non-positive "
+                f"(1 + R*dt = {factor})"
+            )
+        values[i] = values[i + 1] / factor
+    return values

@@ -237,6 +237,20 @@ class TestForecastCommand:
         assert "beyond the float range" in text
         assert "s_star" not in text and "inf" not in text
 
+    def test_trajectory_beyond_float_range_is_exit_3(self, tmp_path, capsys):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text("kind = loglog_t\na = 0.3\nb = -0.001\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model_file), "--anchor", "0:100",
+            "--grid=-20:200:2", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: loglog_t size is beyond the float range at t = 18.0\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_model_parameter_is_exit_2(self, tmp_path, capsys):
         model_file = tmp_path / "m.txt"
         model_file.write_text("kind = linear_t\na = nan\nb = 0.1\n", encoding="utf-8")

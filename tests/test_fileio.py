@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,10 @@ from growthcast import (
     load_series,
     project,
 )
+from growthcast import fileio
 from growthcast.fileio import (
+    _CHUNK_ROWS,
+    format_float,
     read_model,
     read_rates,
     write_model,
@@ -123,3 +128,70 @@ class TestProjectionFile:
         # the data block is a valid series file
         back = load_series(path, "t", "value")
         assert len(back) == len(proj.series)
+
+
+# cells whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, exponent notation on both sides, inexact decimals
+_SPECIALS = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3]
+
+
+def _columns(n):
+    """n strictly increasing times and two columns cycling through _SPECIALS and random magnitudes."""
+    rng = np.random.default_rng(n)
+    times = np.concatenate(([-0.0, 5e-324, 1e-5, 0.1, 1 / 3], 1.0 + np.arange(n) / 3))[:n]
+    pool = np.concatenate(
+        (_SPECIALS, rng.standard_normal(90) * 10.0 ** rng.integers(-300, 300, 90))
+    )
+    return times, np.resize(pool, n), -np.resize(pool[::-1], n)
+
+
+def _cell_by_cell(delimiter, *columns):
+    """The data rows as the per-row writer loops rendered them."""
+    return "".join(
+        delimiter.join(format_float(x) for x in row) + "\n" for row in zip(*columns)
+    )
+
+
+def _write_all(tmp_path, n, delimiter):
+    """Write a series, a rates and a projection file of n rows; return (path, expected text)."""
+    times, values, sizes = _columns(n)
+    series = tmp_path / "s.csv"
+    write_series(series, TimeSeries(times, values, label="L", unit="U"), delimiter=delimiter)
+    rates = tmp_path / "r.csv"
+    rs = RateSeries(times, values, sizes, source_label="L", method=RateMethod.REFINED)
+    write_rates(rates, rs, unit="U", transform="log", delimiter=delimiter)
+    proj = project(Model(ModelKind.EXP_CONST, Params(a=0.02)), (0.0, 1.0), [0.0, 1.0])
+    proj = dataclasses.replace(proj, series=TimeSeries(times, values, label="L"))
+    projection = tmp_path / "p.csv"
+    write_projection(projection, proj, delimiter=delimiter)
+    two_columns = _cell_by_cell(delimiter, times, values)
+    return [
+        (series, f"# label: L\n# unit: U\nt{delimiter}value\n" + two_columns),
+        (
+            rates,
+            "# label: L\n# method: refined\n# transform: log\n# unit: U\n"
+            f"t{delimiter}rate{delimiter}size\n" + _cell_by_cell(delimiter, times, values, sizes),
+        ),
+        (
+            projection,
+            "# label: L\n# model: exp_const (a = 0.02, C = 1.0), t_ref = 0.0\n"
+            "# anchor: t0 = 0.0, s0 = 1.0\n"
+            "# feature: none (constant rate: pure exponential, no finite feature)\n"
+            f"t{delimiter}value\n" + two_columns,
+        ),
+    ]
+
+
+class TestChunkedWriters:
+    """Each writer's file is the cell-by-cell format_float text, across chunk edges."""
+
+    @pytest.mark.parametrize("delimiter", [";", "%s%"])
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 15])
+    def test_rows_across_chunk_edges(self, tmp_path, monkeypatch, n, delimiter):
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", 7)
+        for path, expected in _write_all(tmp_path, n, delimiter):
+            assert path.read_bytes().decode("utf-8") == expected, path.name
+
+    def test_rows_across_the_real_chunk_edge(self, tmp_path):
+        for path, expected in _write_all(tmp_path, _CHUNK_ROWS + 1, ","):
+            assert path.read_bytes().decode("utf-8") == expected, path.name

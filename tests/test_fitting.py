@@ -141,6 +141,24 @@ class TestFitPolynomial:
                     t_min=0.0, t_max=10.0)
         assert p.value_at(7.0) == 0.02
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coefficients", np.array([0.01, np.nan])),
+            ("rms_residual", math.inf),
+            ("t_min", -math.inf),
+            ("t_max", math.nan),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(
+            coefficients=np.array([0.01, 1e-4]), degree=1, rms_residual=0.0,
+            t_min=0.0, t_max=10.0,
+        )
+        fields[field] = value
+        with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
+            PolyFit(**fields)
+
     def test_noisy_line_degree_six_fits_but_refuses_extrapolation(self):
         # a high-degree fit is allowed as a description; using it beyond
         # the data range is refused downstream

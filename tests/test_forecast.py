@@ -30,7 +30,7 @@ from growthcast import (
     trajectory_at,
 )
 
-from oracles import rk4_log_integrate
+from oracles import integrate_discrete_loop, rk4_log_integrate
 
 
 def rate_series(times, rates, sizes=None, **kw):
@@ -90,6 +90,38 @@ class TestIntegrateDiscrete:
         rs = rate_series([1.0], [0.1])
         with pytest.raises(DomainError):
             integrate_discrete(rs, (0.0, 0.0))
+
+    def test_matches_step_loop(self):
+        """Bit-identical to the per-step loop, forward and backward, errors included."""
+        rng = np.random.default_rng(4)
+        outcomes = {"values": 0, "collapse": 0}
+        for case in range(200):
+            n = int(rng.integers(2, 40))
+            times = 1950.0 + np.cumsum(rng.uniform(0.1, 3.0, n))
+            rates = rng.uniform(-0.35, 0.5, n)
+            before = case % 4 == 0  # anchor before the first rate time
+            grid = np.concatenate(([times[0] - 1.5], times)) if before else times
+            for k in rng.integers(0 if before else 1, n, size=case % 3):
+                rates[k] = -1.2 / (grid[k + before] - grid[k + before - 1])  # 1 + R dt < 0
+            rs = rate_series(times, rates, sizes=np.ones(n))
+            if before:
+                step_rates, anchor_idx = np.concatenate(([np.nan], rates)), 0
+            else:
+                step_rates, anchor_idx = rates, int(rng.integers(0, n))
+            s0 = float(rng.uniform(0.5, 1e6))
+            try:
+                expected = integrate_discrete_loop(grid, step_rates, anchor_idx, s0)
+            except CollapseError as exc:
+                with pytest.raises(CollapseError) as got:
+                    integrate_discrete(rs, (grid[anchor_idx], s0))
+                assert str(got.value) == str(exc)
+                outcomes["collapse"] += 1
+                continue
+            out = integrate_discrete(rs, (grid[anchor_idx], s0))
+            assert np.array_equal(out.times, grid)
+            assert np.array_equal(out.values, expected)
+            outcomes["values"] += 1
+        assert min(outcomes.values()) >= 20
 
 
 class TestIntegrateRateFunction:
