@@ -18,7 +18,7 @@ is never held in memory as text.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .fitting import FitReport
 from .forecast import Projection, ScenarioReport
 from .models import Model, ModelKind, Params
 from .rates import RateMethod, RateSeries
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, read_table
 
 PathLike = Union[str, Path]
 
@@ -83,52 +83,24 @@ def write_rates(
     _write_table(path, head, delimiter, rs.times, rs.rates, rs.sizes)
 
 
-def _read_table(path: PathLike, delimiter: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    meta: dict[str, str] = {}
-    header: Optional[list[str]] = None
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if header is None and ":" in stripped:
-                    key, _, val = stripped.lstrip("#").partition(":")
-                    meta[key.strip()] = val.strip()
-                continue
-            cells = [c.strip() for c in stripped.split(delimiter)]
-            if header is None:
-                header = cells
-            else:
-                rows.append(cells)
-    if header is None:
-        raise ParseError(f"{path}: no header row found")
-    return meta, header, rows
-
-
 def read_rates(path: PathLike, delimiter: str = ",") -> tuple[RateSeries, dict[str, str]]:
-    """Read a rates table (columns t, rate, size) plus its metadata."""
-    meta, header, rows = _read_table(path, delimiter)
-    for col in ("t", "rate"):
-        if col not in header:
-            raise ConfigError(f"{path}: rates file must have a {col!r} column, got {header}")
-    it = header.index("t")
-    ir = header.index("rate")
-    isz = header.index("size") if "size" in header else None
-    times, rates, sizes = [], [], []
-    for n, cells in enumerate(rows, start=2):
-        try:
-            times.append(float(cells[it]))
-            rates.append(float(cells[ir]))
-            sizes.append(float(cells[isz]) if isz is not None else 1.0)
-        except (ValueError, IndexError):
-            raise ParseError(f"{path}: row {n}: cannot parse {cells!r}") from None
-    method = RateMethod(meta.get("method", "direct")) if meta.get("method") else RateMethod.DIRECT
+    """Read a rates table (columns t, rate and optionally size) plus its metadata.
+
+    The table is read by :func:`timeseries.read_table`; sizes default to
+    1 when the file has no size column.
+    """
+    meta, cols = read_table(path, "t", ("rate",), optional=("size",), delimiter=delimiter)
+    try:
+        method = RateMethod(meta.get("method") or RateMethod.DIRECT.value)
+    except ValueError:
+        valid = ", ".join(m.value for m in RateMethod)
+        raise ConfigError(
+            f"{path}: unknown rate method {meta['method']!r}; valid methods: {valid}"
+        ) from None
     rs = RateSeries(
-        times=np.array(times),
-        rates=np.array(rates),
-        sizes=np.array(sizes),
+        times=cols["t"],
+        rates=cols["rate"],
+        sizes=cols.get("size", np.ones_like(cols["t"])),
         source_label=meta.get("label", ""),
         method=method,
     )

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,8 @@ from .errors import (
 from .models import Model, ModelKind, Params
 from .rates import RateSeries
 from .timeseries import TimeSeries
+
+_FLOAT_TINY = np.finfo(float).tiny
 
 
 class LinearizationKind(Enum):
@@ -154,27 +156,31 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     """Ordinary least squares through closed-form normal equations.
 
     r_squared is 1 - SSres/SStot, defined as 1 when the data are exactly
-    constant (SStot = SSres = 0).
+    constant (SStot = SSres = 0). Sums beyond the float range are a
+    DegenerateFitError.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("xs and ys must be 1-d arrays of equal length")
     n = x.size
-    if n < 2 or np.unique(x).size < 2:
+    if n < 2 or not (x != x[0]).any():
         raise DegenerateFitError(
             f"line fit needs at least 2 distinct x values, got {np.unique(x).size}"
         )
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    dy = y - ym
-    sxx = float(dx @ dx)
-    slope = float(dx @ dy) / sxx
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    ss_res = float(resid @ resid)
-    ss_tot = float(dy @ dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x.mean()
+        ym = y.mean()
+        dx = x - xm
+        dy = y - ym
+        sxx = float(dx @ dx)
+        slope = float(dx @ dy) / sxx
+        intercept = ym - slope * xm
+        resid = y - (intercept + slope * x)
+        ss_res = float(resid @ resid)
+        ss_tot = float(dy @ dy)
+    if not all(map(math.isfinite, (sxx, slope, intercept, ss_res, ss_tot))):
+        raise DegenerateFitError("line fit sums are beyond the float range")
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
@@ -230,6 +236,16 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
     )
 
 
+def _reciprocal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1/x and the mask of where it is finite; the entries where it is
+    not (x = 0, or x so small that 1/x overflows) are set to 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / x
+    keep = np.isfinite(inv)
+    inv[~keep] = 0.0
+    return inv, keep
+
+
 def linearize(
     rs: RateSeries,
     kind: LinearizationKind,
@@ -238,9 +254,9 @@ def linearize(
     """Transform a rate series into straight-line coordinates.
 
     Points the transform cannot represent (non-positive rates under a
-    log, zero rates under a reciprocal) are dropped with a warning and
-    counted; real series legitimately contain them (recession years).
-    Returns (xs, ys, dropped).
+    log, rates whose reciprocal is infinite) are dropped with a warning
+    and counted; real series legitimately contain them (recession
+    years). Returns (xs, ys, dropped).
     """
     t = rs.times
     r = rs.rates
@@ -253,8 +269,8 @@ def linearize(
         keep = np.ones_like(r, dtype=bool)
         xs, ys = s, r
     elif kind is LinearizationKind.RECIP_R_VS_T:
-        keep = r != 0
-        xs, ys = t, np.divide(1.0, r, out=np.zeros_like(r), where=keep)
+        ys, keep = _reciprocal(r)
+        xs = t
     elif kind is LinearizationKind.LN_R_VS_T:
         keep = r > 0
         ys = np.zeros_like(r)
@@ -263,17 +279,15 @@ def linearize(
     elif kind is LinearizationKind.SHIFTED_LN_VS_T:
         if aux_a is None:
             raise ConfigError("shifted-ln-vs-t needs the auxiliary parameter a")
-        keep = r != 0
-        shifted = np.full_like(r, -np.inf)
-        np.divide(1.0, r, out=shifted, where=keep)
-        shifted = aux_a - shifted
+        inv_r, keep = _reciprocal(r)
+        shifted = aux_a - inv_r
         keep &= shifted > 0
         ys = np.zeros_like(r)
         np.log(shifted, out=ys, where=keep)
         xs = t
     elif kind is LinearizationKind.RECIP_S_VS_T:
-        keep = s != 0
-        xs, ys = t, np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        ys, keep = _reciprocal(s)
+        xs = t
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown linearization {kind!r}")
 
@@ -297,15 +311,17 @@ def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
     The hyperbolic identification test: 1/S affine in t is the unique
     signature of hyperbolic growth.
     """
-    keep = ts.values != 0
+    inv, keep = _reciprocal(ts.values)
     dropped = int((~keep).sum())
     if dropped == ts.values.size:
-        raise EmptyLinearizationError("recip-s-vs-t: every series value is zero")
+        raise EmptyLinearizationError("recip-s-vs-t: no series value has a finite reciprocal")
     if dropped:
         warnings.warn(
-            f"recip-s-vs-t: dropped {dropped} zero value(s)", FitWarning, stacklevel=2
+            f"recip-s-vs-t: dropped {dropped} value(s) without a finite reciprocal",
+            FitWarning,
+            stacklevel=2,
         )
-    return ts.times[keep], 1.0 / ts.values[keep], dropped
+    return ts.times[keep], inv[keep], dropped
 
 
 def _range_mask(times: np.ndarray, t_range: tuple[float, float], what: str) -> np.ndarray:
@@ -330,13 +346,21 @@ def _restrict(rs: RateSeries, t_range: Optional[tuple[float, float]]) -> RateSer
     )
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf beyond the float range, so that ``Model`` names the parameter."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _line_to_model(kind: LinearizationKind, line: LineFit, aux_a: Optional[float]) -> Model:
     if kind in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S, LinearizationKind.RECIP_R_VS_T):
         params = Params(a=line.intercept, b=line.slope)
     elif kind is LinearizationKind.LN_R_VS_T:
-        params = Params(a=math.exp(line.intercept), b=line.slope)
+        params = Params(a=_exp(line.intercept), b=line.slope)
     elif kind is LinearizationKind.SHIFTED_LN_VS_T:
-        params = Params(a=aux_a, b=math.exp(line.intercept), r=-line.slope)
+        params = Params(a=aux_a, b=_exp(line.intercept), r=-line.slope)
     elif kind is LinearizationKind.RECIP_S_VS_T:
         params = Params(b=-line.slope, C=line.intercept)
     else:  # pragma: no cover - enum is exhaustive
@@ -416,6 +440,68 @@ def fit_reciprocal_series(
     )
 
 
+#: Candidate-by-point cells the aux scan scores at once; bounds its memory.
+_SCAN_BLOCK_CELLS = 1 << 17
+
+
+def _shifted_r2_scorer(
+    times: np.ndarray, rates: np.ndarray, min_kept: float
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """A function giving the shifted-ln line's r^2 at many displacements a.
+
+    The returned function scores a candidate -inf where the scan skips
+    it: fewer than ``min_kept`` points with a - 1/R > 0 (an infinite
+    1/R is never kept), or a line that maps to no valid model (a = 0 or
+    non-finite, slope 0 or non-finite, e^intercept beyond the float
+    range). Only candidates keeping enough points are computed, in
+    blocks of at most ``_SCAN_BLOCK_CELLS`` cells. Per row, the time
+    moments are taken in one pass about the mean of all times and the
+    log moments in two passes about the row's own kept mean; r^2 then
+    agrees with :func:`fit_line` on the same points to about 1e-14,
+    losing digits only when a candidate keeps a small cluster of points
+    far from the mean of all times.
+    """
+    t0 = float(times.mean())
+    tc = times - t0
+    basis = np.stack((np.ones_like(tc), tc, tc * tc))
+    inv_r, finite = _reciprocal(rates)
+    inv_r[~finite] = np.inf  # never kept
+    # a - 1/R > 0 exactly when 1/R < a, so a candidate keeps as many
+    # points as there are values of 1/R below it
+    inv_sorted = np.sort(inv_r)
+    rows = max(1, _SCAN_BLOCK_CELLS // tc.size)
+
+    def score(a_values: Sequence[float]) -> np.ndarray:
+        a = np.asarray(a_values, dtype=float)
+        out = np.full(a.size, -np.inf)
+        kept = np.searchsorted(inv_sorted, a)
+        (live,) = np.nonzero((kept >= min_kept) & np.isfinite(a) & (a != 0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for start in range(0, live.size, rows):
+                idx = live[start : start + rows]
+                y = a[idx, None] - inv_r
+                w = (y > 0).astype(float)
+                # dropped points get a finite log, zeroed by w below
+                np.log(np.fmax(y, _FLOAT_TINY, out=y), out=y)
+                n, sx, sxx = (w @ basis.T).T
+                xm = sx / n
+                sxx -= sx * xm
+                ym = np.einsum("ij,ij->i", w, y) / n
+                y -= ym[:, None]
+                y *= w
+                syy = np.einsum("ij,ij->i", y, y)
+                sy, sxy = (y @ basis[:2].T).T
+                sxy -= xm * sy
+                slope = sxy / sxx
+                intercept = ym - slope * (xm + t0)
+                r2 = np.clip(np.nan_to_num(sxy * sxy / (sxx * syy), nan=0.0), 0.0, 1.0)
+                valid = np.isfinite(slope) & (slope != 0) & np.isfinite(np.exp(intercept))
+                out[idx] = np.where(valid, r2, -np.inf)
+        return out
+
+    return score
+
+
 def scan_shifted_aux(
     rs: RateSeries,
     a_min: float,
@@ -429,57 +515,57 @@ def scan_shifted_aux(
     The shifted linearization needs its displacement a before any line
     can be fitted and nothing in the rate data fixes it; this scan picks
     the a in [a_min, a_max] maximizing r^2. Candidates whose transform
-    keeps fewer than ``min_keep_fraction`` of the points are skipped: a
-    displacement that leaves two points always fits a perfect line and
-    explains nothing. A documented convenience, not a substitute for
-    domain knowledge.
+    keeps fewer than ``min_keep_fraction`` of the points (and fewer than
+    3) are skipped: a displacement that leaves two points always fits a
+    perfect line and explains nothing. So are candidates
+    :func:`fit_rate_model` would refuse: a = 0, a zero slope, or
+    e^intercept beyond the float range. A documented convenience, not a
+    substitute for domain knowledge.
+
+    Every candidate of the grid, and of the ternary refinement around
+    the best grid point, is scored by :func:`_shifted_r2_scorer` in
+    closed form, the whole grid in one call; the first maximum wins.
+    Only the chosen a is fitted by :func:`fit_rate_model`, so the
+    returned report is exactly that of a direct fit at it.
     """
     if not (a_min < a_max) or steps < 2:
         raise ConfigError("scan needs a_min < a_max and at least 2 steps")
-
-    def try_fit(a: float) -> Optional[FitReport]:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FitWarning)
-                report = fit_rate_model(
-                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=a
-                )
-        except (EmptyLinearizationError, DegenerateFitError):
-            return None
-        n_total = report.line.n_points + report.line.dropped_points
-        if report.line.n_points < max(3, min_keep_fraction * n_total):
-            return None
-        return report
-
-    best: tuple[float, FitReport] | None = None
-    for a in np.linspace(a_min, a_max, steps):
-        report = try_fit(float(a))
-        if report is None:
-            continue
-        if best is None or report.line.r_squared > best[1].line.r_squared:
-            best = (float(a), report)
-    if best is None:
+    try:
+        restricted = _restrict(rs, t_range)
+    except DegenerateFitError:
+        raise EmptyLinearizationError("no scan value of a admits a fit") from None
+    score = _shifted_r2_scorer(
+        restricted.times, restricted.rates, max(3, min_keep_fraction * len(restricted))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(a_min, a_max, steps)
+    grid_r2 = score(grid)
+    k = int(np.argmax(grid_r2))
+    if grid_r2[k] == -np.inf:
         raise EmptyLinearizationError("no scan value of a admits a fit")
+    best_a, best_r2 = float(grid[k]), float(grid_r2[k])
 
     # refine between the neighboring grid points: r^2 is smooth in a near
     # the optimum and the grid alone leaves a bias of order one step
     step = (a_max - a_min) / (steps - 1)
-    lo, hi = best[0] - step, best[0] + step
+    lo, hi = best_a - step, best_a + step
     for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        f1 = try_fit(m1)
-        f2 = try_fit(m2)
-        r1 = -np.inf if f1 is None else f1.line.r_squared
-        r2 = -np.inf if f2 is None else f2.line.r_squared
+        r1, r2 = score((m1, m2)).tolist()
         if r1 < r2:
             lo = m1
-            if f2 is not None and r2 > best[1].line.r_squared:
-                best = (m2, f2)
+            if r2 > best_r2:
+                best_a, best_r2 = m2, r2
         else:
             hi = m2
-            if f1 is not None and r1 > best[1].line.r_squared:
-                best = (m1, f1)
-        if hi - lo <= 1e-12 * max(1.0, abs(best[0])):
+            if r1 > best_r2:
+                best_a, best_r2 = m1, r1
+        if hi - lo <= 1e-12 * max(1.0, abs(best_a)):
             break
-    return best
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitWarning)
+        report = fit_rate_model(
+            rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=best_a
+        )
+    return best_a, report

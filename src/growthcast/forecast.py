@@ -115,7 +115,8 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
         )
 
     # factors[i] = 1 + R dt of the step between grid[i] and grid[i + 1]
-    factors = 1.0 + step_rates * np.diff(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = 1.0 + step_rates * np.diff(grid)
     forward = factors[anchor_idx:]
     backward = factors[:anchor_idx][::-1]
     bad = np.flatnonzero(forward <= 0)
@@ -133,11 +134,21 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
             f"(1 + R*dt = {factors[i]})"
         )
     # accumulate is strictly sequential, so each value is the running
-    # product (quotient) the step rule defines, rounded step by step
-    values = np.concatenate((
-        np.divide.accumulate(np.concatenate(([s0], backward)))[:0:-1],
-        np.multiply.accumulate(np.concatenate(([s0], forward))),
-    ))
+    # product (quotient) the step rule defines, rounded step by step; a
+    # size beyond the float range becomes inf or nan and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate((
+            np.divide.accumulate(np.concatenate(([s0], backward)))[:0:-1],
+            np.multiply.accumulate(np.concatenate(([s0], forward))),
+        ))
+    beyond = ~np.isfinite(values)
+    if beyond.any():
+        # name the first step, walking out from the anchor, that leaves the range
+        ahead = np.flatnonzero(beyond[anchor_idx:])
+        i = anchor_idx + int(ahead[0]) if ahead.size else int(np.flatnonzero(beyond)[-1])
+        raise NumericError(
+            f"discretely integrated size is beyond the float range at t = {grid[i]}"
+        )
 
     return TimeSeries(times=grid, values=values, label=rs.source_label, unit="")
 
@@ -234,7 +245,9 @@ def compare_scenarios(
     (relative to the smallest value) are marked indistinguishable: up to
     that horizon the data cannot tell the scenarios apart. Values at
     report years come from the models directly, not from grid
-    interpolation; a year past a scenario's singularity yields None.
+    interpolation. A year past a scenario's singularity, or where its
+    size is beyond the float range, yields None, and a year where fewer
+    than two scenarios have a value is flagged None.
     """
     if not projections:
         raise ConfigError("compare_scenarios needs at least one projection")
@@ -248,9 +261,10 @@ def compare_scenarios(
         vals: list[Optional[float]] = []
         for y in years:
             try:
-                vals.append(float(trajectory_at(p.model, y)))
+                v = float(trajectory_at(p.model, y))
             except NumericError:
-                vals.append(None)
+                v = math.nan
+            vals.append(v if math.isfinite(v) else None)
         rows.append(
             ScenarioRow(
                 label=p.series.label, values=tuple(vals), features=p.features, anchor=p.anchor

@@ -4,16 +4,21 @@ A :class:`TimeSeries` is an immutable pair of arrays (times in calendar
 years, observed sizes) with a label and a unit. Times must be strictly
 increasing and all values finite; violations raise at construction so
 downstream gradient code never sees bad spacing.
+
+:func:`read_table` is the one reader of delimited data files, series
+(:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
+the stream once and converts each needed column in bulk, and looks for
+the offending cell only when a conversion fails.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, NoReturn, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -71,6 +76,102 @@ class TimeSeries:
         return zip(self.times.tolist(), self.values.tolist())
 
 
+def read_table(
+    source: Union[str, Path, TextIO],
+    time_column: str,
+    columns: Sequence[str],
+    *,
+    optional: Sequence[str] = (),
+    delimiter: str = ",",
+) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read named float columns of a delimited text table, and its metadata.
+
+    The stream is read once. Blank lines and lines starting with '#' are
+    skipped wherever they are; those above the header row that read
+    ``# key: value`` are the metadata. Rows are split by ``csv.reader``,
+    so quoted cells work, and header names are stripped of surrounding
+    blanks. The time column and ``columns`` must be present,
+    ``optional`` columns are read when they are. Every cell is converted
+    by ``float``; the first empty, missing or unparseable cell is a
+    ``ParseError`` naming its row (the header is row 1, skipped lines
+    are not counted). Times must strictly increase: a duplicated or
+    non-increasing time is a ``ValidationError`` naming its row.
+    Returns the metadata and one array per column read, keyed by name.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        where = f"{source}: "
+    else:
+        text, where = source.read(), ""
+    # line breaks as universal newlines read them: \n, \r\n and \r only
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    meta: dict[str, str] = {}
+    header_at = None
+    for i, raw in enumerate(lines):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if not stripped.startswith("#"):
+            header_at = i
+            break
+        key, colon, val = stripped.lstrip("#").partition(":")
+        if colon:
+            meta[key.strip()] = val.strip()
+    if header_at is None:
+        raise ParseError(f"{where}no header row found")
+    body = [ln for ln in lines[header_at + 1 :] if (s := ln.strip()) and s[0] != "#"]
+    try:
+        reader = csv.reader([lines[header_at]] + body, delimiter=delimiter)
+        header = [name.strip() for name in next(reader)]
+        rows = list(reader)
+    except (TypeError, ValueError):
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{where}row {reader.line_num}: {exc}") from None
+
+    wanted = [time_column, *columns]
+    for col in wanted:
+        if col not in header:
+            raise ConfigError(f"{where}column {col!r} not found; available columns: {header}")
+    wanted += [col for col in optional if col in header]
+    out: dict[str, np.ndarray] = {}
+    try:
+        for col in wanted:
+            cells = map(itemgetter(header.index(col)), rows)
+            out[col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+    except (IndexError, ValueError):
+        _raise_first_bad_cell(where, header, rows, wanted)
+
+    times = out[time_column]
+    bad = np.flatnonzero(times[1:] <= times[:-1])
+    if bad.size:
+        i = int(bad[0]) + 1
+        prev, now = float(times[i - 1]), float(times[i])
+        kind = "duplicated" if now == prev else "non-increasing"
+        raise ValidationError(f"{where}row {i + 2}: {kind} time {now} (previous {prev})")
+    return meta, out
+
+
+def _raise_first_bad_cell(
+    where: str, header: list[str], rows: list[list[str]], wanted: list[str]
+) -> NoReturn:
+    """Raise the ParseError of the first cell ``float`` cannot read, row by row."""
+    for n, row in enumerate(rows, start=2):  # header is row 1
+        for col in wanted:
+            j = header.index(col)
+            cell = row[j] if j < len(row) else ""
+            if not cell.strip():
+                raise ParseError(f"{where}row {n}: empty cell in column {col!r}")
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{where}row {n}: cannot parse {cell!r} in column {col!r} as a number"
+                ) from None
+    raise AssertionError("no bad cell found")  # pragma: no cover
+
+
 def load_series(
     source: Union[str, Path, TextIO],
     time_column: str,
@@ -82,68 +183,19 @@ def load_series(
 ) -> TimeSeries:
     """Read a delimited text table into a validated TimeSeries.
 
-    The file must carry a header row naming its columns; lines starting
-    with '#' above the header are treated as ``key: value`` metadata and
-    may supply the label and unit (explicit arguments win). Rows are
-    expected in time order; duplicated or non-increasing times are an
-    error rather than being silently sorted, since reordering hides
-    data-entry mistakes that corrupt gradients.
+    The table is read by :func:`read_table`; its ``# key: value``
+    metadata may supply the label and unit (explicit arguments win).
+    Rows are expected in time order; duplicated or non-increasing times
+    are an error rather than being silently sorted, since reordering
+    hides data-entry mistakes that corrupt gradients.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_series(
-                fh, time_column, value_column,
-                delimiter=delimiter, label=label, unit=unit,
-            )
-
-    meta: dict[str, str] = {}
-    body_lines: list[str] = []
-    for raw in source:
-        stripped = raw.strip()
-        if not body_lines and (not stripped or stripped.startswith("#")):
-            if stripped.startswith("#"):
-                text = stripped.lstrip("#").strip()
-                if ":" in text:
-                    key, _, val = text.partition(":")
-                    meta[key.strip()] = val.strip()
-            continue
-        body_lines.append(raw)
-    if not body_lines:
-        raise ParseError("input contains no header row")
-
-    reader = csv.DictReader(io.StringIO("".join(body_lines)), delimiter=delimiter)
-    fieldnames = reader.fieldnames or []
-    for col in (time_column, value_column):
-        if col not in fieldnames:
-            raise ConfigError(
-                f"column {col!r} not found; available columns: {fieldnames}"
-            )
-
-    times: list[float] = []
-    values: list[float] = []
-    for idx, row in enumerate(reader, start=2):  # header is row 1
-        for col, sink in ((time_column, times), (value_column, values)):
-            cell = row.get(col)
-            if cell is None or cell.strip() == "":
-                raise ParseError(f"row {idx}: empty cell in column {col!r}")
-            try:
-                sink.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"row {idx}: cannot parse {cell!r} in column {col!r} as a number"
-                ) from None
-
-    if len(times) < 2:
-        raise ValidationError(f"a series needs at least 2 rows, got {len(times)}")
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            kind = "duplicated" if times[i] == times[i - 1] else "non-increasing"
-            raise ValidationError(
-                f"row {i + 2}: {kind} time {times[i]} (previous {times[i - 1]})"
-            )
+    meta, cols = read_table(source, time_column, (value_column,), delimiter=delimiter)
+    times = cols[time_column]
+    if times.size < 2:
+        raise ValidationError(f"a series needs at least 2 rows, got {times.size}")
     return TimeSeries(
-        times=np.array(times),
-        values=np.array(values),
+        times=times,
+        values=cols[value_column],
         label=label if label is not None else meta.get("label", ""),
         unit=unit if unit is not None else meta.get("unit", ""),
     )

@@ -8,13 +8,29 @@ arithmetic and plain Python loops.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import warnings
 from fractions import Fraction
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from growthcast import CollapseError
+from growthcast import (
+    CollapseError,
+    ConfigError,
+    DegenerateFitError,
+    EmptyLinearizationError,
+    FitWarning,
+    ParseError,
+    RateMethod,
+    TimeSeries,
+    ValidationError,
+)
+from growthcast.fitting import FitReport, LinearizationKind, fit_rate_model
+from growthcast.rates import RateSeries
 
 
 def rk4_log_integrate(
@@ -168,3 +184,199 @@ def integrate_discrete_loop(
             )
         values[i] = values[i + 1] / factor
     return values
+
+
+def scan_shifted_aux_loop(
+    rs: RateSeries,
+    a_min: float,
+    a_max: float,
+    steps: int = 200,
+    t_range: Optional[tuple[float, float]] = None,
+    min_keep_fraction: float = 0.75,
+) -> tuple[float, FitReport]:
+    """The aux scan as one ``fit_rate_model`` per candidate.
+
+    The loop that ``fitting.scan_shifted_aux`` replaced, kept as its
+    reference: every grid point and every ternary-refinement step is a
+    full fit, skipped when the fit raises or keeps too few points.
+    """
+    if not (a_min < a_max) or steps < 2:
+        raise ConfigError("scan needs a_min < a_max and at least 2 steps")
+
+    def try_fit(a: float) -> Optional[FitReport]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FitWarning)
+                report = fit_rate_model(
+                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=a
+                )
+        except (EmptyLinearizationError, DegenerateFitError):
+            return None
+        n_total = report.line.n_points + report.line.dropped_points
+        if report.line.n_points < max(3, min_keep_fraction * n_total):
+            return None
+        return report
+
+    best: tuple[float, FitReport] | None = None
+    for a in np.linspace(a_min, a_max, steps):
+        report = try_fit(float(a))
+        if report is None:
+            continue
+        if best is None or report.line.r_squared > best[1].line.r_squared:
+            best = (float(a), report)
+    if best is None:
+        raise EmptyLinearizationError("no scan value of a admits a fit")
+
+    # refine between the neighboring grid points: r^2 is smooth in a near
+    # the optimum and the grid alone leaves a bias of order one step
+    step = (a_max - a_min) / (steps - 1)
+    lo, hi = best[0] - step, best[0] + step
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1 = try_fit(m1)
+        f2 = try_fit(m2)
+        r1 = -np.inf if f1 is None else f1.line.r_squared
+        r2 = -np.inf if f2 is None else f2.line.r_squared
+        if r1 < r2:
+            lo = m1
+            if f2 is not None and r2 > best[1].line.r_squared:
+                best = (m2, f2)
+        else:
+            hi = m2
+            if f1 is not None and r1 > best[1].line.r_squared:
+                best = (m1, f1)
+        if hi - lo <= 1e-12 * max(1.0, abs(best[0])):
+            break
+    return best
+
+
+def load_series_loop(
+    source: Union[str, Path, TextIO],
+    time_column: str,
+    value_column: str,
+    *,
+    delimiter: str = ",",
+    label: str | None = None,
+    unit: str | None = None,
+) -> TimeSeries:
+    """A series file read row by row through ``csv.DictReader``.
+
+    The reader that ``timeseries.load_series`` replaced, kept as its
+    reference for well-formed files: metadata and blank lines only above
+    the header, one ``float`` per cell, a per-row time-order check.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return load_series_loop(
+                fh, time_column, value_column,
+                delimiter=delimiter, label=label, unit=unit,
+            )
+
+    meta: dict[str, str] = {}
+    body_lines: list[str] = []
+    for raw in source:
+        stripped = raw.strip()
+        if not body_lines and (not stripped or stripped.startswith("#")):
+            if stripped.startswith("#"):
+                text = stripped.lstrip("#").strip()
+                if ":" in text:
+                    key, _, val = text.partition(":")
+                    meta[key.strip()] = val.strip()
+            continue
+        body_lines.append(raw)
+    if not body_lines:
+        raise ParseError("input contains no header row")
+
+    reader = csv.DictReader(io.StringIO("".join(body_lines)), delimiter=delimiter)
+    fieldnames = reader.fieldnames or []
+    for col in (time_column, value_column):
+        if col not in fieldnames:
+            raise ConfigError(
+                f"column {col!r} not found; available columns: {fieldnames}"
+            )
+
+    times: list[float] = []
+    values: list[float] = []
+    for idx, row in enumerate(reader, start=2):  # header is row 1
+        for col, sink in ((time_column, times), (value_column, values)):
+            cell = row.get(col)
+            if cell is None or cell.strip() == "":
+                raise ParseError(f"row {idx}: empty cell in column {col!r}")
+            try:
+                sink.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"row {idx}: cannot parse {cell!r} in column {col!r} as a number"
+                ) from None
+
+    if len(times) < 2:
+        raise ValidationError(f"a series needs at least 2 rows, got {len(times)}")
+    for i in range(1, len(times)):
+        if times[i] <= times[i - 1]:
+            kind = "duplicated" if times[i] == times[i - 1] else "non-increasing"
+            raise ValidationError(
+                f"row {i + 2}: {kind} time {times[i]} (previous {times[i - 1]})"
+            )
+    return TimeSeries(
+        times=np.array(times),
+        values=np.array(values),
+        label=label if label is not None else meta.get("label", ""),
+        unit=unit if unit is not None else meta.get("unit", ""),
+    )
+
+
+def _read_table_loop(path, delimiter: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    meta: dict[str, str] = {}
+    header: Optional[list[str]] = None
+    rows: list[list[str]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                if header is None and ":" in stripped:
+                    key, _, val = stripped.lstrip("#").partition(":")
+                    meta[key.strip()] = val.strip()
+                continue
+            cells = [c.strip() for c in stripped.split(delimiter)]
+            if header is None:
+                header = cells
+            else:
+                rows.append(cells)
+    if header is None:
+        raise ParseError(f"{path}: no header row found")
+    return meta, header, rows
+
+
+def read_rates_loop(path, delimiter: str = ",") -> tuple[RateSeries, dict[str, str]]:
+    """A rates file split line by line on the delimiter.
+
+    The reader that ``fileio.read_rates`` replaced, kept as its reference
+    for well-formed files.
+    """
+    meta, header, rows = _read_table_loop(path, delimiter)
+    for col in ("t", "rate"):
+        if col not in header:
+            raise ConfigError(f"{path}: rates file must have a {col!r} column, got {header}")
+    it = header.index("t")
+    ir = header.index("rate")
+    isz = header.index("size") if "size" in header else None
+    times, rates, sizes = [], [], []
+    for n, cells in enumerate(rows, start=2):
+        try:
+            times.append(float(cells[it]))
+            rates.append(float(cells[ir]))
+            sizes.append(float(cells[isz]) if isz is not None else 1.0)
+        except (ValueError, IndexError):
+            raise ParseError(f"{path}: row {n}: cannot parse {cells!r}") from None
+    method = RateMethod(meta.get("method", "direct")) if meta.get("method") else RateMethod.DIRECT
+    rs = RateSeries(
+        times=np.array(times),
+        rates=np.array(rates),
+        sizes=np.array(sizes),
+        source_label=meta.get("label", ""),
+        method=method,
+    )
+    return rs, meta

@@ -146,6 +146,28 @@ class TestFitCommand:
         assert m.params.a == pytest.approx(a0, rel=1e-6)
         assert m.params.r == pytest.approx(r0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["ln-r-vs-t"], "rate_ln_linear parameter 'a' must be finite, got inf"),
+            (["shifted-ln-vs-t", "--aux-a", "30"], "rate_shifted_exp parameter 'b' must be finite"),
+            (["shifted-ln-vs-t", "--scan-aux", "25:60"], "no scan value of a admits a fit"),
+        ],
+        ids=["ln-r-vs-t", "aux-a", "scan-aux"],
+    )
+    def test_amplitude_beyond_float_range_is_exit_3(self, tmp_path, capsys, flags, message):
+        t = np.arange(1950.0, 2020.0)
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n" + "".join(
+            f"{float(x)!r},{0.05 * math.exp(-0.4 * (x - 1950.0))!r},1.0\n" for x in t
+        ))
+        model_file = tmp_path / "m.txt"
+        code = main(["fit", str(rates), "--linearization", *flags, "--out", str(model_file)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not model_file.exists()
+
     def test_log_transform_rates_lift_to_loglog(self, tmp_path):
         src = tmp_path / "s.csv"
         t = np.arange(0.0, 60.0)
@@ -275,6 +297,16 @@ class TestIntegrateCommand:
         assert code == 0
         recon = load_series(out, "t", "value")
         np.testing.assert_allclose(recon.values, src.values, rtol=1e-12)
+
+    def test_size_beyond_float_range_is_exit_3(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n1,1e200,1\n2,1e200,1\n3,1e200,1\n")
+        out = tmp_path / "x.csv"
+        code = main(["integrate", str(rates), "--anchor", "0:1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: discretely integrated size is beyond the float range at t = 2.0\n"
+        assert not out.exists()
 
     def test_polynomial_route_respects_range(self, tmp_path):
         rates = tmp_path / "r.csv"

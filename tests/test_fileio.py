@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from growthcast import (
     ConfigError,
+    InputError,
     Model,
     ModelKind,
     Params,
@@ -12,6 +14,7 @@ from growthcast import (
     RateMethod,
     RateSeries,
     TimeSeries,
+    ValidationError,
     load_series,
     project,
 )
@@ -74,6 +77,69 @@ class TestRatesRoundTrip:
         path.write_text("t,rate,size\n1,0.1,2\n2,zzz,3\n", encoding="utf-8")
         with pytest.raises(ParseError, match="row 3"):
             read_rates(path)
+
+    def test_sizes_default_to_one(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("rate,t\n0.5,1\n0.25,2\n", encoding="utf-8")
+        rs, meta = read_rates(path)
+        np.testing.assert_array_equal(rs.sizes, [1.0, 1.0])
+        assert rs.method is RateMethod.DIRECT and meta == {}
+
+    def test_unknown_method_is_config_error(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("# method: spline\nt,rate\n1,0.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown rate method 'spline'"):
+            read_rates(path)
+
+    def test_non_increasing_time_names_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("t,rate\n1,0.5\n2,0.5\n2,0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 4: duplicated time 2.0"):
+            read_rates(path)
+
+
+class TestReadRatesMatchesLoop:
+    """read_rates against the line-splitting reader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_well_formed_files(self, seed, tmp_path):
+        rng = np.random.default_rng([seed, 91])
+        for k in range(20):
+            n = int(rng.integers(1, 30))
+            cols = ["t", "rate", "size"][: int(rng.integers(2, 4))]
+            rng.shuffle(cols)
+            rs = RateSeries(
+                times=np.cumsum(rng.uniform(0.01, 2.0, n)) + rng.choice([0.0, 1900.0]),
+                rates=rng.standard_normal(n) * 10.0 ** rng.integers(-6, 2),
+                sizes=rng.uniform(0.1, 1e9, n),
+            )
+            head = ["# label: demo", "", "# method: refined", "# unit: m/s"][: rng.integers(0, 5)]
+            arrays = {"t": rs.times, "rate": rs.rates, "size": rs.sizes}
+            rows = [",".join(f" {float(arrays[c][i])!r}" for c in cols) for i in range(n)]
+            text = "\n".join(head + [", ".join(cols)] + rows) + "\n"
+            path = tmp_path / f"r{k}.csv"
+            path.write_text(text, encoding="utf-8")
+            want, want_meta = oracles.read_rates_loop(path)
+            got, got_meta = read_rates(path)
+            assert got_meta == want_meta
+            assert (got.source_label, got.method) == (want.source_label, want.method)
+            for field in ("times", "rates", "sizes"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [("1,0.1,2\n2,x,3\n", 3), ("1,0.1,2\n2,0.1\n", 3), ("1,0.1,2\n2,,3\n", 3),
+         ("1,0.1,2\n1,0.2,3\n", None)],
+    )
+    def test_errors_keep_class_and_row(self, tmp_path, body, row):
+        path = tmp_path / "r.csv"
+        path.write_text("t,rate,size\n" + body, encoding="utf-8")
+        with pytest.raises(InputError) as want:
+            oracles.read_rates_loop(path)
+        with pytest.raises(type(want.value)) as got:
+            read_rates(path)
+        if row is not None:
+            assert f"row {row}:" in str(want.value) and f"row {row}:" in str(got.value)
 
 
 class TestModelRoundTrip:

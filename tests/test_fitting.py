@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from growthcast import (
     ConfigError,
     DegenerateFitError,
     EmptyLinearizationError,
     FitWarning,
+    GrowthcastError,
     LinearizationKind,
     Model,
     ModelKind,
@@ -27,6 +30,7 @@ from growthcast import (
     scan_shifted_aux,
     trajectory_at,
 )
+from growthcast import fitting
 from growthcast.models import LOG_LIFT
 
 
@@ -52,6 +56,10 @@ class TestFitLine:
         assert fit.intercept == 5.0
         assert fit.slope == 0.0
         assert fit.r_squared == 1.0  # SStot = SSres = 0
+
+    def test_sums_beyond_float_range_degenerate(self):
+        with pytest.raises(DegenerateFitError, match="beyond the float range"):
+            fit_line([0.0, 1.0, 2.0], [1e200, -1e200, 3e200])
 
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateFitError):
@@ -203,6 +211,14 @@ class TestLinearize:
             xs, ys, dropped = linearize(rs, LinearizationKind.RECIP_R_VS_T)
         assert dropped == 1
         np.testing.assert_allclose(ys, [2.0, 4.0])
+
+    def test_recip_r_drops_rates_whose_reciprocal_overflows(self):
+        rs = rate_series([0.0, 1.0, 2.0], [0.5, -1e-320, 0.25])
+        for kind, aux in ((LinearizationKind.RECIP_R_VS_T, None),
+                          (LinearizationKind.SHIFTED_LN_VS_T, 5.0)):
+            with pytest.warns(FitWarning, match="dropped 1"):
+                xs, ys, dropped = linearize(rs, kind, aux_a=aux)
+            assert xs.tolist() == [0.0, 2.0] and np.isfinite(ys).all()
 
     def test_all_points_dropped(self):
         rs = rate_series([0.0, 1.0], [-0.1, -0.2])
@@ -381,3 +397,130 @@ class TestScanShiftedAux:
         best_a, report = scan_shifted_aux(rs, 5.0, 15.0, steps=201)
         assert best_a == pytest.approx(a0, abs=0.05)
         assert report.line.r_squared > 0.9999
+
+    def test_overflowing_amplitude_is_a_named_degenerate_fit(self):
+        t = np.arange(1950.0, 2020.0)
+        rs = rate_series(t, 0.05 * np.exp(-0.4 * (t - 1950.0)))
+        with pytest.raises(DegenerateFitError, match="parameter 'a' must be finite"):
+            fit_rate_model(rs, LinearizationKind.LN_R_VS_T)
+        with pytest.raises(EmptyLinearizationError, match="no scan value of a admits a fit"):
+            scan_shifted_aux(rs, 25.0, 60.0)
+
+
+def _scan_case(rng):
+    """A random shifted-exponential rate series and scan arguments.
+
+    Times are uniform, jittered or calendar years; some scan ranges
+    reach below 1/R so that candidates drop points, and some rates are
+    zero or negative.
+    """
+    n = int(rng.integers(8, 60))
+    steps = np.arange(n, dtype=float)
+    if rng.random() < 0.5:
+        steps += rng.uniform(-0.3, 0.3, n)
+    t = (float(rng.integers(1800, 2000)) if rng.random() < 0.5 else 0.0) + steps
+    a0 = rng.uniform(2.0, 50.0)
+    b0 = a0 * rng.uniform(0.2, 0.9) * rng.choice([1.0, -1.0])
+    r0 = rng.uniform(0.02, 0.4) * (30.0 / n)
+    rates = 1.0 / (a0 - b0 * np.exp(-r0 * (t - t[0])))
+    rates *= 1.0 + rng.uniform(1e-6, 3e-2) * rng.standard_normal(n)
+    if rng.random() < 0.2:
+        rates[rng.integers(0, n, 2)] = rng.choice([0.0, -0.1])
+    rs = rate_series(t, rates)
+    lo, hi = sorted(a0 * rng.uniform(0.3, 2.5, 2))
+    t_range = None
+    if rng.random() < 0.3:
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        t_range = (float(t[i]), float(t[j]))
+    kwargs = dict(
+        steps=int(rng.choice([20, 50, 200])),
+        t_range=t_range,
+        min_keep_fraction=float(rng.choice([0.1, 0.5, 0.75, 0.9])),
+    )
+    return rs, lo, hi, kwargs
+
+
+def _oracle_grid_r2(rs, grid, t_range, min_keep_fraction):
+    """r^2 of a direct fit at each grid point, -inf where the loop skips it."""
+    out = []
+    for a in grid:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FitWarning)
+                rep = fit_rate_model(
+                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=float(a)
+                )
+        except (EmptyLinearizationError, DegenerateFitError):
+            out.append(-np.inf)
+            continue
+        n_total = rep.line.n_points + rep.line.dropped_points
+        keep = rep.line.n_points >= max(3, min_keep_fraction * n_total)
+        out.append(rep.line.r_squared if keep else -np.inf)
+    return np.array(out)
+
+
+class TestScanMatchesLoop:
+    """The batched scan against the per-candidate loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cases(self, seed):
+        rng = np.random.default_rng([seed, 4242])
+        for _ in range(25):
+            rs, lo, hi, kw = _scan_case(rng)
+            try:
+                want_a, want = oracles.scan_shifted_aux_loop(rs, lo, hi, **kw)
+            except GrowthcastError as exc:
+                with pytest.raises(type(exc)) as got:
+                    scan_shifted_aux(rs, lo, hi, **kw)
+                assert str(got.value) == str(exc)
+                continue
+            got_a, got = scan_shifted_aux(rs, lo, hi, **kw)
+
+            grid = np.linspace(lo, hi, kw["steps"])
+            want_r2 = _oracle_grid_r2(rs, grid, kw["t_range"], kw["min_keep_fraction"])
+            restricted = fitting._restrict(rs, kw["t_range"])
+            score = fitting._shifted_r2_scorer(
+                restricted.times,
+                restricted.rates,
+                max(3, kw["min_keep_fraction"] * len(restricted)),
+            )
+            got_r2 = score(grid)
+            np.testing.assert_array_equal(np.isinf(got_r2), np.isinf(want_r2))
+            live = np.isfinite(want_r2)
+            np.testing.assert_allclose(got_r2[live], want_r2[live], rtol=0, atol=1e-12)
+            top2 = np.sort(want_r2)[-2:]
+            if top2[1] - top2[0] > 1e-12:
+                assert np.argmax(got_r2) == np.argmax(want_r2)
+
+            assert (
+                abs(got_a - want_a) <= 1e-9 * abs(want_a)
+                or got.line.r_squared >= want.line.r_squared - 1e-12
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FitWarning)
+                direct = fit_rate_model(
+                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=kw["t_range"], aux_a=got_a
+                )
+            assert got == direct
+
+    def test_no_candidate_admits_a_fit(self):
+        rs = rate_series(np.arange(10.0), np.full(10, 0.5))
+        for f in (scan_shifted_aux, oracles.scan_shifted_aux_loop):
+            with pytest.raises(EmptyLinearizationError, match="no scan value of a admits a fit"):
+                f(rs, -5.0, 1.0)
+
+    def test_range_leaving_one_point(self):
+        t = np.arange(20.0)
+        rs = rate_series(t, 1.0 / (10.0 - 4.0 * np.exp(-0.2 * t)))
+        for f in (scan_shifted_aux, oracles.scan_shifted_aux_loop):
+            with pytest.raises(EmptyLinearizationError, match="no scan value of a admits a fit"):
+                f(rs, 5.0, 15.0, t_range=(3.5, 4.5))
+
+    def test_scorer_blocks_do_not_change_scores(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        rs, lo, hi, _ = _scan_case(rng)
+        grid = np.linspace(lo, hi, 37)
+        whole = fitting._shifted_r2_scorer(rs.times, rs.rates, 3)(grid)
+        monkeypatch.setattr(fitting, "_SCAN_BLOCK_CELLS", 1)
+        one_row = fitting._shifted_r2_scorer(rs.times, rs.rates, 3)(grid)
+        np.testing.assert_allclose(one_row, whole, rtol=0, atol=1e-14)

@@ -11,6 +11,7 @@ from growthcast import (
     LinearizationKind,
     Model,
     ModelKind,
+    NumericError,
     Params,
     PolyFit,
     RangeRefusalError,
@@ -42,6 +43,16 @@ def rate_series(times, rates, sizes=None, **kw):
 
 
 class TestIntegrateDiscrete:
+    def test_size_beyond_float_range_names_first_time(self):
+        rs = rate_series([1.0, 2.0, 3.0], [1e200, 1e200, 1e200])
+        with pytest.raises(NumericError, match=r"beyond the float range at t = 2\.0"):
+            integrate_discrete(rs, (0.0, 1.0))
+
+    def test_backward_overflow_names_the_step_nearest_the_anchor(self):
+        rs = rate_series([1.0, 2.0, 3.0, 4.0], [0.0, -0.9999999999, 0.0, 0.0])
+        with pytest.raises(NumericError, match=r"beyond the float range at t = 1\.0"):
+            integrate_discrete(rs, (3.0, 1e300))
+
     def test_single_multiplicative_step(self):
         out = integrate_discrete(rate_series([1.0], [0.1]), (0.0, 100.0))
         assert out.times.tolist() == [0.0, 1.0]
@@ -323,6 +334,13 @@ class TestCompareScenarios:
         )
         with pytest.raises(ConfigError, match="unit"):
             compare_scenarios([a, b], [2050.0])
+
+    def test_year_beyond_float_range_is_none(self):
+        m = Model(ModelKind.LOGLOG_T, Params(a=0.3, b=-0.001))
+        proj = project(m, (0.0, 100.0), np.arange(0.0, 10.0))
+        report = compare_scenarios([proj, proj], [5.0, 18.0, 300.0])
+        assert report.rows[0].values[1:] == (None, None)
+        assert report.indistinguishable == (True, None, None)
 
     def test_year_past_singularity_is_none(self):
         m = Model(ModelKind.HYPERBOLIC, Params(b=1.0), unit="x")

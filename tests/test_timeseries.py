@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from growthcast import (
     ConfigError,
     DomainError,
+    InputError,
     ParseError,
     TimeSeries,
     TransformKind,
@@ -14,6 +16,7 @@ from growthcast import (
     load_series,
     transform_series,
 )
+from growthcast.timeseries import read_table
 
 
 def make_series(times, values, **kw):
@@ -134,3 +137,132 @@ class TestTransformSeries:
         ts = make_series([1990, 1995, 2003], [1.0, 2.0, 3.0])
         out = transform_series(ts, TransformKind.LOG)
         np.testing.assert_array_equal(out.times, ts.times)
+
+
+def _cell(rng, x):
+    """One well-formed text for the float x, in one of several spellings."""
+    style = rng.integers(0, 5)
+    if style == 0:
+        return repr(x)
+    if style == 1:
+        return f"{x:.6e}"
+    if style == 2:
+        return f"  {x!r} "
+    if style == 3:
+        return f"{x:.3f}"
+    return str(np.float32(x))
+
+
+def _random_table(rng, columns, delimiter):
+    """Text of a well-formed table: metadata and blank lines above the header."""
+    n = int(rng.integers(2, 40))
+    times = np.cumsum(rng.uniform(0.01, 3.0, n)) + rng.choice([0.0, 1800.0])
+    data = {columns[0]: times}
+    for col in columns[1:]:
+        data[col] = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 12)
+    lines = []
+    for key in rng.permutation(["label", "unit", "method", "note"])[: rng.integers(0, 4)]:
+        value = {"method": "refined"}.get(key, f"value of {key}: x")
+        lines.append(f"#{' ' * int(rng.integers(0, 2))}{key}: {value}")
+        if rng.random() < 0.3:
+            lines.append("")
+    lines.append(delimiter.join(columns))
+    for i in range(n):
+        cells = [_cell(rng, float(data[col][i])) for col in columns]
+        lines.append(delimiter.join(cells))
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    return eol.join(lines) + eol
+
+
+class TestReaderMatchesLoop:
+    """load_series against the row-by-row reader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_well_formed_tables(self, seed, tmp_path):
+        rng = np.random.default_rng([seed, 77])
+        compared = 0
+        for k in range(25):
+            delimiter = str(rng.choice([",", ";", "\t", "|"]))
+            path = tmp_path / f"s{k}.csv"
+            path.write_text(_random_table(rng, ["t", "value"], delimiter), encoding="utf-8")
+            try:
+                want = oracles.load_series_loop(path, "t", "value", delimiter=delimiter)
+            except ValidationError as exc:  # a formatted time repeated
+                with pytest.raises(ValidationError) as got:
+                    load_series(path, "t", "value", delimiter=delimiter)
+                assert str(got.value).endswith(str(exc))
+                continue
+            got = load_series(path, "t", "value", delimiter=delimiter)
+            np.testing.assert_array_equal(got.times, want.times)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert (got.label, got.unit) == (want.label, want.unit)
+            compared += 1
+        assert compared >= 15
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            ("1,2\n2,abc\n3,4\n", 3),
+            ("1,2\n2,\n3,4\n", 3),
+            ("1,2\n2\n3,4\n", 3),
+            ("1,2\n2,3\nx,4\n", 4),
+            ("1,2\n2,3\n2,4\n", 4),
+            ("1,2\n3,3\n2,4\n", 4),
+            ("1,2\n", None),
+        ],
+    )
+    def test_errors_keep_class_and_row(self, body, row):
+        text = "# label: x\nt,value\n" + body
+        with pytest.raises(InputError) as want:
+            oracles.load_series_loop(io.StringIO(text), "t", "value")
+        with pytest.raises(type(want.value)) as got:
+            load_series(io.StringIO(text), "t", "value")
+        if row is not None:
+            assert f"row {row}:" in str(want.value) and f"row {row}:" in str(got.value)
+
+    def test_bad_cell_message_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n1,2\n2,abc\n", encoding="utf-8")
+        with pytest.raises(ParseError) as got:
+            load_series(path, "t", "value")
+        assert str(got.value) == (
+            f"{path}: row 3: cannot parse 'abc' in column 'value' as a number"
+        )
+
+
+class TestReadTable:
+    def test_comment_and_blank_lines_skipped_anywhere(self):
+        src = io.StringIO("# unit: m\nt,v\n1,2\n\n# a note: not metadata\n   \n2,3\n")
+        meta, cols = read_table(src, "t", ("v",))
+        assert meta == {"unit": "m"}
+        np.testing.assert_array_equal(cols["v"], [2.0, 3.0])
+
+    def test_skipped_lines_are_not_counted_as_rows(self):
+        src = io.StringIO("t,v\n1,2\n# note\n\n2,x\n")
+        with pytest.raises(ParseError, match="row 3:"):
+            read_table(src, "t", ("v",))
+
+    def test_quoted_cells_and_header(self):
+        src = io.StringIO('"t";" v "\n"1.5";"2.5e3"\n2;3\n')
+        meta, cols = read_table(src, "t", ("v",), delimiter=";")
+        np.testing.assert_array_equal(cols["t"], [1.5, 2.0])
+        np.testing.assert_array_equal(cols["v"], [2500.0, 3.0])
+        with pytest.raises(ParseError, match="cannot parse '2,5'"):
+            read_table(io.StringIO('t,v\n1,"2,5"\n'), "t", ("v",))
+
+    def test_optional_column_absent(self):
+        meta, cols = read_table(io.StringIO("t,v\n1,2\n"), "t", ("v",), optional=("size",))
+        assert set(cols) == {"t", "v"}
+
+    def test_no_header(self):
+        with pytest.raises(ParseError, match="no header row"):
+            read_table(io.StringIO("# label: x\n\n"), "t", ("v",))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ConfigError, match="single character"):
+            read_table(io.StringIO("t,v\n1,2\n"), "t", ("v",), delimiter=delimiter)
+
+    def test_non_increasing_time_names_row(self):
+        with pytest.raises(ValidationError, match=r"row 4: non-increasing time 1.5 \(previous 2.0\)"):
+            read_table(io.StringIO("t,v\n1,0\n2,0\n1.5,0\n"), "t", ("v",))
