@@ -3,7 +3,10 @@
 Identification runs every candidate family's linearity test over the
 same data and ranks them by r^2: whichever transform straightens the
 data best names the law. Ties (several transforms exactly linear, which
-happens on clean synthetic data) go to the simplest family.
+happens on clean synthetic data) go to the simplest family. All the
+line tests are fitted together in one batched least-squares pass that
+makes no BLAS call, and a test keeping fewer than 3 points is not
+ranked.
 
 The stability flag encodes an empirical observation about economies
 whose growth rate decays toward zero: once the recent rate drops below
@@ -15,23 +18,16 @@ policy cannot deliver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    EmptyLinearizationError,
-    FitWarning,
-    NumericError,
-    ValidationError,
-)
-from .fitting import LinearizationKind, fit_line, linearize, linearize_series, model_kind_for
+from .errors import NumericError, ValidationError
+from .fitting import LinearizationKind, _fit_lines, _line_coords, model_kind_for
 from .models import LOG_LIFT, ModelKind
-from .rates import RateMethod, RateSeries, SmoothingConfig, direct_rates, refined_rates, rate_of_transform
+from .rates import RateMethod, RateSeries, SmoothingConfig, direct_rates, rate_of_transform, refined_rates
 from .timeseries import TimeSeries, TransformKind
 
 #: Default instability threshold, 1.4% per year.
@@ -128,44 +124,16 @@ def _constant_rate_candidate(rs: RateSeries) -> Candidate:
     )
 
 
-def _line_candidate(
-    rs: RateSeries,
-    lin: LinearizationKind,
-    transform: Optional[TransformKind] = None,
-    aux_a: Optional[float] = None,
-) -> Optional[Candidate]:
-    """The linearity test of ``lin``; rates of ln S test the lifted family."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            xs, ys, dropped = linearize(rs, lin, aux_a=aux_a)
-        if xs.size < 2:
-            return None
-        fit = fit_line(xs, ys)
-    except (EmptyLinearizationError, DegenerateFitError):
-        return None
+#: Points a linearity test must keep to be ranked: a line through two
+#: points has r^2 = 1 by construction (the aux scan's rule).
+_MIN_TEST_POINTS = 3
 
-    note = ""
-    valid = True
-    kind = model_kind_for(lin)
-    if kind is ModelKind.LINEAR_S:
-        # a = 0 is outside this family (the law degenerates to R ~ S,
-        # which is the hyperbolic family); demote when the intercept is
-        # numerically zero.
-        scale = float(np.max(np.abs(ys))) or 1.0
-        if abs(fit.intercept) <= 1e-8 * scale:
-            valid = False
-            note = "intercept consistent with zero: law reduces to rate proportional to size"
-    return Candidate(
-        model_kind=LOG_LIFT[kind] if transform is TransformKind.LOG else kind,
-        linearization=lin,
-        r_squared=fit.r_squared,
-        rms_residual=fit.rms_residual,
-        dropped_points=dropped,
-        transform=transform,
-        note=note,
-        valid=valid,
-    )
+_RATE_TESTS = (
+    LinearizationKind.R_VS_T,
+    LinearizationKind.R_VS_S,
+    LinearizationKind.RECIP_R_VS_T,
+    LinearizationKind.LN_R_VS_T,
+)
 
 
 def identify(
@@ -180,64 +148,99 @@ def identify(
     log-of-size families are tested on the rates of ln S, and the
     hyperbolic reciprocal test runs on the raw series values. The
     shifted-exponential family needs its displacement parameter a and is
-    skipped (with a note) when none is supplied. Ties in r^2 (to 1e-10)
-    are broken by fewer dropped points, then simplest family first.
+    skipped (with a note) when none is supplied. A test that keeps fewer
+    than 3 points is not ranked, with a note; nor is one whose line is
+    degenerate. Ties in r^2 (to 1e-10) are broken by fewer dropped
+    points, then simplest family first.
+
+    Every line test is one row of a single :func:`fitting._fit_lines`
+    call on the uncompacted coordinates.
     """
     if method is RateMethod.DIRECT:
         rs = direct_rates(ts)
     else:
         rs = refined_rates(ts, cfg)
 
-    notes: list[str] = []
-    candidates: list[Candidate] = [_constant_rate_candidate(rs)]
-
-    for lin in (
-        LinearizationKind.R_VS_T,
-        LinearizationKind.R_VS_S,
-        LinearizationKind.RECIP_R_VS_T,
-        LinearizationKind.LN_R_VS_T,
-    ):
-        cand = _line_candidate(rs, lin)
-        if cand is not None:
-            candidates.append(cand)
-
+    skipped: list[str] = []
+    tests = [(lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes)) for lin in _RATE_TESTS]
     # hyperbolic signature: reciprocal of the raw series affine in time
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            xs, ys, dropped = linearize_series(ts)
-        fit = fit_line(xs, ys)
-        candidates.append(
-            Candidate(
-                model_kind=model_kind_for(LinearizationKind.RECIP_S_VS_T),
-                linearization=LinearizationKind.RECIP_S_VS_T,
-                r_squared=fit.r_squared,
-                rms_residual=fit.rms_residual,
-                dropped_points=dropped,
-            )
-        )
-    except (EmptyLinearizationError, DegenerateFitError, NumericError):
-        notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
+    recip_s = LinearizationKind.RECIP_S_VS_T
+    tests.append((recip_s, None, _line_coords(recip_s, ts.times, None, ts.values)))
 
     # log-of-size families need a positive series
     if np.all(ts.values > 0):
         try:
             rs_log = rate_of_transform(ts, TransformKind.LOG, method, cfg)
             for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S):
-                cand = _line_candidate(rs_log, lin, transform=TransformKind.LOG)
-                if cand is not None:
-                    candidates.append(cand)
+                coords = _line_coords(lin, rs_log.times, rs_log.rates, rs_log.sizes)
+                tests.append((lin, TransformKind.LOG, coords))
         except (NumericError, ValidationError):
-            notes.append("log-of-size tests skipped (log rates undefined on this series)")
+            skipped.append("log-of-size tests skipped (log rates undefined on this series)")
     else:
-        notes.append("log-of-size tests skipped (series has non-positive values)")
+        skipped.append("log-of-size tests skipped (series has non-positive values)")
 
     if aux_a is not None:
-        cand = _line_candidate(rs, LinearizationKind.SHIFTED_LN_VS_T, aux_a=aux_a)
-        if cand is not None:
-            candidates.append(cand)
+        lin = LinearizationKind.SHIFTED_LN_VS_T
+        tests.append((lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes, aux_a)))
     else:
-        notes.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+        skipped.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+
+    width = max(x.size for _, _, (x, _, _) in tests)
+    xs = np.zeros((len(tests), width))
+    ys = np.zeros((len(tests), width))
+    keep = np.zeros((len(tests), width), dtype=bool)
+    for i, (_, _, (x, y, k)) in enumerate(tests):
+        xs[i, : x.size] = x
+        ys[i, : x.size] = y
+        keep[i, : x.size] = k
+    lines = _fit_lines(xs, ys, keep)
+
+    notes: list[str] = []
+    too_few: list[str] = []
+    candidates: list[Candidate] = [_constant_rate_candidate(rs)]
+    rows = zip(
+        tests,
+        lines.n_points.tolist(),
+        (lines.distinct & lines.finite).tolist(),
+        lines.intercept.tolist(),
+        lines.r_squared.tolist(),
+        lines.rms_residual.tolist(),
+    )
+    for (lin, transform, (x, y, k)), kept, fits, intercept, r2, rms in rows:
+        kind = model_kind_for(lin)
+        name = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
+        if kept < _MIN_TEST_POINTS:
+            too_few.append(
+                f"{name.value} test not ranked: keeps {kept} of {x.size} point(s), "
+                f"fewer than {_MIN_TEST_POINTS}"
+            )
+            continue
+        if not fits:
+            if lin is recip_s:
+                notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
+            continue
+        note = ""
+        valid = True
+        if kind is ModelKind.LINEAR_S:
+            # a = 0 is outside this family (the law degenerates to R ~ S,
+            # which is the hyperbolic family); demote when the intercept is
+            # numerically zero.
+            scale = float(np.max(np.abs(y[k]))) or 1.0
+            if abs(intercept) <= 1e-8 * scale:
+                valid = False
+                note = "intercept consistent with zero: law reduces to rate proportional to size"
+        candidates.append(
+            Candidate(
+                model_kind=name,
+                linearization=lin,
+                r_squared=r2,
+                rms_residual=rms,
+                dropped_points=x.size - kept,
+                transform=transform,
+                note=note,
+                valid=valid,
+            )
+        )
 
     order = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
     ranked = sorted(
@@ -250,5 +253,8 @@ def identify(
         ),
     )
     return IdentificationReport(
-        candidates=tuple(ranked), winner=ranked[0], rates=rs, notes=tuple(notes)
+        candidates=tuple(ranked),
+        winner=ranked[0],
+        rates=rs,
+        notes=tuple(notes + skipped + too_few),
     )

@@ -4,7 +4,11 @@ Every catalog family becomes a straight line under the right transform
 of the empirical rates (or, for hyperbolic growth, of the series
 itself). ``linearize`` applies the transform, ``fit_line`` does plain
 unweighted least squares, and ``fit_rate_model`` maps the fitted
-(intercept, slope) back to model parameters:
+(intercept, slope) back to model parameters. Every line fit, one or
+many at once (``diagnostics.identify`` fits all its tests together), is
+one batched pass of ``_fit_lines``, whose sums are ``np.add.reduce``
+calls, not BLAS products: a fitted line does not depend on the BLAS
+thread count.
 
 =================  ======================  ===========================
 linearization      line fitted             resulting model
@@ -28,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -152,45 +156,89 @@ class FitReport:
     warnings: tuple[str, ...] = ()
 
 
+class _Lines(NamedTuple):
+    """Per-row results of :func:`_fit_lines`; a row fits where both flags hold."""
+
+    intercept: np.ndarray
+    slope: np.ndarray
+    rms_residual: np.ndarray
+    r_squared: np.ndarray
+    n_points: np.ndarray
+    distinct: np.ndarray  # at least 2 distinct kept x values
+    finite: np.ndarray  # every sum inside the float range
+
+
+def _fit_lines(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
+    """Ordinary least-squares lines through many point sets at once.
+
+    Row i of the (k, n) arrays ``x`` and ``y`` holds one point set, and
+    the boolean ``keep`` marks the points it keeps; the others, padding
+    included, must hold finite values and are zeroed before any sum.
+    Every sum is an ``np.add.reduce`` along the rows, so no BLAS call is
+    made and the result does not depend on the BLAS thread count. A row
+    that keeps all its points gets the bits a one-row call on those
+    points gets; dropped or padded cells change the summation order, so
+    elsewhere the sums agree with the compacted points to rounding.
+
+    A row is ``distinct`` when its largest and smallest kept x differ,
+    an exact comparison: three copies of 0.1 are refused, although
+    their rounded mean is not 0.1 and their sxx is not 0. It is
+    ``finite`` when its moments, slope and intercept are inside the
+    float range. r_squared is 1 - SSres/SStot, defined as 1 when the
+    kept y are exactly constant (SStot = SSres = 0).
+    """
+    w = keep.astype(float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n = np.add.reduce(w, axis=1)
+        xw = x * w
+        yw = y * w
+        xm = np.add.reduce(xw, axis=1) / n
+        ym = np.add.reduce(yw, axis=1) / n
+        # kept cells get x - xm, y - ym exactly; dropped ones stay 0
+        dx = xw - xm[:, None] * w
+        dy = yw - ym[:, None] * w
+        sxx = np.add.reduce(dx * dx, axis=1)
+        slope = np.add.reduce(dx * dy, axis=1) / sxx
+        intercept = ym - slope * xm
+        resid = yw - (intercept[:, None] * w + slope[:, None] * xw)
+        ss_res = np.add.reduce(resid * resid, axis=1)
+        ss_tot = np.add.reduce(dy * dy, axis=1)
+        r2 = np.where(
+            ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
+        )
+        rms = np.sqrt(ss_res / n)
+    top = np.maximum.reduce(x, axis=1, where=keep, initial=-np.inf)
+    distinct = top > np.minimum.reduce(x, axis=1, where=keep, initial=np.inf)
+    finite = np.isfinite(sxx) & np.isfinite(slope) & np.isfinite(intercept)
+    finite &= np.isfinite(ss_res) & np.isfinite(ss_tot)
+    return _Lines(intercept, slope, rms, r2, n.astype(int), distinct, finite)
+
+
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     """Ordinary least squares through closed-form normal equations.
 
-    r_squared is 1 - SSres/SStot, defined as 1 when the data are exactly
-    constant (SStot = SSres = 0). Sums beyond the float range are a
+    The one-row case of :func:`_fit_lines`. r_squared is 1 - SSres/SStot,
+    defined as 1 when the data are exactly constant (SStot = SSres = 0).
+    Fewer than 2 distinct x values, or sums beyond the float range, are a
     DegenerateFitError.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("xs and ys must be 1-d arrays of equal length")
-    n = x.size
-    if n < 2 or not (x != x[0]).any():
+    lines = _fit_lines(x[None], y[None], np.ones((1, x.size), dtype=bool))
+    if not lines.distinct[0]:
         raise DegenerateFitError(
             f"line fit needs at least 2 distinct x values, got {np.unique(x).size}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        xm = x.mean()
-        ym = y.mean()
-        dx = x - xm
-        dy = y - ym
-        sxx = float(dx @ dx)
-        slope = float(dx @ dy) / sxx
-        intercept = ym - slope * xm
-        resid = y - (intercept + slope * x)
-        ss_res = float(resid @ resid)
-        ss_tot = float(dy @ dy)
-    if not all(map(math.isfinite, (sxx, slope, intercept, ss_res, ss_tot))):
+    if not lines.finite[0]:
         raise DegenerateFitError("line fit sums are beyond the float range")
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return LineFit(
-        intercept=intercept,
-        slope=slope,
-        rms_residual=math.sqrt(ss_res / n),
-        r_squared=r2,
-        n_points=n,
+        intercept=float(lines.intercept[0]),
+        slope=float(lines.slope[0]),
+        rms_residual=float(lines.rms_residual[0]),
+        r_squared=float(lines.r_squared[0]),
+        n_points=x.size,
     )
 
 
@@ -222,7 +270,7 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
         )
     series = np.polynomial.Polynomial.fit(x, y, degree)
     resid = y - series(x)
-    rms = math.sqrt(float(resid @ resid) / x.size)
+    rms = math.sqrt(float(np.add.reduce(resid * resid)) / x.size)
     raw = series.convert().coef
     if raw.size < degree + 1:  # trailing exact zeros are trimmed by numpy
         raw = np.pad(raw, (0, degree + 1 - raw.size))
@@ -246,6 +294,57 @@ def _reciprocal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, keep
 
 
+def _line_coords(
+    kind: LinearizationKind,
+    times: np.ndarray,
+    rates: Optional[np.ndarray],
+    sizes: np.ndarray,
+    aux_a: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Straight-line coordinates (x, y, keep) of every point, uncompacted.
+
+    ``keep`` marks the points the transform can represent; the others
+    hold a finite y (0), so that :func:`_fit_lines` can take the rows
+    as they are. RECIP_S_VS_T reads no rates.
+    """
+    if kind is LinearizationKind.R_VS_T:
+        return times, rates, np.ones(rates.shape, dtype=bool)
+    if kind is LinearizationKind.R_VS_S:
+        return sizes, rates, np.ones(rates.shape, dtype=bool)
+    if kind is LinearizationKind.RECIP_R_VS_T:
+        ys, keep = _reciprocal(rates)
+    elif kind is LinearizationKind.LN_R_VS_T:
+        keep = rates > 0
+        ys = np.zeros_like(rates)
+        np.log(rates, out=ys, where=keep)
+    elif kind is LinearizationKind.SHIFTED_LN_VS_T:
+        if aux_a is None:
+            raise ConfigError("shifted-ln-vs-t needs the auxiliary parameter a")
+        inv_r, keep = _reciprocal(rates)
+        shifted = aux_a - inv_r
+        keep &= shifted > 0
+        ys = np.zeros_like(rates)
+        np.log(shifted, out=ys, where=keep)
+    elif kind is LinearizationKind.RECIP_S_VS_T:
+        ys, keep = _reciprocal(sizes)
+    else:  # pragma: no cover - enum is exhaustive
+        raise ConfigError(f"unknown linearization {kind!r}")
+    return times, ys, keep
+
+
+def _compacted(
+    coords: tuple[np.ndarray, np.ndarray, np.ndarray], empty: str, dropped_fmt: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The kept points of ``coords`` and the drop count, warning of drops."""
+    xs, ys, keep = coords
+    dropped = keep.size - int(np.count_nonzero(keep))
+    if dropped == keep.size:
+        raise EmptyLinearizationError(empty)
+    if dropped:
+        warnings.warn(dropped_fmt.format(dropped), FitWarning, stacklevel=3)
+    return xs[keep], ys[keep], dropped
+
+
 def linearize(
     rs: RateSeries,
     kind: LinearizationKind,
@@ -258,51 +357,11 @@ def linearize(
     and counted; real series legitimately contain them (recession
     years). Returns (xs, ys, dropped).
     """
-    t = rs.times
-    r = rs.rates
-    s = rs.sizes
-
-    if kind is LinearizationKind.R_VS_T:
-        keep = np.ones_like(r, dtype=bool)
-        xs, ys = t, r
-    elif kind is LinearizationKind.R_VS_S:
-        keep = np.ones_like(r, dtype=bool)
-        xs, ys = s, r
-    elif kind is LinearizationKind.RECIP_R_VS_T:
-        ys, keep = _reciprocal(r)
-        xs = t
-    elif kind is LinearizationKind.LN_R_VS_T:
-        keep = r > 0
-        ys = np.zeros_like(r)
-        np.log(r, out=ys, where=keep)
-        xs = t
-    elif kind is LinearizationKind.SHIFTED_LN_VS_T:
-        if aux_a is None:
-            raise ConfigError("shifted-ln-vs-t needs the auxiliary parameter a")
-        inv_r, keep = _reciprocal(r)
-        shifted = aux_a - inv_r
-        keep &= shifted > 0
-        ys = np.zeros_like(r)
-        np.log(shifted, out=ys, where=keep)
-        xs = t
-    elif kind is LinearizationKind.RECIP_S_VS_T:
-        ys, keep = _reciprocal(s)
-        xs = t
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unknown linearization {kind!r}")
-
-    dropped = int((~keep).sum())
-    if dropped == r.size:
-        raise EmptyLinearizationError(
-            f"{kind.value}: every point was dropped by the transform"
-        )
-    if dropped:
-        warnings.warn(
-            f"{kind.value}: dropped {dropped} point(s) outside the transform domain",
-            FitWarning,
-            stacklevel=2,
-        )
-    return xs[keep], ys[keep], dropped
+    return _compacted(
+        _line_coords(kind, rs.times, rs.rates, rs.sizes, aux_a),
+        f"{kind.value}: every point was dropped by the transform",
+        f"{kind.value}: dropped {{}} point(s) outside the transform domain",
+    )
 
 
 def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
@@ -311,17 +370,11 @@ def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
     The hyperbolic identification test: 1/S affine in t is the unique
     signature of hyperbolic growth.
     """
-    inv, keep = _reciprocal(ts.values)
-    dropped = int((~keep).sum())
-    if dropped == ts.values.size:
-        raise EmptyLinearizationError("recip-s-vs-t: no series value has a finite reciprocal")
-    if dropped:
-        warnings.warn(
-            f"recip-s-vs-t: dropped {dropped} value(s) without a finite reciprocal",
-            FitWarning,
-            stacklevel=2,
-        )
-    return ts.times[keep], inv[keep], dropped
+    return _compacted(
+        _line_coords(LinearizationKind.RECIP_S_VS_T, ts.times, None, ts.values),
+        "recip-s-vs-t: no series value has a finite reciprocal",
+        "recip-s-vs-t: dropped {} value(s) without a finite reciprocal",
+    )
 
 
 def _range_mask(times: np.ndarray, t_range: tuple[float, float], what: str) -> np.ndarray:

@@ -100,18 +100,16 @@ def direct_rates(ts: TimeSeries) -> RateSeries:
     For each consecutive pair, R = (S[i+1] - S[i]) / (S[i] * (t[i+1]-t[i])),
     attributed to time t[i+1] with size S[i+1]; n points in, n-1 rates out.
     """
+    return RateSeries(*_direct(ts), source_label=ts.label, method=RateMethod.DIRECT)
+
+
+def _direct(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, rates, sizes) of :func:`direct_rates`."""
     if np.any(ts.values == 0):
         bad = int(np.argmax(ts.values == 0))
         raise DomainError(f"direct rates undefined: series value 0 at t={ts.times[bad]}")
     dt = np.diff(ts.times)
-    rates = np.diff(ts.values) / (ts.values[:-1] * dt)
-    return RateSeries(
-        times=ts.times[1:],
-        rates=rates,
-        sizes=ts.values[1:],
-        source_label=ts.label,
-        method=RateMethod.DIRECT,
-    )
+    return ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
 
 
 def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
@@ -174,6 +172,13 @@ def refined_rates(ts: TimeSeries, cfg: SmoothingConfig | None = None) -> RateSer
     R at each point is the local-polynomial derivative of S divided by
     the raw series value there; one rate per input point.
     """
+    return RateSeries(*_refined(ts, cfg), source_label=ts.label, method=RateMethod.REFINED)
+
+
+def _refined(
+    ts: TimeSeries, cfg: SmoothingConfig | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, rates, sizes) of :func:`refined_rates`."""
     if cfg is None:
         cfg = SmoothingConfig()
     if len(ts) < cfg.window:
@@ -184,13 +189,7 @@ def refined_rates(ts: TimeSeries, cfg: SmoothingConfig | None = None) -> RateSer
         bad = int(np.argmax(ts.values == 0))
         raise DomainError(f"refined rates undefined: series value 0 at t={ts.times[bad]}")
     grads = _local_poly_gradients(ts.times, ts.values, cfg)
-    return RateSeries(
-        times=ts.times,
-        rates=grads / ts.values,
-        sizes=ts.values,
-        source_label=ts.label,
-        method=RateMethod.REFINED,
-    )
+    return ts.times, grads / ts.values, ts.values
 
 
 def rate_of_transform(
@@ -207,14 +206,8 @@ def rate_of_transform(
     """
     transformed = transform_series(ts, kind)
     if method is RateMethod.DIRECT:
-        rs = direct_rates(transformed)
+        arrays = _direct(transformed)
     else:
-        rs = refined_rates(transformed, cfg)
+        arrays = _refined(transformed, cfg)
     label = f"{ts.label} [{kind.value}]" if ts.label else f"[{kind.value}]"
-    return RateSeries(
-        times=rs.times,
-        rates=rs.rates,
-        sizes=rs.sizes,
-        source_label=label,
-        method=rs.method,
-    )
+    return RateSeries(*arrays, source_label=label, method=method)

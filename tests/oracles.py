@@ -24,13 +24,37 @@ from growthcast import (
     DegenerateFitError,
     EmptyLinearizationError,
     FitWarning,
+    NumericError,
     ParseError,
     RateMethod,
     TimeSeries,
     ValidationError,
 )
-from growthcast.fitting import FitReport, LinearizationKind, fit_rate_model
-from growthcast.rates import RateSeries
+from growthcast.diagnostics import (
+    _CATALOG_ORDER,
+    _R2_TIE_DECIMALS,
+    Candidate,
+    IdentificationReport,
+    _constant_rate_candidate,
+)
+from growthcast.fitting import (
+    FitReport,
+    LinearizationKind,
+    fit_line,
+    fit_rate_model,
+    linearize,
+    linearize_series,
+    model_kind_for,
+)
+from growthcast.models import LOG_LIFT, ModelKind
+from growthcast.rates import (
+    RateSeries,
+    SmoothingConfig,
+    direct_rates,
+    rate_of_transform,
+    refined_rates,
+)
+from growthcast.timeseries import TransformKind
 
 
 def rk4_log_integrate(
@@ -380,3 +404,134 @@ def read_rates_loop(path, delimiter: str = ",") -> tuple[RateSeries, dict[str, s
         method=method,
     )
     return rs, meta
+
+
+def _line_candidate(
+    rs: RateSeries,
+    lin: LinearizationKind,
+    transform: Optional[TransformKind] = None,
+    aux_a: Optional[float] = None,
+) -> Optional[Candidate]:
+    """The linearity test of ``lin``; rates of ln S test the lifted family."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            xs, ys, dropped = linearize(rs, lin, aux_a=aux_a)
+        if xs.size < 2:
+            return None
+        fit = fit_line(xs, ys)
+    except (EmptyLinearizationError, DegenerateFitError):
+        return None
+
+    note = ""
+    valid = True
+    kind = model_kind_for(lin)
+    if kind is ModelKind.LINEAR_S:
+        # a = 0 is outside this family (the law degenerates to R ~ S,
+        # which is the hyperbolic family); demote when the intercept is
+        # numerically zero.
+        scale = float(np.max(np.abs(ys))) or 1.0
+        if abs(fit.intercept) <= 1e-8 * scale:
+            valid = False
+            note = "intercept consistent with zero: law reduces to rate proportional to size"
+    return Candidate(
+        model_kind=LOG_LIFT[kind] if transform is TransformKind.LOG else kind,
+        linearization=lin,
+        r_squared=fit.r_squared,
+        rms_residual=fit.rms_residual,
+        dropped_points=dropped,
+        transform=transform,
+        note=note,
+        valid=valid,
+    )
+
+
+def identify_per_test(
+    ts: TimeSeries,
+    method: RateMethod = RateMethod.DIRECT,
+    cfg: Optional[SmoothingConfig] = None,
+    aux_a: Optional[float] = None,
+) -> IdentificationReport:
+    """``diagnostics.identify`` as one linearize and one fit_line per test.
+
+    The loop that the batched ``identify`` replaced, kept as its
+    reference; it ranks a test whatever the number of points it keeps.
+
+    Rank every catalog family by how well its linearity test fits.
+
+    Rates are computed from the series with the requested method; the
+    log-of-size families are tested on the rates of ln S, and the
+    hyperbolic reciprocal test runs on the raw series values. The
+    shifted-exponential family needs its displacement parameter a and is
+    skipped (with a note) when none is supplied. Ties in r^2 (to 1e-10)
+    are broken by fewer dropped points, then simplest family first.
+    """
+    if method is RateMethod.DIRECT:
+        rs = direct_rates(ts)
+    else:
+        rs = refined_rates(ts, cfg)
+
+    notes: list[str] = []
+    candidates: list[Candidate] = [_constant_rate_candidate(rs)]
+
+    for lin in (
+        LinearizationKind.R_VS_T,
+        LinearizationKind.R_VS_S,
+        LinearizationKind.RECIP_R_VS_T,
+        LinearizationKind.LN_R_VS_T,
+    ):
+        cand = _line_candidate(rs, lin)
+        if cand is not None:
+            candidates.append(cand)
+
+    # hyperbolic signature: reciprocal of the raw series affine in time
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            xs, ys, dropped = linearize_series(ts)
+        fit = fit_line(xs, ys)
+        candidates.append(
+            Candidate(
+                model_kind=model_kind_for(LinearizationKind.RECIP_S_VS_T),
+                linearization=LinearizationKind.RECIP_S_VS_T,
+                r_squared=fit.r_squared,
+                rms_residual=fit.rms_residual,
+                dropped_points=dropped,
+            )
+        )
+    except (EmptyLinearizationError, DegenerateFitError, NumericError):
+        notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
+
+    # log-of-size families need a positive series
+    if np.all(ts.values > 0):
+        try:
+            rs_log = rate_of_transform(ts, TransformKind.LOG, method, cfg)
+            for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S):
+                cand = _line_candidate(rs_log, lin, transform=TransformKind.LOG)
+                if cand is not None:
+                    candidates.append(cand)
+        except (NumericError, ValidationError):
+            notes.append("log-of-size tests skipped (log rates undefined on this series)")
+    else:
+        notes.append("log-of-size tests skipped (series has non-positive values)")
+
+    if aux_a is not None:
+        cand = _line_candidate(rs, LinearizationKind.SHIFTED_LN_VS_T, aux_a=aux_a)
+        if cand is not None:
+            candidates.append(cand)
+    else:
+        notes.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+
+    order = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
+    ranked = sorted(
+        candidates,
+        key=lambda c: (
+            -round(c.r_squared, _R2_TIE_DECIMALS),
+            c.dropped_points,
+            not c.valid,
+            order[c.model_kind],
+        ),
+    )
+    return IdentificationReport(
+        candidates=tuple(ranked), winner=ranked[0], rates=rs, notes=tuple(notes)
+    )

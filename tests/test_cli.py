@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from growthcast import load_series
+import growthcast
+from growthcast import RateSeries, load_series
 from growthcast.cli import main
-from growthcast.fileio import read_model, read_rates
+from growthcast.fileio import read_model, read_rates, write_rates
 
 DATA = Path(__file__).parent / "data"
 GDP_FIXTURE = DATA / "gdp_per_capita.csv"
@@ -401,6 +405,40 @@ class TestDeterminism:
             ]) == 0
             outs.append((rates.read_bytes(), model.read_bytes(), proj.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+    def test_fit_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits long dot products across its threads, which
+        # reorders the sums; at 2e4 points the least-squares sums must
+        # not go through it
+        rng = np.random.default_rng(11)
+        t = 1950.0 + 0.01 * np.arange(20_000)
+        rates = 1.0 / (80.0 - 30.0 * np.exp(-0.02 * (t - 1950.0)))
+        rates *= 1.0 + 0.01 * rng.standard_normal(t.size)
+        src = tmp_path / "r.csv"
+        write_rates(src, RateSeries(times=t, rates=rates, sizes=np.ones_like(t)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(growthcast.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        fits = {
+            "line": ["--linearization", "r-vs-t"],
+            "scan": ["--linearization", "shifted-ln-vs-t", "--scan-aux", "40:160"],
+        }
+        written = {}
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            for name, flags in fits.items():
+                out = tmp_path / f"{name}_{threads}.txt"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "growthcast.cli", "fit", str(src), *flags,
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                written[name, threads] = out.read_bytes()
+        for name in fits:
+            assert written[name, "1"] == written[name, "2"], name
 
     def test_pipes_compose_full_loop(self, tmp_path):
         # forecast output is itself a valid series file for cmd_rates

@@ -100,6 +100,58 @@ class TestFitLine:
             assert 0.0 <= fit.r_squared <= 1.0
 
 
+class TestFitLines:
+    """The batched kernel behind fit_line and identify."""
+
+    def test_rows_without_drops_equal_fit_line(self):
+        rng = np.random.default_rng(21)
+        x = 1950.0 + np.cumsum(rng.uniform(0.1, 2.0, size=(6, 150)), axis=1)
+        y = 0.3 * x + rng.normal(size=x.shape)
+        lines = fitting._fit_lines(x, y, np.ones(x.shape, dtype=bool))
+        assert lines.distinct.all() and lines.finite.all()
+        for i in range(6):
+            fit = fit_line(x[i], y[i])
+            got = (lines.intercept[i], lines.slope[i], lines.rms_residual[i], lines.r_squared[i])
+            assert got == (fit.intercept, fit.slope, fit.rms_residual, fit.r_squared)
+
+    def test_dropped_and_padded_cells_are_ignored(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0.0, 50.0, size=(5, 40))
+        y = 2.0 - 0.1 * x + rng.normal(size=x.shape)
+        keep = rng.random(x.shape) < 0.7
+        keep[:, 30:] = False  # padding
+        lines = fitting._fit_lines(x, y, keep)
+        for i in range(5):
+            fit = fit_line(x[i][keep[i]], y[i][keep[i]])
+            assert lines.n_points[i] == fit.n_points
+            np.testing.assert_allclose(
+                (lines.intercept[i], lines.slope[i], lines.rms_residual[i], lines.r_squared[i]),
+                (fit.intercept, fit.slope, fit.rms_residual, fit.r_squared),
+                rtol=1e-12,
+            )
+
+    def test_repeated_inexact_kept_x_refused(self):
+        # three copies of 0.1 have a rounded mean that is not 0.1, so their
+        # sxx is tiny and positive: only an exact comparison refuses them
+        with pytest.raises(DegenerateFitError, match="2 distinct x values, got 1"):
+            fit_line([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+        x = np.array([[0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.7, 0.1]])
+        keep = np.array([[True, True, False, True], [True, True, True, True]])
+        lines = fitting._fit_lines(x, np.array([[1.0, 2.0, 3.0, 4.0]] * 2), keep)
+        assert lines.distinct.tolist() == [False, True]
+
+    def test_sums_beyond_float_range_refuse_only_their_row(self):
+        x = np.tile([0.0, 1.0, 2.0], (2, 1))
+        y = np.array([[1e200, -1e200, 3e200], [1.0, 2.0, 4.0]])
+        lines = fitting._fit_lines(x, y, np.ones(x.shape, dtype=bool))
+        assert lines.finite.tolist() == [False, True]
+        assert lines.slope[1] == fit_line(x[1], y[1]).slope
+
+    def test_row_keeping_nothing_is_refused(self):
+        lines = fitting._fit_lines(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
+        assert lines.n_points[0] == 0 and not lines.distinct[0]
+
+
 class TestFitPolynomial:
     def test_exact_parabola(self):
         x = np.linspace(-3, 5, 30)
