@@ -10,69 +10,63 @@ numeric/domain failure; reproduce exits 1 when a reference check fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+import warnings
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__
-from .cases import CASE_NAMES, run_case
-from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
 from .errors import ConfigError, GrowthcastError, InputError, NumericError
-from .fileio import (
-    fit_report_comments,
-    format_float,
-    read_model,
-    read_rates,
-    write_model,
-    write_projection,
-    write_rates,
-    write_series,
-    write_sidecar,
-)
-from .fitting import (
-    LinearizationKind,
-    fit_polynomial,
-    fit_rate_model,
-    fit_reciprocal_series,
-    scan_shifted_aux,
-)
-from .forecast import integrate_discrete, integrate_rate_function, project, project_normalized
-from .models import LOG_LIFT
-from .rates import RateMethod, SmoothingConfig, direct_rates, rate_of_transform, refined_rates
-from .timeseries import TransformKind, load_series
+
+if TYPE_CHECKING:
+    from .rates import SmoothingConfig
+
+# The parser states these itself so that building it loads neither
+# fitting nor cases; tests pin them to LinearizationKind and CASE_NAMES.
+_LINEARIZATIONS = ("r-vs-t", "r-vs-s", "recip-r-vs-t", "ln-r-vs-t", "shifted-ln-vs-t", "recip-s-vs-t")
+_CASE_NAMES = ("uk-gdpcap", "world-pop", "japan-gdp")
+
+
+def _parse_floats(text: str, flag: str, form: str) -> list[float]:
+    """The finite floats of a ``form``-shaped flag value such as ``A:B``."""
+    parts = text.split(":")
+    if len(parts) != form.count(":") + 1:
+        raise ConfigError(f"{flag} must look like {form}, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"{flag} must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must look like A:B, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{what} must be numeric, got {text!r}") from None
+    return tuple(_parse_floats(text, what, "A:B"))
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--grid must look like start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--grid must be numeric, got {text!r}") from None
+    start, stop, step = _parse_floats(text, "--grid", "start:stop:step")
     if step <= 0 or stop <= start:
         raise ConfigError("--grid needs stop > start and step > 0")
-    return np.arange(start, stop + step / 2.0, step)
+    try:
+        return np.arange(start, stop + step / 2.0, step)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"--grid {text!r} has more points than can be allocated") from None
 
 
 def _smoothing(args: argparse.Namespace) -> SmoothingConfig:
+    from .rates import SmoothingConfig
+
     return SmoothingConfig(window=args.window, degree=args.degree)
 
 
 def _load_input_series(args: argparse.Namespace):
+    from .timeseries import load_series
+
     return load_series(
         args.input,
         args.time_column,
@@ -92,6 +86,10 @@ def _add_series_io_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
+    from .fileio import write_rates, write_sidecar
+    from .rates import RateMethod, direct_rates, rate_of_transform, refined_rates
+    from .timeseries import TransformKind
+
     ts = _load_input_series(args)
     method = RateMethod(args.method)
     transform = args.transform
@@ -121,6 +119,12 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .fileio import fit_report_comments, format_float, read_rates, write_model, write_sidecar
+    from .fitting import LinearizationKind, fit_rate_model, fit_reciprocal_series, scan_shifted_aux
+    from .models import LOG_LIFT
+
     lin = LinearizationKind(args.linearization)
     t_range = _parse_pair(args.range, "--range") if args.range else None
     if lin is LinearizationKind.SHIFTED_LN_VS_T and args.aux_a is None and args.scan_aux is None:
@@ -179,6 +183,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    from .fileio import read_model, write_projection, write_sidecar
+    from .forecast import project, project_normalized
+
     model = read_model(args.model)
     grid = _parse_grid(args.grid)
     if args.anchor is not None:
@@ -206,6 +213,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .fileio import read_rates, write_series, write_sidecar
+    from .forecast import integrate_discrete, integrate_rate_function
+
     rs, meta = read_rates(args.input, delimiter=args.delimiter)
     anchor = _parse_pair(args.anchor, "--anchor")
     if args.poly_degree is None:
@@ -213,6 +225,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     else:
         if args.grid is None:
             raise ConfigError("--grid is required with --poly-degree")
+        from .fitting import fit_polynomial
+
         poly = fit_polynomial(rs.times, rs.rates, args.poly_degree)
         out_series = integrate_rate_function(poly, anchor, _parse_grid(args.grid))
     out_series = replace(out_series, label=meta.get("label", out_series.label))
@@ -231,11 +245,16 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
+    from .fileio import write_sidecar
+    from .rates import RateMethod
+
     ts = _load_input_series(args)
     method = RateMethod(args.method)
     cfg = _smoothing(args) if method is RateMethod.REFINED else None
     report = identify(ts, method=method, cfg=cfg, aux_a=args.aux_a)
-    flag = stability_flag(report.rates, threshold=args.threshold)
+    threshold = LOW_RATE_THRESHOLD if args.threshold is None else args.threshold
+    flag = stability_flag(report.rates, threshold=threshold)
 
     lines = [f"# identification: {ts.label or args.input}"]
     lines.append("rank  model               linearization     r_squared      rms        dropped")
@@ -262,6 +281,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    from .cases import CASE_NAMES, run_case
+
     names = list(CASE_NAMES) if args.case == "all" else [args.case]
     if any(n not in CASE_NAMES for n in names):
         raise ConfigError(f"unknown case {args.case!r}; valid names: {', '.join(CASE_NAMES)} or all")
@@ -306,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--linearization",
         required=True,
-        choices=[k.value for k in LinearizationKind],
+        choices=_LINEARIZATIONS,
     )
     p.add_argument("--range", default=None, help="restrict to times t1:t2 before fitting")
     p.add_argument("--aux-a", type=float, default=None, help="displacement a for shifted-ln-vs-t")
@@ -344,17 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--aux-a", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=LOW_RATE_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=None)
     _add_series_io_flags(p)
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("reproduce", help="recompute a bundled case study and check it")
-    p.add_argument("case", help=f"one of: {', '.join(CASE_NAMES)}, or all")
+    p.add_argument("case", help=f"one of: {', '.join(_CASE_NAMES)}, or all")
     p.add_argument("--out", default="reproduce_out", help="output directory")
     p.set_defaults(func=cmd_reproduce)
 
     return parser
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line, without source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -363,17 +389,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GrowthcastError as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except GrowthcastError as exc:  # pragma: no cover - defensive
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -13,21 +13,27 @@ next to each output.
 Data rows are streamed to the file in chunks of ``_CHUNK_ROWS`` rows,
 each chunk formatted in one ``%`` operation, so a 10^6-row projection
 is never held in memory as text.
+
+The readers import the records they build when first called, so
+writing a file loads no model or rate code.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .fitting import FitReport
-from .forecast import Projection, ScenarioReport
-from .models import Model, ModelKind, Params
-from .rates import RateMethod, RateSeries
-from .timeseries import TimeSeries, read_table
+from .timeseries import read_table
+
+if TYPE_CHECKING:
+    from .fitting import FitReport
+    from .forecast import Projection, ScenarioReport
+    from .models import Model
+    from .rates import RateSeries
+    from .timeseries import TimeSeries
 
 PathLike = Union[str, Path]
 
@@ -89,6 +95,8 @@ def read_rates(path: PathLike, delimiter: str = ",") -> tuple[RateSeries, dict[s
     The table is read by :func:`timeseries.read_table`; sizes default to
     1 when the file has no size column.
     """
+    from .rates import RateMethod, RateSeries
+
     meta, cols = read_table(path, "t", ("rate",), optional=("size",), delimiter=delimiter)
     try:
         method = RateMethod(meta.get("method") or RateMethod.DIRECT.value)
@@ -129,6 +137,8 @@ def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> N
 
 
 def read_model(path: PathLike) -> Model:
+    from .models import Model, ModelKind, Params
+
     fields: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
     RangeRefusalError,
     ValidationError,
 )
-from .fitting import PolyFit
 from .models import (
     FeatureKind,
     Features,
@@ -39,8 +38,11 @@ from .models import (
     trajectory_at,
 )
 from .models import SINGULARITY_GUARD_YEARS
-from .rates import RateSeries
 from .timeseries import TimeSeries
+
+if TYPE_CHECKING:
+    from .fitting import PolyFit
+    from .rates import RateSeries
 
 Anchor = tuple[float, float]
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +170,11 @@ class TestFitCommand:
         code = main(["fit", str(rates), "--linearization", *flags, "--out", str(model_file)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and "Traceback" not in err
+        # a FitWarning raised on the way (the shifted fit drops points) is
+        # printed as a warning: line before the error
+        *warned, last = err.splitlines()
+        assert last.startswith("error:") and message in last and "Traceback" not in err
+        assert all(w.startswith("warning: ") for w in warned)
         assert not model_file.exists()
 
     def test_log_transform_rates_lift_to_loglog(self, tmp_path):
@@ -185,6 +190,50 @@ class TestFitCommand:
         m = read_model(model_file)
         assert m.kind.value == "loglog_t"
         assert "lifted" in model_file.read_text()
+
+    def test_fit_warning_is_one_line_on_stderr(self, tmp_path):
+        rates = tmp_path / "g.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(growthcast.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthcast.cli", "fit", str(rates),
+             "--linearization", "shifted-ln-vs-t", "--aux-a", "60", "--out", str(tmp_path / "m.txt")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: shifted-ln-vs-t: dropped 18 point(s) outside the transform domain\n"
+        )
+
+    def test_main_restores_warning_state(self, tmp_path, capsys):
+        rates = tmp_path / "g.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        before = (warnings.showwarning, list(warnings.filters))
+        code = main([
+            "fit", str(rates), "--linearization", "shifted-ln-vs-t", "--aux-a", "60",
+            "--out", str(tmp_path / "m.txt"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: shifted-ln-vs-t: dropped 18 point(s) outside the transform domain\n"
+        )
+        assert (warnings.showwarning, list(warnings.filters)) == before
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--range", "0:inf"), ("--range", "nan:2000"), ("--scan-aux", "40:inf")]
+    )
+    def test_non_finite_pair_names_its_flag(self, tmp_path, capsys, flag, value):
+        rates = tmp_path / "g.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        code = main([
+            "fit", str(rates), "--linearization", "shifted-ln-vs-t", f"{flag}={value}",
+            "--out", str(tmp_path / "m.txt"),
+        ] + ([] if flag == "--scan-aux" else ["--aux-a", "60"]))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} values must be finite, got {value!r}\n"
 
 
 class TestForecastCommand:
@@ -288,6 +337,31 @@ class TestForecastCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(model_file) in err and "'a'" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--anchor", "0:nan", "--grid", "0:10:1"], "--anchor values must be finite, got '0:nan'"),
+            (["--anchor", "inf:1", "--grid", "0:10:1"], "--anchor values must be finite, got 'inf:1'"),
+            (["--anchor", "0:1", "--grid", "0:nan:1"], "--grid values must be finite, got '0:nan:1'"),
+            (["--anchor", "0:1", "--grid", "0:inf:1"], "--grid values must be finite, got '0:inf:1'"),
+            (["--anchor", "0:1", "--grid", "0:1:inf"], "--grid values must be finite, got '0:1:inf'"),
+            # 1e17 points need 8e17 bytes, more than any 64-bit address space
+            # maps, and 1e316 exceed numpy's size limit: both fail at once
+            (["--anchor", "0:1", "--grid", "0:1e17:1"],
+             "--grid '0:1e17:1' has more points than can be allocated"),
+            (["--anchor", "0:1", "--grid", "0:1e300:1e-16"],
+             "--grid '0:1e300:1e-16' has more points than can be allocated"),
+        ],
+    )
+    def test_bad_anchor_or_grid_names_its_flag(self, tmp_path, capsys, flags, message):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text("kind = exp_const\na = 0.02\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main(["forecast", str(model_file), *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestIntegrateCommand:
