@@ -28,7 +28,7 @@ from .forecast import (
     project_normalized,
 )
 from .models import Model, ModelKind, Params, features, normalize, rate_at, trajectory_at
-from .rates import RateMethod, RateSeries
+from .rates import RateSeries
 
 CASE_NAMES = ("uk-gdpcap", "world-pop", "japan-gdp")
 
@@ -226,31 +226,21 @@ def run_case(name: str, out_dir: Path) -> CaseResult:
         write_scenario_table(path, table)
         files.append(str(path))
 
-    # rate-law tables for cases that ship rate models but no data grid
-    if name == "uk-gdpcap":
-        t = np.arange(1830.0, 2009.0)
-        line_rates = rate_at(models["line"], t)
-        rs = RateSeries(
-            times=t,
-            rates=line_rates,
-            sizes=np.ones_like(t),
-            source_label="uk line rate law",
-            method=RateMethod.DIRECT,
-        )
-        path = out_dir / "uk-gdpcap_line_rates.csv"
-        write_rates(path, rs, unit="1/year")
-        files.append(str(path))
-        poly = polys["poly6"]
-        rs_poly = RateSeries(
-            times=t,
-            rates=np.asarray(poly.value_at(t), dtype=float),
-            sizes=np.ones_like(t),
-            source_label="uk degree-6 rate law",
-            method=RateMethod.DIRECT,
-        )
-        path = out_dir / "uk-gdpcap_poly_rates.csv"
-        write_rates(path, rs_poly, unit="1/year")
-        files.append(str(path))
+    # rate-law tables for cases that ship rate models but no data grid;
+    # yearly from start to stop, both included
+    spec = case.get("rate_tables")
+    if spec is not None:
+        t = np.arange(spec["start"], spec["stop"] + 1.0)
+        for table in spec["tables"]:
+            scenario = table["scenario"]
+            if scenario in polys:
+                rates = np.asarray(polys[scenario].value_at(t), dtype=float)
+            else:
+                rates = rate_at(models[scenario], t)
+            rs = RateSeries(t, rates, np.ones_like(t), source_label=table["label"])
+            path = out_dir / f"{name}_{table['stem']}.csv"
+            write_rates(path, rs, unit="1/year")
+            files.append(str(path))
 
     checks = tuple(_run_check(c, models, projections) for c in case["checks"])
     report_path = out_dir / f"{name}_report.txt"

@@ -4,7 +4,10 @@ Every catalog family becomes a straight line under the right transform
 of the empirical rates (or, for hyperbolic growth, of the series
 itself). ``linearize`` applies the transform, ``fit_line`` does plain
 unweighted least squares, and ``fit_rate_model`` maps the fitted
-(intercept, slope) back to model parameters. Every line fit, one or
+(intercept, slope) back to model parameters. Each linearization's facts
+are stated once, in ``_LINEARIZATIONS``, and every fit that yields a
+model (``fit_rate_model``, ``fit_reciprocal_series`` and the aux scan's
+final fit) goes through one body, ``_fit``. Every line fit, one or
 many at once (``diagnostics.identify`` fits all its tests together), is
 one batched pass of ``_fit_lines``, whose sums are ``np.add.reduce``
 calls, not BLAS products: a fitted line does not depend on the BLAS
@@ -32,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +47,10 @@ from .errors import (
     ValidationError,
 )
 from .models import Model, ModelKind, Params
-from .rates import RateSeries
-from .timeseries import TimeSeries
+
+if TYPE_CHECKING:
+    from .rates import RateSeries
+    from .timeseries import TimeSeries
 
 _FLOAT_TINY = np.finfo(float).tiny
 
@@ -57,20 +62,6 @@ class LinearizationKind(Enum):
     LN_R_VS_T = "ln-r-vs-t"
     SHIFTED_LN_VS_T = "shifted-ln-vs-t"
     RECIP_S_VS_T = "recip-s-vs-t"
-
-
-_LINEARIZATION_TO_KIND = {
-    LinearizationKind.R_VS_T: ModelKind.LINEAR_T,
-    LinearizationKind.R_VS_S: ModelKind.LINEAR_S,
-    LinearizationKind.RECIP_R_VS_T: ModelKind.RATE_RECIP_LINEAR,
-    LinearizationKind.LN_R_VS_T: ModelKind.RATE_LN_LINEAR,
-    LinearizationKind.SHIFTED_LN_VS_T: ModelKind.RATE_SHIFTED_EXP,
-    LinearizationKind.RECIP_S_VS_T: ModelKind.HYPERBOLIC,
-}
-
-
-def model_kind_for(linearization: LinearizationKind) -> ModelKind:
-    return _LINEARIZATION_TO_KIND[linearization]
 
 
 @dataclass(frozen=True)
@@ -294,55 +285,113 @@ def _reciprocal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, keep
 
 
+def _log_kept(x: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln x where ``keep`` holds (x must be positive there), 0 elsewhere."""
+    ys = np.zeros_like(x)
+    np.log(x, out=ys, where=keep)
+    return ys, keep
+
+
+def _shifted_ln(rates: np.ndarray, aux_a: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    if aux_a is None:
+        raise ConfigError("shifted-ln-vs-t needs the auxiliary parameter a")
+    inv_r, keep = _reciprocal(rates)
+    shifted = aux_a - inv_r
+    return _log_kept(shifted, keep & (shifted > 0))
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf beyond the float range, so that ``Model`` names the parameter."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _all_kept(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return y, np.ones(y.shape, dtype=bool)
+
+
+def _a_b(intercept: float, slope: float, aux_a: Optional[float]) -> Params:
+    return Params(a=intercept, b=slope)
+
+
+# What each linearization states, once: the family it fits; the abscissa
+# of its line, "t" (time) or "S" (size); its ordinate and keep mask, from
+# (rates, sizes, aux_a); and the model parameters, from (intercept,
+# slope, aux_a).
+_LINEARIZATIONS = {
+    LinearizationKind.R_VS_T: (ModelKind.LINEAR_T, "t", lambda r, s, aux: _all_kept(r), _a_b),
+    LinearizationKind.R_VS_S: (ModelKind.LINEAR_S, "S", lambda r, s, aux: _all_kept(r), _a_b),
+    LinearizationKind.RECIP_R_VS_T: (
+        ModelKind.RATE_RECIP_LINEAR, "t", lambda r, s, aux: _reciprocal(r), _a_b
+    ),
+    LinearizationKind.LN_R_VS_T: (
+        ModelKind.RATE_LN_LINEAR,
+        "t",
+        lambda r, s, aux: _log_kept(r, r > 0),
+        lambda i, b, aux: Params(a=_exp(i), b=b),
+    ),
+    LinearizationKind.SHIFTED_LN_VS_T: (
+        ModelKind.RATE_SHIFTED_EXP,
+        "t",
+        lambda r, s, aux: _shifted_ln(r, aux),
+        lambda i, b, aux: Params(a=aux, b=_exp(i), r=-b),
+    ),
+    LinearizationKind.RECIP_S_VS_T: (
+        ModelKind.HYPERBOLIC,
+        "t",
+        lambda r, s, aux: _reciprocal(s),
+        lambda i, b, aux: Params(b=-b, C=i),
+    ),
+}
+
+
+def model_kind_for(linearization: LinearizationKind) -> ModelKind:
+    return _LINEARIZATIONS[linearization][0]
+
+
 def _line_coords(
     kind: LinearizationKind,
     times: np.ndarray,
     rates: Optional[np.ndarray],
-    sizes: np.ndarray,
+    sizes: Optional[np.ndarray],
     aux_a: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Straight-line coordinates (x, y, keep) of every point, uncompacted.
 
     ``keep`` marks the points the transform can represent; the others
     hold a finite y (0), so that :func:`_fit_lines` can take the rows
-    as they are. RECIP_S_VS_T reads no rates.
+    as they are. RECIP_S_VS_T reads no rates, and only R_VS_S and
+    RECIP_S_VS_T read sizes.
     """
-    if kind is LinearizationKind.R_VS_T:
-        return times, rates, np.ones(rates.shape, dtype=bool)
-    if kind is LinearizationKind.R_VS_S:
-        return sizes, rates, np.ones(rates.shape, dtype=bool)
-    if kind is LinearizationKind.RECIP_R_VS_T:
-        ys, keep = _reciprocal(rates)
-    elif kind is LinearizationKind.LN_R_VS_T:
-        keep = rates > 0
-        ys = np.zeros_like(rates)
-        np.log(rates, out=ys, where=keep)
-    elif kind is LinearizationKind.SHIFTED_LN_VS_T:
-        if aux_a is None:
-            raise ConfigError("shifted-ln-vs-t needs the auxiliary parameter a")
-        inv_r, keep = _reciprocal(rates)
-        shifted = aux_a - inv_r
-        keep &= shifted > 0
-        ys = np.zeros_like(rates)
-        np.log(shifted, out=ys, where=keep)
-    elif kind is LinearizationKind.RECIP_S_VS_T:
-        ys, keep = _reciprocal(sizes)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unknown linearization {kind!r}")
-    return times, ys, keep
+    _, abscissa, ordinate, _ = _LINEARIZATIONS[kind]
+    ys, keep = ordinate(rates, sizes, aux_a)
+    return (sizes if abscissa == "S" else times), ys, keep
 
 
 def _compacted(
-    coords: tuple[np.ndarray, np.ndarray, np.ndarray], empty: str, dropped_fmt: str
+    kind: LinearizationKind, coords: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The kept points of ``coords`` and the drop count, warning of drops."""
+    """The points of ``coords`` the transform keeps, and the drop count."""
     xs, ys, keep = coords
     dropped = keep.size - int(np.count_nonzero(keep))
     if dropped == keep.size:
-        raise EmptyLinearizationError(empty)
-    if dropped:
-        warnings.warn(dropped_fmt.format(dropped), FitWarning, stacklevel=3)
+        raise EmptyLinearizationError(f"{kind.value}: every point was dropped by the transform")
     return xs[keep], ys[keep], dropped
+
+
+def _warned(
+    kind: LinearizationKind, points: tuple[np.ndarray, np.ndarray, int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``points``, after a warning if the transform dropped any."""
+    if points[2]:
+        warnings.warn(
+            f"{kind.value}: dropped {points[2]} point(s) outside the transform domain",
+            FitWarning,
+            stacklevel=3,
+        )
+    return points
 
 
 def linearize(
@@ -357,97 +406,53 @@ def linearize(
     and counted; real series legitimately contain them (recession
     years). Returns (xs, ys, dropped).
     """
-    return _compacted(
-        _line_coords(kind, rs.times, rs.rates, rs.sizes, aux_a),
-        f"{kind.value}: every point was dropped by the transform",
-        f"{kind.value}: dropped {{}} point(s) outside the transform domain",
-    )
+    return _warned(kind, _compacted(kind, _line_coords(kind, rs.times, rs.rates, rs.sizes, aux_a)))
 
 
 def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
     """Reciprocal-of-size coordinates (t, 1/S) of a raw series.
 
     The hyperbolic identification test: 1/S affine in t is the unique
-    signature of hyperbolic growth.
+    signature of hyperbolic growth. Drops are warned of as in
+    :func:`linearize`.
     """
-    return _compacted(
-        _line_coords(LinearizationKind.RECIP_S_VS_T, ts.times, None, ts.values),
-        "recip-s-vs-t: no series value has a finite reciprocal",
-        "recip-s-vs-t: dropped {} value(s) without a finite reciprocal",
-    )
+    kind = LinearizationKind.RECIP_S_VS_T
+    return _warned(kind, _compacted(kind, _line_coords(kind, ts.times, None, ts.values)))
 
 
-def _range_mask(times: np.ndarray, t_range: tuple[float, float], what: str) -> np.ndarray:
-    """The times inside [t1, t2]; at least two must be."""
+def _restrict(
+    t_range: Optional[tuple[float, float]], what: str, times: np.ndarray, *columns: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``times`` and ``columns`` at the times inside [t1, t2], at least two;
+    all of them when there is no range."""
+    if t_range is None:
+        return (times, *columns)
     t1, t2 = t_range
     keep = (times >= t1) & (times <= t2)
     if int(keep.sum()) < 2:
         raise DegenerateFitError(f"fewer than 2 {what} inside t range [{t1}, {t2}]")
-    return keep
+    return (times[keep], *(c[keep] for c in columns))
 
 
-def _restrict(rs: RateSeries, t_range: Optional[tuple[float, float]]) -> RateSeries:
-    if t_range is None:
-        return rs
-    keep = _range_mask(rs.times, t_range, "rate points")
-    return RateSeries(
-        times=rs.times[keep],
-        rates=rs.rates[keep],
-        sizes=rs.sizes[keep],
-        source_label=rs.source_label,
-        method=rs.method,
-    )
-
-
-def _exp(x: float) -> float:
-    """e^x, or inf beyond the float range, so that ``Model`` names the parameter."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _line_to_model(kind: LinearizationKind, line: LineFit, aux_a: Optional[float]) -> Model:
-    if kind in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S, LinearizationKind.RECIP_R_VS_T):
-        params = Params(a=line.intercept, b=line.slope)
-    elif kind is LinearizationKind.LN_R_VS_T:
-        params = Params(a=_exp(line.intercept), b=line.slope)
-    elif kind is LinearizationKind.SHIFTED_LN_VS_T:
-        params = Params(a=aux_a, b=_exp(line.intercept), r=-line.slope)
-    elif kind is LinearizationKind.RECIP_S_VS_T:
-        params = Params(b=-line.slope, C=line.intercept)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unknown linearization {kind!r}")
-    return Model(kind=model_kind_for(kind), params=params)
-
-
-def fit_rate_model(
-    rs: RateSeries,
+def _fit(
     kind: LinearizationKind,
-    t_range: Optional[tuple[float, float]] = None,
+    points: tuple[np.ndarray, np.ndarray, int],
     aux_a: Optional[float] = None,
     unit: str = "",
 ) -> FitReport:
-    """Linearize, fit a line, and map the line back to a model.
-
-    The time-range restriction is applied before linearizing; fitting a
-    sub-range is first-class because rate regimes change (a decade of
-    exponential decline can sit inside a century of something else).
-    """
-    restricted = _restrict(rs, t_range)
-    xs, ys, dropped = linearize(restricted, kind, aux_a=aux_a)
+    """Fit a line through the kept ``points`` of a linearization and read
+    the model off it, with the notes every fit carries."""
+    xs, ys, dropped = points
     if xs.size < 2:
         raise DegenerateFitError("fewer than 2 points survive the linearization")
     line = replace(fit_line(xs, ys), dropped_points=dropped)
+    model_kind, _, _, params = _LINEARIZATIONS[kind]
     try:
-        model = _line_to_model(kind, line, aux_a)
+        model = Model(model_kind, params(line.intercept, line.slope, aux_a), unit=unit)
     except ValidationError as exc:
         raise DegenerateFitError(
-            f"fitted line degenerates out of the {model_kind_for(kind).value} "
-            f"family: {exc}"
+            f"fitted line degenerates out of the {model_kind.value} family: {exc}"
         ) from exc
-    if unit:
-        model = replace(model, unit=unit)
 
     notes: list[str] = []
     if dropped:
@@ -465,6 +470,24 @@ def fit_rate_model(
     return FitReport(linearization=kind, line=line, model=model, warnings=tuple(notes))
 
 
+def fit_rate_model(
+    rs: RateSeries,
+    kind: LinearizationKind,
+    t_range: Optional[tuple[float, float]] = None,
+    aux_a: Optional[float] = None,
+    unit: str = "",
+) -> FitReport:
+    """Linearize, fit a line, and map the line back to a model.
+
+    The time-range restriction is applied before linearizing; fitting a
+    sub-range is first-class because rate regimes change (a decade of
+    exponential decline can sit inside a century of something else).
+    """
+    times, rates, sizes = _restrict(t_range, "rate points", rs.times, rs.rates, rs.sizes)
+    points = _compacted(kind, _line_coords(kind, times, rates, sizes, aux_a))
+    return _fit(kind, _warned(kind, points), aux_a, unit)
+
+
 def fit_reciprocal_series(
     ts: TimeSeries, t_range: Optional[tuple[float, float]] = None
 ) -> FitReport:
@@ -473,24 +496,10 @@ def fit_reciprocal_series(
     The fitted line 1/S = C - b t is the trajectory's own reciprocal, so
     the returned model arrives normalized.
     """
-    if t_range is not None:
-        keep = _range_mask(ts.times, t_range, "points")
-        ts = TimeSeries(ts.times[keep], ts.values[keep], label=ts.label, unit=ts.unit)
-    xs, ys, dropped = linearize_series(ts)
-    if xs.size < 2:
-        raise DegenerateFitError("fewer than 2 points survive the reciprocal transform")
-    line = replace(fit_line(xs, ys), dropped_points=dropped)
-    model = _line_to_model(LinearizationKind.RECIP_S_VS_T, line, None)
-    model = replace(model, unit=ts.unit)
-    notes = []
-    if dropped:
-        notes.append(f"dropped {dropped} zero value(s)")
-    return FitReport(
-        linearization=LinearizationKind.RECIP_S_VS_T,
-        line=line,
-        model=model,
-        warnings=tuple(notes),
-    )
+    kind = LinearizationKind.RECIP_S_VS_T
+    times, values = _restrict(t_range, "points", ts.times, ts.values)
+    points = _compacted(kind, _line_coords(kind, times, None, values))
+    return _fit(kind, _warned(kind, points), unit=ts.unit)
 
 
 #: Candidate-by-point cells the aux scan scores at once; bounds its memory.
@@ -578,18 +587,17 @@ def scan_shifted_aux(
     Every candidate of the grid, and of the ternary refinement around
     the best grid point, is scored by :func:`_shifted_r2_scorer` in
     closed form, the whole grid in one call; the first maximum wins.
-    Only the chosen a is fitted by :func:`fit_rate_model`, so the
-    returned report is exactly that of a direct fit at it.
+    Only the chosen a is fitted, through the fit body of
+    :func:`fit_rate_model` without its drop warning, so the returned
+    report is exactly that of a direct fit at it.
     """
     if not (a_min < a_max) or steps < 2:
         raise ConfigError("scan needs a_min < a_max and at least 2 steps")
     try:
-        restricted = _restrict(rs, t_range)
+        times, rates = _restrict(t_range, "rate points", rs.times, rs.rates)
     except DegenerateFitError:
         raise EmptyLinearizationError("no scan value of a admits a fit") from None
-    score = _shifted_r2_scorer(
-        restricted.times, restricted.rates, max(3, min_keep_fraction * len(restricted))
-    )
+    score = _shifted_r2_scorer(times, rates, max(3, min_keep_fraction * times.size))
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(a_min, a_max, steps)
     grid_r2 = score(grid)
@@ -616,9 +624,6 @@ def scan_shifted_aux(
                 best_a, best_r2 = m1, r1
         if hi - lo <= 1e-12 * max(1.0, abs(best_a)):
             break
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FitWarning)
-        report = fit_rate_model(
-            rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=best_a
-        )
-    return best_a, report
+    kind = LinearizationKind.SHIFTED_LN_VS_T
+    points = _compacted(kind, _line_coords(kind, times, rates, None, best_a))
+    return best_a, _fit(kind, points, best_a)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import growthcast
-from growthcast import RateSeries, load_series
+from growthcast import RateSeries, fit_line, load_series
 from growthcast.cli import main
 from growthcast.fileio import read_model, read_rates, write_rates
 
@@ -53,6 +53,13 @@ class TestRatesCommand:
         code = main(["rates", str(src), "--transform", "log", "--out", str(out)])
         assert code == 3
         assert "log" in capsys.readouterr().err
+
+    def test_reciprocal_transform_unit(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = main(["rates", str(GDP_FIXTURE), "--transform", "reciprocal", "--out", str(out)])
+        assert code == 0
+        assert "# unit: 1/(1990 Int. GK$)\n" in out.read_text()
+        assert read_rates(out)[1]["unit"] == "1/(1990 Int. GK$)"
 
     def test_refined_on_fixture(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -109,6 +116,64 @@ class TestFitCommand:
         assert m.kind.value == "hyperbolic"
         assert m.params.C == pytest.approx(10.0, rel=1e-9)
         assert m.params.b == pytest.approx(1.0, rel=1e-9)
+
+    def test_recip_s_constant_series_is_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "c.csv"
+        src.write_text("t,value\n0,2\n1,2\n2,2\n3,2\n", encoding="utf-8")
+        model_file = tmp_path / "m.txt"
+        code = main(["fit", str(src), "--linearization", "recip-s-vs-t", "--out", str(model_file)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: fitted line degenerates out of the hyperbolic family: "
+            "hyperbolic requires 'b' != 0\n"
+        )
+        assert not model_file.exists()
+
+    def test_recip_s_drop_reads_like_the_rate_fits(self, tmp_path, capsys):
+        # one zero value in the series, one negative rate in the rates:
+        # each fit drops one point and says so in the same words
+        src = tmp_path / "z.csv"
+        src.write_text("t,value\n0,1\n1,2\n2,0\n3,4\n4,5\n", encoding="utf-8")
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,0.10,1\n1,0.09,1\n2,-0.01,1\n3,0.07,1\n4,0.06,1\n")
+        texts = {}
+        for lin, path in (("recip-s-vs-t", src), ("ln-r-vs-t", rates)):
+            model_file = tmp_path / f"{lin}.txt"
+            code = main(["fit", str(path), "--linearization", lin, "--out", str(model_file)])
+            assert code == 0
+            assert capsys.readouterr().err == (
+                f"warning: {lin}: dropped 1 point(s) outside the transform domain\n"
+            )
+            texts[lin] = model_file.read_text()
+        note = "# warning: dropped 1 point(s) outside the transform domain\n"
+        assert all(note in text for text in texts.values())
+
+    def test_recip_s_range_restriction(self, tmp_path):
+        model_file = tmp_path / "m.txt"
+        code = main([
+            "fit", str(GDP_FIXTURE), "--linearization", "recip-s-vs-t",
+            "--range", "1960:1990", "--out", str(model_file),
+        ])
+        assert code == 0
+        assert "n_points = 31, dropped_points = 0" in model_file.read_text()
+        src = load_series(GDP_FIXTURE, "t", "value")
+        inside = (src.times >= 1960.0) & (src.times <= 1990.0)
+        line = fit_line(src.times[inside], 1.0 / src.values[inside])
+        m = read_model(model_file)
+        assert (m.params.b, m.params.C) == (-line.slope, line.intercept)
+        assert m.unit == "1990 Int. GK$"
+
+    def test_recip_s_range_keeping_one_point_is_exit_3(self, tmp_path, capsys):
+        model_file = tmp_path / "m.txt"
+        code = main([
+            "fit", str(GDP_FIXTURE), "--linearization", "recip-s-vs-t",
+            "--range", "1960:1960.5", "--out", str(model_file),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: fewer than 2 points inside t range [1960.0, 1960.5]\n"
+        )
+        assert not model_file.exists()
 
     def test_size_dependent_fit_refuses_unit_mismatch(self, tmp_path, capsys):
         rates = tmp_path / "r.csv"
@@ -339,6 +404,26 @@ class TestForecastCommand:
         assert str(model_file) in err and "'a'" in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind = linear_t\na 0.02\n", "line 2: expected 'key = value', got 'a 0.02'"),
+            ("a = 0.02\nb = 0.1\n", "model file is missing the 'kind' field"),
+            ("kind = linear_t\na = 0.02\nb = fast\n", "cannot parse b = 'fast' as a number"),
+        ],
+        ids=["no-equals", "no-kind", "not-a-number"],
+    )
+    def test_malformed_model_file_is_exit_2(self, tmp_path, capsys, text, message):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model_file), "--anchor", "0:100", "--grid", "0:10:1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {model_file}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--anchor", "0:nan", "--grid", "0:10:1"], "--anchor values must be finite, got '0:nan'"),
@@ -384,6 +469,18 @@ class TestIntegrateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: discretely integrated size is beyond the float range at t = 2.0\n"
+        assert not out.exists()
+
+    def test_polynomial_route_needs_grid(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "1960:7000", "--poly-degree", "3",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --grid is required with --poly-degree\n"
         assert not out.exists()
 
     def test_polynomial_route_respects_range(self, tmp_path):

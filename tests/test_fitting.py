@@ -530,11 +530,9 @@ class TestScanMatchesLoop:
 
             grid = np.linspace(lo, hi, kw["steps"])
             want_r2 = _oracle_grid_r2(rs, grid, kw["t_range"], kw["min_keep_fraction"])
-            restricted = fitting._restrict(rs, kw["t_range"])
+            times, rates = fitting._restrict(kw["t_range"], "rate points", rs.times, rs.rates)
             score = fitting._shifted_r2_scorer(
-                restricted.times,
-                restricted.rates,
-                max(3, kw["min_keep_fraction"] * len(restricted)),
+                times, rates, max(3, kw["min_keep_fraction"] * times.size)
             )
             got_r2 = score(grid)
             np.testing.assert_array_equal(np.isinf(got_r2), np.isinf(want_r2))

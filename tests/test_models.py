@@ -345,6 +345,16 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(model(ModelKind.EXP_CONST, a=0.02), 0.0, -1.0)
 
+    def test_linear_s_anchored_at_its_asymptote(self):
+        # 1/s0 + b/a is exactly 0 at s0 = -a/b = 2, so C = 0 and the
+        # trajectory sits at the asymptote for all time
+        m = normalize(model(ModelKind.LINEAR_S, a=1.0, b=-0.5), 10.0, 2.0)
+        assert m.params.C == 0.0
+        t = np.array([-50.0, 0.0, 10.0, 300.0])
+        np.testing.assert_array_equal(trajectory_at(m, t), np.full(4, 2.0))
+        feat = features(m)
+        assert feat.kind is FeatureKind.ASYMPTOTE and feat.s_star == 2.0
+
     def test_loglog_s_below_one_rejected(self):
         # its closed form is evaluated through ln F, so F = ln S must be > 0
         with pytest.raises(DomainError, match=r"ln s0 = -0\.69"):
