@@ -30,7 +30,6 @@ _EXPORTS = {
         "DegenerateFitError",
         "DomainError",
         "EmptyLinearizationError",
-        "FitWarning",
         "GrowthcastError",
         "InputError",
         "NumericError",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -46,6 +45,11 @@ def _parse_floats(text: str, flag: str, form: str) -> list[float]:
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     return tuple(_parse_floats(text, what, "A:B"))
+
+
+def _parse_float(text: Optional[str], flag: str) -> Optional[float]:
+    """The finite float of a one-number flag value, or None when it is unset."""
+    return None if text is None else _parse_floats(text, flag, "a number")[0]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -127,7 +131,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     lin = LinearizationKind(args.linearization)
     t_range = _parse_pair(args.range, "--range") if args.range else None
-    if lin is LinearizationKind.SHIFTED_LN_VS_T and args.aux_a is None and args.scan_aux is None:
+    aux_a = _parse_float(args.aux_a, "--aux-a")
+    if lin is LinearizationKind.SHIFTED_LN_VS_T and aux_a is None and args.scan_aux is None:
         raise ConfigError(
             "the shifted-ln-vs-t linearization needs --aux-a (or --scan-aux lo:hi)"
         )
@@ -153,13 +158,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 f"size-dependent fit refused: --unit {args.unit!r} disagrees with "
                 f"the rates file unit {file_unit!r}"
             )
-        if lin is LinearizationKind.SHIFTED_LN_VS_T and args.aux_a is None:
+        if lin is LinearizationKind.SHIFTED_LN_VS_T and aux_a is None:
             lo, hi = _parse_pair(args.scan_aux, "--scan-aux")
             best_a, report = scan_shifted_aux(rs, lo, hi, t_range=t_range)
             comments = [f"aux a = {format_float(best_a)} selected by r^2 scan over [{lo}, {hi}]"]
             comments += fit_report_comments(report)
         else:
-            report = fit_rate_model(rs, lin, t_range=t_range, aux_a=args.aux_a, unit=unit)
+            report = fit_rate_model(rs, lin, t_range=t_range, aux_a=aux_a, unit=unit)
             comments = fit_report_comments(report)
         model = report.model
         if meta.get("transform") == "log" and model.kind in LOG_LIFT:
@@ -167,6 +172,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             comments.append(
                 "input rates were of ln(series); kind lifted to the log-of-size family"
             )
+    for w in report.warnings:
+        print(f"warning: {lin.value}: {w}", file=sys.stderr)
     write_model(args.out, model, comments)
     write_sidecar(
         args.out,
@@ -175,7 +182,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ("input", str(args.input)),
             ("linearization", args.linearization),
             ("range", args.range or ""),
-            ("aux_a", "" if args.aux_a is None else format_float(args.aux_a)),
+            ("aux_a", "" if aux_a is None else format_float(aux_a)),
             ("scan_aux", args.scan_aux or ""),
         ],
     )
@@ -228,6 +235,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         from .fitting import fit_polynomial
 
         poly = fit_polynomial(rs.times, rs.rates, args.poly_degree)
+        for w in poly.warnings:
+            print(f"warning: {w}", file=sys.stderr)
         out_series = integrate_rate_function(poly, anchor, _parse_grid(args.grid))
     out_series = replace(out_series, label=meta.get("label", out_series.label))
     write_series(args.out, out_series)
@@ -249,12 +258,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from .fileio import write_sidecar
     from .rates import RateMethod
 
+    aux_a = _parse_float(args.aux_a, "--aux-a")
+    threshold = _parse_float(args.threshold, "--threshold")
     ts = _load_input_series(args)
     method = RateMethod(args.method)
     cfg = _smoothing(args) if method is RateMethod.REFINED else None
-    report = identify(ts, method=method, cfg=cfg, aux_a=args.aux_a)
-    threshold = LOW_RATE_THRESHOLD if args.threshold is None else args.threshold
-    flag = stability_flag(report.rates, threshold=threshold)
+    report = identify(ts, method=method, cfg=cfg, aux_a=aux_a)
+    flag = stability_flag(
+        report.rates, threshold=LOW_RATE_THRESHOLD if threshold is None else threshold
+    )
 
     lines = [f"# identification: {ts.label or args.input}"]
     lines.append("rank  model               linearization     r_squared      rms        dropped")
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_LINEARIZATIONS,
     )
     p.add_argument("--range", default=None, help="restrict to times t1:t2 before fitting")
-    p.add_argument("--aux-a", type=float, default=None, help="displacement a for shifted-ln-vs-t")
+    p.add_argument("--aux-a", default=None, help="displacement a for shifted-ln-vs-t")
     p.add_argument(
         "--scan-aux", default=None, metavar="LO:HI",
         help="pick the shifted-ln-vs-t displacement by an r^2 grid scan over [LO, HI]",
@@ -364,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "refined"], default="direct")
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--aux-a", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--aux-a", default=None)
+    p.add_argument("--threshold", default=None)
     _add_series_io_flags(p)
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_diagnose)
@@ -378,30 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """Show a warning as one ``warning: <message>`` line, without source location."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        try:
-            return args.func(args)
-        except (InputError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except NumericError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except GrowthcastError as exc:  # pragma: no cover - defensive
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    try:
+        return args.func(args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except GrowthcastError as exc:  # pragma: no cover - defensive
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Two broad classes matter for the command-line surface: ``InputError``
 covers structural problems with what the user handed us (files, columns,
@@ -62,7 +62,3 @@ class CollapseError(NumericError):
 
 class RangeRefusalError(NumericError):
     """Polynomial rate law evaluated outside its fitted data range."""
-
-
-class FitWarning(UserWarning):
-    """Non-fatal fitting notice, e.g. points dropped by a transform."""

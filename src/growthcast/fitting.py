@@ -7,7 +7,9 @@ unweighted least squares, and ``fit_rate_model`` maps the fitted
 (intercept, slope) back to model parameters. Each linearization's facts
 are stated once, in ``_LINEARIZATIONS``, and every fit that yields a
 model (``fit_rate_model``, ``fit_reciprocal_series`` and the aux scan's
-final fit) goes through one body, ``_fit``. Every line fit, one or
+final fit) goes through one body, ``_fit``. Notices travel in the
+results (``FitReport.warnings``, ``PolyFit.warnings``, drop counts);
+no call here emits a Python warning. Every line fit, one or
 many at once (``diagnostics.identify`` fits all its tests together), is
 one batched pass of ``_fit_lines``, whose sums are ``np.add.reduce``
 calls, not BLAS products: a fitted line does not depend on the BLAS
@@ -32,7 +34,6 @@ the exponential-rate convention R = a exp(b t).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
@@ -43,7 +44,6 @@ from .errors import (
     ConfigError,
     DegenerateFitError,
     EmptyLinearizationError,
-    FitWarning,
     ValidationError,
 )
 from .models import Model, ModelKind, Params
@@ -86,7 +86,7 @@ class PolyFit:
     inspection but are near the conditioning cliff.
 
     t_min/t_max record the fitted data range; rate-law integration
-    refuses to leave it.
+    refuses to leave it. ``warnings`` holds the fit's notices.
     """
 
     coefficients: np.ndarray
@@ -94,6 +94,7 @@ class PolyFit:
     rms_residual: float
     t_min: float
     t_max: float
+    warnings: tuple[str, ...] = ()
     _series: Optional[np.polynomial.Polynomial] = field(
         default=None, repr=False, compare=False
     )
@@ -238,8 +239,8 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
 
     The abscissa is internally mapped to [-1, 1] for conditioning, which
     matters for degree-6 fits on raw calendar years; the raw-basis
-    coefficients are mapped back for reporting. Warns when the fit is in
-    the interpolation regime (as many coefficients as points).
+    coefficients are mapped back for reporting. The fit notes when it is
+    in the interpolation regime (as many coefficients as points).
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -253,12 +254,9 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
             f"degree {degree} needs at least {degree + 1} distinct x values, "
             f"got {n_distinct}"
         )
+    notes = ()
     if n_distinct == degree + 1:
-        warnings.warn(
-            "interpolation regime: polynomial degree equals point count minus one",
-            FitWarning,
-            stacklevel=2,
-        )
+        notes = ("interpolation regime: polynomial degree equals point count minus one",)
     series = np.polynomial.Polynomial.fit(x, y, degree)
     resid = y - series(x)
     rms = math.sqrt(float(np.add.reduce(resid * resid)) / x.size)
@@ -271,6 +269,7 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
         rms_residual=rms,
         t_min=float(x.min()),
         t_max=float(x.max()),
+        warnings=notes,
         _series=series,
     )
 
@@ -381,19 +380,6 @@ def _compacted(
     return xs[keep], ys[keep], dropped
 
 
-def _warned(
-    kind: LinearizationKind, points: tuple[np.ndarray, np.ndarray, int]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``points``, after a warning if the transform dropped any."""
-    if points[2]:
-        warnings.warn(
-            f"{kind.value}: dropped {points[2]} point(s) outside the transform domain",
-            FitWarning,
-            stacklevel=3,
-        )
-    return points
-
-
 def linearize(
     rs: RateSeries,
     kind: LinearizationKind,
@@ -402,32 +388,35 @@ def linearize(
     """Transform a rate series into straight-line coordinates.
 
     Points the transform cannot represent (non-positive rates under a
-    log, rates whose reciprocal is infinite) are dropped with a warning
-    and counted; real series legitimately contain them (recession
-    years). Returns (xs, ys, dropped).
+    log, rates whose reciprocal is infinite) are dropped and counted;
+    real series legitimately contain them (recession years). Returns
+    (xs, ys, dropped).
     """
-    return _warned(kind, _compacted(kind, _line_coords(kind, rs.times, rs.rates, rs.sizes, aux_a)))
+    return _compacted(kind, _line_coords(kind, rs.times, rs.rates, rs.sizes, aux_a))
 
 
 def linearize_series(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, int]:
     """Reciprocal-of-size coordinates (t, 1/S) of a raw series.
 
     The hyperbolic identification test: 1/S affine in t is the unique
-    signature of hyperbolic growth. Drops are warned of as in
+    signature of hyperbolic growth. Drops are counted as in
     :func:`linearize`.
     """
     kind = LinearizationKind.RECIP_S_VS_T
-    return _warned(kind, _compacted(kind, _line_coords(kind, ts.times, None, ts.values)))
+    return _compacted(kind, _line_coords(kind, ts.times, None, ts.values))
 
 
 def _restrict(
     t_range: Optional[tuple[float, float]], what: str, times: np.ndarray, *columns: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """``times`` and ``columns`` at the times inside [t1, t2], at least two;
-    all of them when there is no range."""
+    all of them when there is no range. A range with t1 >= t2 is a
+    ConfigError."""
     if t_range is None:
         return (times, *columns)
     t1, t2 = t_range
+    if not t1 < t2:
+        raise ConfigError(f"t range needs t1 < t2, got [{t1}, {t2}]")
     keep = (times >= t1) & (times <= t2)
     if int(keep.sum()) < 2:
         raise DegenerateFitError(f"fewer than 2 {what} inside t range [{t1}, {t2}]")
@@ -436,13 +425,13 @@ def _restrict(
 
 def _fit(
     kind: LinearizationKind,
-    points: tuple[np.ndarray, np.ndarray, int],
+    coords: tuple[np.ndarray, np.ndarray, np.ndarray],
     aux_a: Optional[float] = None,
     unit: str = "",
 ) -> FitReport:
-    """Fit a line through the kept ``points`` of a linearization and read
-    the model off it, with the notes every fit carries."""
-    xs, ys, dropped = points
+    """Fit a line through the kept points of a linearization's ``coords``
+    and read the model off it, with the notes every fit carries."""
+    xs, ys, dropped = _compacted(kind, coords)
     if xs.size < 2:
         raise DegenerateFitError("fewer than 2 points survive the linearization")
     line = replace(fit_line(xs, ys), dropped_points=dropped)
@@ -484,8 +473,7 @@ def fit_rate_model(
     exponential decline can sit inside a century of something else).
     """
     times, rates, sizes = _restrict(t_range, "rate points", rs.times, rs.rates, rs.sizes)
-    points = _compacted(kind, _line_coords(kind, times, rates, sizes, aux_a))
-    return _fit(kind, _warned(kind, points), aux_a, unit)
+    return _fit(kind, _line_coords(kind, times, rates, sizes, aux_a), aux_a, unit)
 
 
 def fit_reciprocal_series(
@@ -498,8 +486,7 @@ def fit_reciprocal_series(
     """
     kind = LinearizationKind.RECIP_S_VS_T
     times, values = _restrict(t_range, "points", ts.times, ts.values)
-    points = _compacted(kind, _line_coords(kind, times, None, values))
-    return _fit(kind, _warned(kind, points), unit=ts.unit)
+    return _fit(kind, _line_coords(kind, times, None, values), unit=ts.unit)
 
 
 #: Candidate-by-point cells the aux scan scores at once; bounds its memory.
@@ -588,8 +575,8 @@ def scan_shifted_aux(
     the best grid point, is scored by :func:`_shifted_r2_scorer` in
     closed form, the whole grid in one call; the first maximum wins.
     Only the chosen a is fitted, through the fit body of
-    :func:`fit_rate_model` without its drop warning, so the returned
-    report is exactly that of a direct fit at it.
+    :func:`fit_rate_model`, so the returned report, drop note included,
+    is exactly that of a direct fit at it.
     """
     if not (a_min < a_max) or steps < 2:
         raise ConfigError("scan needs a_min < a_max and at least 2 steps")
@@ -625,5 +612,4 @@ def scan_shifted_aux(
         if hi - lo <= 1e-12 * max(1.0, abs(best_a)):
             break
     kind = LinearizationKind.SHIFTED_LN_VS_T
-    points = _compacted(kind, _line_coords(kind, times, rates, None, best_a))
-    return best_a, _fit(kind, points, best_a)
+    return best_a, _fit(kind, _line_coords(kind, times, rates, None, best_a), best_a)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO, Union
@@ -23,7 +22,6 @@ from growthcast import (
     ConfigError,
     DegenerateFitError,
     EmptyLinearizationError,
-    FitWarning,
     NumericError,
     ParseError,
     RateMethod,
@@ -229,11 +227,9 @@ def scan_shifted_aux_loop(
 
     def try_fit(a: float) -> Optional[FitReport]:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FitWarning)
-                report = fit_rate_model(
-                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=a
-                )
+            report = fit_rate_model(
+                rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=a
+            )
         except (EmptyLinearizationError, DegenerateFitError):
             return None
         n_total = report.line.n_points + report.line.dropped_points
@@ -414,9 +410,7 @@ def _line_candidate(
 ) -> Optional[Candidate]:
     """The linearity test of ``lin``; rates of ln S test the lifted family."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            xs, ys, dropped = linearize(rs, lin, aux_a=aux_a)
+        xs, ys, dropped = linearize(rs, lin, aux_a=aux_a)
         if xs.size < 2:
             return None
         fit = fit_line(xs, ys)
@@ -486,9 +480,7 @@ def identify_per_test(
 
     # hyperbolic signature: reciprocal of the raw series affine in time
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            xs, ys, dropped = linearize_series(ts)
+        xs, ys, dropped = linearize_series(ts)
         fit = fit_line(xs, ys)
         candidates.append(
             Candidate(

@@ -136,13 +136,17 @@ class TestFitCommand:
         src.write_text("t,value\n0,1\n1,2\n2,0\n3,4\n4,5\n", encoding="utf-8")
         rates = tmp_path / "r.csv"
         rates.write_text("t,rate,size\n0,0.10,1\n1,0.09,1\n2,-0.01,1\n3,0.07,1\n4,0.06,1\n")
+        amplitude = (
+            "warning: ln-r-vs-t: amplitude stored as exp(intercept): the log-linear and "
+            "exponential-rate forms are the same law\n"
+        )
         texts = {}
-        for lin, path in (("recip-s-vs-t", src), ("ln-r-vs-t", rates)):
+        for lin, path, more in (("recip-s-vs-t", src, ""), ("ln-r-vs-t", rates, amplitude)):
             model_file = tmp_path / f"{lin}.txt"
             code = main(["fit", str(path), "--linearization", lin, "--out", str(model_file)])
             assert code == 0
             assert capsys.readouterr().err == (
-                f"warning: {lin}: dropped 1 point(s) outside the transform domain\n"
+                f"warning: {lin}: dropped 1 point(s) outside the transform domain\n" + more
             )
             texts[lin] = model_file.read_text()
         note = "# warning: dropped 1 point(s) outside the transform domain\n"
@@ -216,6 +220,26 @@ class TestFitCommand:
         assert m.params.a == pytest.approx(a0, rel=1e-6)
         assert m.params.r == pytest.approx(r0, rel=1e-6)
 
+    def test_scan_aux_prints_its_drops(self, tmp_path, capsys):
+        # a zero rate has no finite reciprocal, so every candidate drops it
+        t = np.arange(0.0, 40.0)
+        rates = 1.0 / (10.0 - 6.0 * np.exp(-0.25 * t))
+        rates[7] = 0.0
+        rates_path = tmp_path / "r.csv"
+        rates_path.write_text("t,rate,size\n" + "".join(
+            f"{float(x)!r},{float(r)!r},1.0\n" for x, r in zip(t, rates)
+        ))
+        model_file = tmp_path / "m.txt"
+        code = main([
+            "fit", str(rates_path), "--linearization", "shifted-ln-vs-t",
+            "--scan-aux", "5:15", "--out", str(model_file),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: shifted-ln-vs-t: dropped 1 point(s) outside the transform domain\n"
+        )
+        assert "n_points = 39, dropped_points = 1" in model_file.read_text()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -235,11 +259,9 @@ class TestFitCommand:
         code = main(["fit", str(rates), "--linearization", *flags, "--out", str(model_file)])
         assert code == 3
         err = capsys.readouterr().err
-        # a FitWarning raised on the way (the shifted fit drops points) is
-        # printed as a warning: line before the error
-        *warned, last = err.splitlines()
-        assert last.startswith("error:") and message in last and "Traceback" not in err
-        assert all(w.startswith("warning: ") for w in warned)
+        # a failed fit gives no report, so no warning line comes before the
+        # error, although the shifted fit drops points on the way
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not model_file.exists()
 
     def test_log_transform_rates_lift_to_loglog(self, tmp_path):
@@ -288,7 +310,9 @@ class TestFitCommand:
         assert (warnings.showwarning, list(warnings.filters)) == before
 
     @pytest.mark.parametrize(
-        "flag, value", [("--range", "0:inf"), ("--range", "nan:2000"), ("--scan-aux", "40:inf")]
+        "flag, value",
+        [("--range", "0:inf"), ("--range", "nan:2000"), ("--scan-aux", "40:inf"),
+         ("--aux-a", "nan"), ("--aux-a", "inf")],
     )
     def test_non_finite_pair_names_its_flag(self, tmp_path, capsys, flag, value):
         rates = tmp_path / "g.csv"
@@ -296,9 +320,28 @@ class TestFitCommand:
         code = main([
             "fit", str(rates), "--linearization", "shifted-ln-vs-t", f"{flag}={value}",
             "--out", str(tmp_path / "m.txt"),
-        ] + ([] if flag == "--scan-aux" else ["--aux-a", "60"]))
+        ] + ([] if flag in ("--scan-aux", "--aux-a") else ["--aux-a", "60"]))
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag} values must be finite, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "lin, extra",
+        [("r-vs-t", []), ("recip-s-vs-t", []), ("shifted-ln-vs-t", ["--scan-aux", "40:160"])],
+    )
+    @pytest.mark.parametrize("t_range", ["1990:1960", "1975:1975"])
+    def test_reversed_or_empty_range_is_exit_2(self, tmp_path, capsys, lin, extra, t_range):
+        rates = tmp_path / "g.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        model_file = tmp_path / "m.txt"
+        source = GDP_FIXTURE if lin == "recip-s-vs-t" else rates
+        code = main([
+            "fit", str(source), "--linearization", lin, "--range", t_range, *extra,
+            "--out", str(model_file),
+        ])
+        assert code == 2
+        t1, t2 = (float(v) for v in t_range.split(":"))
+        assert capsys.readouterr().err == f"error: t range needs t1 < t2, got [{t1}, {t2}]\n"
+        assert not model_file.exists()
 
 
 class TestForecastCommand:
@@ -504,6 +547,20 @@ class TestIntegrateCommand:
         recon = load_series(out, "t", "value")
         assert recon.values[0] == pytest.approx(7000.0, rel=1e-12)
 
+    def test_polynomial_interpolation_regime_warns(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,0.10,1\n1,0.12,1\n2,0.09,1\n3,0.11,1\n")
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "0:1", "--poly-degree", "3",
+            "--grid", "0:3:1", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: interpolation regime: polynomial degree equals point count minus one\n"
+        )
+        assert out.exists()
+
 
 class TestDiagnoseCommand:
     def test_identifies_logistic_fixture(self, tmp_path, capsys):
@@ -518,6 +575,15 @@ class TestDiagnoseCommand:
         code = main(["diagnose", str(GDP_FIXTURE), "--out", str(out)])
         assert code == 0
         assert "winner:" in out.read_text()
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--aux-a"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_value_is_exit_2(self, capsys, flag, value):
+        code = main(["diagnose", str(GDP_FIXTURE), f"{flag}={value}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} values must be finite, got {value!r}\n"
+        assert captured.out == ""
 
 
 class TestReproduceCommand:

@@ -1,12 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 import oracles
 from growthcast import (
     EmptyLinearizationError,
-    FitWarning,
     LinearizationKind,
     Model,
     ModelKind,
@@ -271,15 +268,13 @@ def _expected_after_min_points(old, ts, method, aux_a):
     for lin, transform, src in tests:
         kind = model_kind_for(lin)
         kind = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            try:
-                if lin is LinearizationKind.RECIP_S_VS_T:
-                    kept = linearize_series(src)[0].size
-                else:
-                    kept = linearize(src, lin, aux_a=aux_a)[0].size
-            except EmptyLinearizationError:
-                kept = 0
+        try:
+            if lin is LinearizationKind.RECIP_S_VS_T:
+                kept = linearize_series(src)[0].size
+            else:
+                kept = linearize(src, lin, aux_a=aux_a)[0].size
+        except EmptyLinearizationError:
+            kept = 0
         if kept < 3:
             short[kind] = f"{kind.value} test not ranked: keeps {kept} of {len(src)} point(s), fewer than 3"
     candidates = [c for c in old.candidates if c.model_kind not in short]

@@ -9,7 +9,6 @@ from growthcast import (
     ConfigError,
     DegenerateFitError,
     EmptyLinearizationError,
-    FitWarning,
     GrowthcastError,
     LinearizationKind,
     Model,
@@ -164,9 +163,12 @@ class TestFitPolynomial:
     def test_interpolation_regime_warns(self):
         x = np.arange(4.0)
         y = np.array([1.0, 2.0, 0.5, 3.0])
-        with pytest.warns(FitWarning, match="interpolation"):
-            p = fit_polynomial(x, y, 3)
+        p = fit_polynomial(x, y, 3)
+        assert p.warnings == (
+            "interpolation regime: polynomial degree equals point count minus one",
+        )
         assert p.rms_residual <= 1e-9
+        assert fit_polynomial(np.arange(5.0), np.arange(5.0) ** 2, 3).warnings == ()
 
     def test_underdetermined(self):
         with pytest.raises(DegenerateFitError):
@@ -242,8 +244,7 @@ class TestLinearize:
 
     def test_ln_r_drops_negative_rates_with_warning(self):
         rs = rate_series([1.0, 2.0, 3.0], [0.1, -0.01, 0.2])
-        with pytest.warns(FitWarning, match="dropped 1"):
-            xs, ys, dropped = linearize(rs, LinearizationKind.LN_R_VS_T)
+        xs, ys, dropped = linearize(rs, LinearizationKind.LN_R_VS_T)
         assert dropped == 1
         assert xs.tolist() == [1.0, 3.0]
 
@@ -259,8 +260,7 @@ class TestLinearize:
 
     def test_recip_r_drops_zero_rates(self):
         rs = rate_series([0.0, 1.0, 2.0], [0.5, 0.0, 0.25])
-        with pytest.warns(FitWarning):
-            xs, ys, dropped = linearize(rs, LinearizationKind.RECIP_R_VS_T)
+        xs, ys, dropped = linearize(rs, LinearizationKind.RECIP_R_VS_T)
         assert dropped == 1
         np.testing.assert_allclose(ys, [2.0, 4.0])
 
@@ -268,8 +268,8 @@ class TestLinearize:
         rs = rate_series([0.0, 1.0, 2.0], [0.5, -1e-320, 0.25])
         for kind, aux in ((LinearizationKind.RECIP_R_VS_T, None),
                           (LinearizationKind.SHIFTED_LN_VS_T, 5.0)):
-            with pytest.warns(FitWarning, match="dropped 1"):
-                xs, ys, dropped = linearize(rs, kind, aux_a=aux)
+            xs, ys, dropped = linearize(rs, kind, aux_a=aux)
+            assert dropped == 1
             assert xs.tolist() == [0.0, 2.0] and np.isfinite(ys).all()
 
     def test_all_points_dropped(self):
@@ -326,10 +326,10 @@ class TestFitRateModel:
         rates = 0.05 * np.exp(0.02 * t)
         rates[3] = -0.01
         rs = rate_series(t, rates)
-        with pytest.warns(FitWarning):
-            report = fit_rate_model(rs, LinearizationKind.LN_R_VS_T)
+        report = fit_rate_model(rs, LinearizationKind.LN_R_VS_T)
         assert report.line.n_points + report.line.dropped_points == 10
         assert report.line.dropped_points == 1
+        assert report.warnings[0] == "dropped 1 point(s) outside the transform domain"
 
     def test_zero_slope_degenerates_out_of_family(self):
         # constant rates: ln R fits slope exactly 0, which is outside the
@@ -497,11 +497,9 @@ def _oracle_grid_r2(rs, grid, t_range, min_keep_fraction):
     out = []
     for a in grid:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FitWarning)
-                rep = fit_rate_model(
-                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=float(a)
-                )
+            rep = fit_rate_model(
+                rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=t_range, aux_a=float(a)
+            )
         except (EmptyLinearizationError, DegenerateFitError):
             out.append(-np.inf)
             continue
@@ -546,11 +544,9 @@ class TestScanMatchesLoop:
                 abs(got_a - want_a) <= 1e-9 * abs(want_a)
                 or got.line.r_squared >= want.line.r_squared - 1e-12
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FitWarning)
-                direct = fit_rate_model(
-                    rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=kw["t_range"], aux_a=got_a
-                )
+            direct = fit_rate_model(
+                rs, LinearizationKind.SHIFTED_LN_VS_T, t_range=kw["t_range"], aux_a=got_a
+            )
             assert got == direct
 
     def test_no_candidate_admits_a_fit(self):
@@ -574,3 +570,31 @@ class TestScanMatchesLoop:
         monkeypatch.setattr(fitting, "_SCAN_BLOCK_CELLS", 1)
         one_row = fitting._shifted_r2_scorer(rs.times, rs.rates, 3)(grid)
         np.testing.assert_allclose(one_row, whole, rtol=0, atol=1e-14)
+
+
+class TestNoticesTravelInResults:
+    """Fits return their notices; none is emitted as a Python warning."""
+
+    def test_no_python_warning_and_results_carry_the_notices(self):
+        t = np.arange(20.0)
+        rates = 1.0 / (10.0 - 4.0 * np.exp(-0.2 * t))
+        rates[[3, 11]] = [0.0, -0.05]
+        rs = rate_series(t, rates)
+        ts = TimeSeries(t, np.where(t == 5.0, 0.0, 1.0 / (30.0 - t)))
+        drop = "dropped {} point(s) outside the transform domain".format
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linearize(rs, LinearizationKind.LN_R_VS_T)[2] == 2
+            assert linearize_series(ts)[2] == 1
+            ln = fit_rate_model(rs, LinearizationKind.LN_R_VS_T)
+            recip = fit_reciprocal_series(ts)
+            _, scan = scan_shifted_aux(rs, 5.0, 15.0)
+            poly = fit_polynomial(t[:4], rates[:4], 3)
+        assert (ln.line.dropped_points, ln.warnings[0]) == (2, drop(2))
+        assert any("amplitude" in w for w in ln.warnings)
+        assert (recip.line.dropped_points, recip.warnings[0]) == (1, drop(1))
+        # the scan keeps the negative rate (a - 1/R > 0) and drops the zero
+        assert (scan.line.dropped_points, scan.warnings[0]) == (1, drop(1))
+        assert poly.warnings == (
+            "interpolation regime: polynomial degree equals point count minus one",
+        )

@@ -23,7 +23,7 @@ EXPORTS = {
     ],
     "errors": [
         "CollapseError", "ConfigError", "DegenerateFactorError", "DegenerateFitError",
-        "DomainError", "EmptyLinearizationError", "FitWarning", "GrowthcastError", "InputError",
+        "DomainError", "EmptyLinearizationError", "GrowthcastError", "InputError",
         "NumericError", "ParseError", "RangeRefusalError", "SingularIntegrandError",
         "SingularityError", "ValidationError",
     ],
@@ -51,7 +51,7 @@ EXPORTS = {
 class TestExports:
     def test_all_names_the_public_api(self):
         names = [n for ns in EXPORTS.values() for n in ns]
-        assert len(names) == 59
+        assert len(names) == 58
         assert sorted(growthcast.__all__) == sorted(names + ["__version__"])
         assert set(growthcast.__all__) <= set(dir(growthcast))
 

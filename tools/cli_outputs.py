@@ -47,6 +47,14 @@ EDGE_SERIES = {
     "zero_value": "t,value\n0,1\n1,2\n2,0\n3,4\n4,5\n",
     "duplicate_time": "t,value\n0,1\n1,2\n1,3\n2,4\n",
 }
+# invalid flag values, run on the first fixture after everything else:
+# name -> command and flags
+INVALID_FLAGS = {
+    "fit-reversed-range": ["fit", "--linearization", "recip-s-vs-t", "--range", "1990:1960",
+                           "--out", "model.txt"],
+    "diagnose-aux-a-nan": ["diagnose", "--aux-a", "nan"],
+    "diagnose-threshold-nan": ["diagnose", "--threshold", "nan"],
+}
 
 
 class Recorder:
@@ -146,6 +154,9 @@ def run_pipeline(out: Path) -> int:
             "--linearization", "recip-s-vs-t", "--out", "model.txt",
         )
     rec.run("reproduce-all", "reproduce", "all", "--out", "reproduce")
+    series = f"../../inputs/{next(iter(FIXTURES))}.csv"
+    for name, (command, *flags) in INVALID_FLAGS.items():
+        rec.run(name, command, series, *flags)
     return rec.count
 
 
