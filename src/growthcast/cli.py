@@ -130,7 +130,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     from .models import LOG_LIFT
 
     lin = LinearizationKind(args.linearization)
-    t_range = _parse_pair(args.range, "--range") if args.range else None
+    t_range = None if args.range is None else _parse_pair(args.range, "--range")
     aux_a = _parse_float(args.aux_a, "--aux-a")
     if lin is LinearizationKind.SHIFTED_LN_VS_T and aux_a is None and args.scan_aux is None:
         raise ConfigError(
@@ -285,8 +285,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         f"threshold {flag.threshold:.6g})"
     )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         write_sidecar(args.out, "diagnose", [("input", str(args.input))])
     print(text, end="")
     return 0

@@ -10,9 +10,12 @@ repr (shortest exact round-trip, :func:`format_float`) and no
 timestamps enter data files. Run metadata goes into a ``.meta`` sidecar
 next to each output.
 
-Data rows are streamed to the file in chunks of ``_CHUNK_ROWS`` rows,
-each chunk formatted in one ``%`` operation, so a 10^6-row projection
-is never held in memory as text.
+Data rows are streamed to the file in chunks of ``_CHUNK_ROWS`` rows.
+Each chunk's cells are formatted in one numpy pass that computes the
+repr text of every cell at once (:func:`_repr_cells`), so a 10^6-row
+projection is never held in memory as text and no cell goes through a
+per-float ``repr`` call. Tables of fewer than ``_BULK_ROWS`` rows are
+formatted with ``%r`` in one ``%`` operation, which is cheaper there.
 
 The readers import the records they build when first called, so
 writing a file loads no model or rate code.
@@ -20,6 +23,7 @@ writing a file loads no model or rate code.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -39,8 +43,14 @@ PathLike = Union[str, Path]
 
 _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 
-#: Rows formatted per write in :func:`_write_table`; bounds the text held in memory.
-_CHUNK_ROWS = 1 << 16
+#: Rows formatted per write in :func:`_write_table`; bounds the text and the
+#: formatter's temporaries held in memory.
+_CHUNK_ROWS = 1 << 13
+
+#: Tables with fewer rows are formatted by ``%r``. The bulk formatter's fixed
+#: cost per call and its tables built on first use outweigh its gain below
+#: about 10^3 rows: the CLI's 10^2-row files stay on ``%r``.
+_BULK_ROWS = 1 << 10
 
 
 def format_float(x: float) -> str:
@@ -52,19 +62,236 @@ def _meta_block(meta: dict[str, str]) -> str:
     return "".join(f"# {k}: {v}\n" for k, v in meta.items() if v != "")
 
 
+# Shortest round-trip digits: the Schubfach algorithm (R. Giulietti, "The
+# Schubfach way to render doubles", 2020), as in Java's DoubleToDecimal, on
+# whole uint64 arrays. Every uint64 constant is an np.uint64 scalar, so that
+# numpy 1.x value-based casting and numpy 2 (NEP 50) give the same bits.
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_LO63 = _U64((1 << 63) - 1)
+
+#: k -> (g0 low limb, g0 high limb, g1 low limb, g1 high limb, g1): the
+#: 126-bit Schubfach constant g = g1 2^63 + g0 of 10^-k, filled on first use.
+_G: dict[int, tuple[int, int, int, int, int]] = {}
+
+
+def _g(k: int) -> tuple[int, int, int, int, int]:
+    """g = floor(10^-k / 2^r) + 1, where r puts 10^-k / 2^r in [2^125, 2^126)."""
+    limbs = _G.get(k)
+    if limbs is None:
+        if k <= 0:
+            p = 10**-k
+            r = p.bit_length() - 126
+            g = (p >> r if r >= 0 else p << -r) + 1
+        else:
+            p = 10**k
+            g = (1 << (p.bit_length() + 125)) // p + 1
+        g1, g0 = g >> 63, g & ((1 << 63) - 1)
+        limbs = _G[k] = (g0 & 0xFFFFFFFF, g0 >> 32, g1 & 0xFFFFFFFF, g1 >> 32, g1)
+    return limbs
+
+
+def _mulhi(a0, a1, b0, b1):
+    """High 64 bits of the 128-bit product (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit limbs."""
+    t = a1 * b0 + ((a0 * b0) >> _U64(32))
+    u = a0 * b1 + (t & _LO32)
+    return a1 * b1 + (t >> _U64(32)) + (u >> _U64(32))
+
+
+def _rop(g, cp):
+    """Schubfach's rounded-to-odd g cp / 2^127 (Java's ``rop``): the floor of
+    the product's top bits, with its lowest bit set when a lower bit was."""
+    g00, g01, g10, g11, g1 = g
+    c0 = cp & _LO32
+    c1 = cp >> _U64(32)
+    x1 = _mulhi(g00, g01, c0, c1)
+    y1 = _mulhi(g10, g11, c0, c1)
+    z = ((g1 * cp) >> _U64(1)) + x1
+    return (y1 + (z >> _U64(63))) | (((z & _LO63) + _LO63) >> _U64(63))
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k) with |x| = D 10^k, D the shortest decimal that reads back as x.
+
+    ``bits`` is the uint64 view of finite float64 cells. Among the
+    decimals of fewest digits inside x's rounding interval D is the one
+    nearest x, ties to even, which is how ``repr`` picks its digits. A
+    zero cell gets D = 0. D has at most 17 digits and may end in zeros.
+    Java's code asks for at least two digits and so scales the two
+    smallest subnormals by 10; here the one-digit-shorter candidate is
+    tried for every cell instead, which gives 5e-324 where Java has 4.9e-324.
+    """
+    bq = (bits >> _U64(52)) & _U64(0x7FF)
+    frac = bits & _U64((1 << 52) - 1)
+    c = frac | ((bq != _U64(0)).astype(np.uint64) << _U64(52))
+    q = np.maximum(bq.astype(np.int64), 1) - 1075
+    # a power of two has a lower neighbour twice as close as its upper one
+    irregular = (frac == _U64(0)) & (bq > _U64(1))
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    lo = int(k.min())
+    table = np.array([_g(j) for j in range(lo, int(k.max()) + 1)], dtype=np.uint64)
+    at = k - lo
+    g = tuple(limb.take(at) for limb in table.T)
+    cb = c << _U64(2)
+    odd = c & _U64(1)
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, (cb - _U64(2) + irregular) << h) + odd
+    vbr = _rop(g, (cb + _U64(2)) << h) - odd
+    s = vb >> _U64(2)
+    sp10 = (s // _U64(10)) * _U64(10)
+    upin = vbl <= sp10 << _U64(2)
+    wpin = (sp10 + _U64(10)) << _U64(2) <= vbr
+    uin = vbl <= s << _U64(2)
+    win = (s + _U64(1)) << _U64(2) <= vbr
+    mid = (s << _U64(2)) + _U64(2)
+    above = (vb > mid) | ((vb == mid) & (s & _U64(1)).astype(bool))
+    d = np.where(upin != wpin, sp10 + _U64(10) * wpin, s + np.where(uin != win, win, above))
+    d *= (bits << _U64(1)) != _U64(0)  # D = 0 for +-0.0
+    return d, k
+
+
+#: Width of one formatted cell: "-1.2345678901234567e-308" is the longest repr.
+_CELL = 24
+#: Pads cells to ``_CELL`` bytes; no UTF-8 text contains it, so deleting it
+#: from a chunk's bytes leaves exactly the cells and the delimiters.
+_PAD = b"\xff"
+_POW10 = np.array([10**i for i in range(1, 18)], dtype=np.uint64)
+_SCALE17 = np.array([10 ** (17 - i) for i in range(18)], dtype=np.uint64)
+_SIGNS = np.frombuffer(b"+-.0--.0", np.uint32)
+_E_PAD = np.frombuffer(b"e" + _PAD * 3, np.uint32)[0]
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """The source byte of each output byte of a cell, and the cell's length, per layout class.
+
+    A cell's source row holds 3 unused bytes and the 17 digits, then
+    "0" and 3 exponent digits, the exponent sign, "-", ".", "0", "e" and
+    padding (bytes 20-23, 24, 25, 26, 27, 28, 29). The class is
+    (sign, digit count n in 1..17, form): the form is the decimal point
+    position dp = -3..16 in positional notation, or an exponent of 2 or
+    3 digits. The rules are ``repr``'s: exponent form when dp <= -4 or
+    dp > 16, with the exponent's sign and at least 2 of its digits;
+    otherwise "0." and zeros before the digits when dp <= 0, and zeros
+    and ".0" after them when dp >= n.
+    """
+    n = np.arange(1, 18, dtype=np.int8)[:, None, None]
+    form = np.arange(22, dtype=np.int8)[None, :, None]
+    p = np.arange(_CELL, dtype=np.int8)
+    # positional: an integer part of `whole` bytes, ".", the fraction; byte p
+    # shows digit v of the digits padded with zeros on both sides
+    dp = form - 3
+    whole = np.maximum(dp, 1)
+    v = p - (p > whole) - (whole - dp)
+    positional = np.where(p == whole, 26, np.where((v >= 0) & (v < n), 3 + v, 27))
+    # exponent: a digit, then "." and the other digits if any, "e", sign, digits
+    digits = form - 18
+    mantissa = np.where(n == 1, 1, n + 1)
+    e = p - mantissa
+    exponent = np.where(
+        p < mantissa,
+        np.where(p == 1, 26, 3 + p - (p > 1)),
+        np.where(e == 0, 28, np.where(e == 1, 24, 22 - digits + e)),
+    )
+    is_exp = form >= 20
+    length = np.where(is_exp, mantissa + 2 + digits, whole + 1 + np.maximum(n - dp, 1))
+    unsigned = np.where(p >= length, 29, np.where(is_exp, exponent, positional))
+    cols = np.empty((2, 17 * 22, _CELL), np.intp)
+    cols[0] = unsigned.reshape(-1, _CELL)
+    cols[1, :, 0] = 25
+    cols[1, :, 1:] = cols[0, :, :-1]
+    return cols.reshape(-1, _CELL), np.concatenate((length.ravel(), length.ravel() + 1))
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """Built on first use: the ASCII text of 0000..9999 as uint32 words, the
+    trailing zeros of each (4 for 0000), and :func:`_layouts`."""
+    ten = np.arange(10, dtype=np.uint8)
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)
+    text[..., 0] = ten[:, None, None, None] + np.uint8(48)
+    text[..., 1] = ten[:, None, None] + np.uint8(48)
+    text[..., 2] = ten[:, None] + np.uint8(48)
+    text[..., 3] = ten + np.uint8(48)
+    z = (ten == 0).astype(np.int8)
+    zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    return (text.view(np.uint32).ravel(), zeros.ravel(), *_layouts())
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each finite float64 in ``x``, as rows of bytes padded with ``_PAD``.
+
+    The rows are as wide as the longest cell, at most ``_CELL`` bytes.
+    """
+    quads, zeros, layouts, lengths = _tables()
+    bits = x.view(np.uint64)
+    d, k = _shortest(bits)
+    m = len(x)
+    # D's digits left-aligned in 17 places: a lead digit and four groups of four
+    nd = np.searchsorted(_POW10, d, side="right") + 1
+    padded = d * _SCALE17.take(nd)
+    top = padded // _U64(10**8)
+    low = (padded - top * _U64(10**8)).astype(float)
+    high = top.astype(float)
+    head = np.floor(high / 1e4)
+    groups = np.empty((m, 5), np.intp)
+    groups[:, 0] = lead = np.floor(head / 1e4)
+    groups[:, 1] = head - 1e4 * lead
+    groups[:, 2] = second = high - 1e4 * head
+    groups[:, 3] = third = np.floor(low / 1e4)
+    groups[:, 4] = fourth = low - 1e4 * third
+    # trailing zeros of the 17 digits; a group of 0000 adds its 4 to those before it
+    tz = zeros.take(groups[:, 1])
+    tz = zeros.take(groups[:, 2]) + (second == 0) * tz
+    tz = zeros.take(groups[:, 3]) + (third == 0) * tz
+    tz = zeros.take(groups[:, 4]) + (fourth == 0) * tz
+    decpt = np.where(d == _U64(0), 1, k + nd)
+    exp10 = decpt - 1
+    src = np.empty((m, 32), np.uint8)
+    words = src.view(np.uint32)
+    words[:, :5] = quads.take(groups)
+    words[:, 5] = quads.take(np.abs(exp10))
+    words[:, 6] = np.where(exp10 < 0, _SIGNS[1], _SIGNS[0])
+    words[:, 7] = _E_PAD
+    form = np.where(
+        (decpt > -4) & (decpt <= 16), decpt + 3, 20 + (np.abs(exp10) >= 100)
+    )
+    neg = (bits >> _U64(63)).astype(np.intp)
+    cls = (neg * 17 + 16 - tz) * 22 + form
+    idx = layouts[:, : lengths.take(cls).max()].take(cls, axis=0)
+    idx += np.arange(0, 32 * m, 32)[:, None]
+    return src.ravel().take(idx)
+
+
 def _write_table(path: PathLike, head: str, delimiter: str, *columns: np.ndarray) -> None:
     """Write ``head``, then one delimited row per index of the float64 columns.
 
-    Each cell is the text :func:`format_float` gives: ``tolist`` yields
-    Python floats and ``%r`` of a Python float is its repr.
+    Each cell is the text :func:`format_float` gives, Python's float
+    ``repr``: the shortest decimal that reads back as the cell, nearest
+    it when several are that short (Schubfach, :func:`_shortest`), laid
+    out by ``repr``'s rules (:func:`_layouts`). All cells of a chunk are
+    formatted in one pass, then joined with the delimiter and newlines.
+    A table of fewer than ``_BULK_ROWS`` rows is formatted by ``%r``
+    instead, which costs less than the bulk pass's fixed cost there.
     """
-    row = delimiter.replace("%", "%%").join(["%r"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
+        if len(columns[0]) < _BULK_ROWS:
+            row = delimiter.replace("%", "%%").join(["%r"] * len(columns)) + "\n"
+            fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
+            return
+        ends = [delimiter.encode("utf-8")] * (len(columns) - 1) + [b"\n"]
+        seps = np.full((len(columns), max(map(len, ends))), _PAD[0], np.uint8)
+        for sep, end in zip(seps, ends):
+            sep[: len(end)] = np.frombuffer(end, np.uint8)
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            chunk = np.column_stack([c[start:stop] for c in columns])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
+            cells = _repr_cells(chunk.ravel())
+            width = cells.shape[1]
+            rows = np.empty(chunk.shape + (width + seps.shape[1],), np.uint8)
+            rows[..., :width] = cells.reshape(chunk.shape + (width,))
+            rows[..., width:] = seps
+            fh.write(rows.tobytes().translate(None, _PAD).decode("utf-8"))
 
 
 def write_series(path: PathLike, ts: TimeSeries, delimiter: str = ",") -> None:

@@ -271,6 +271,24 @@ def scan_shifted_aux_loop(
     return best
 
 
+def write_table_percent_r(
+    path, head: str, delimiter: str, *columns: np.ndarray, chunk_rows: int = 1 << 16
+) -> None:
+    """The chunked ``%r`` writer that ``fileio._write_table`` replaced, verbatim.
+
+    Each cell is Python's float ``repr``: ``tolist`` yields Python
+    floats and ``%r`` of a Python float is its repr. Only the chunk size,
+    ``fileio._CHUNK_ROWS`` there, became a parameter.
+    """
+    row = delimiter.replace("%", "%%").join(["%r"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for start in range(0, len(columns[0]), chunk_rows):
+            stop = start + chunk_rows
+            chunk = np.column_stack([c[start:stop] for c in columns])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def load_series_loop(
     source: Union[str, Path, TextIO],
     time_column: str,

@@ -343,6 +343,17 @@ class TestFitCommand:
         assert capsys.readouterr().err == f"error: t range needs t1 < t2, got [{t1}, {t2}]\n"
         assert not model_file.exists()
 
+    def test_empty_range_value_is_exit_2(self, tmp_path, capsys):
+        rates = tmp_path / "g.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        model_file = tmp_path / "m.txt"
+        code = main([
+            "fit", str(rates), "--linearization", "r-vs-t", "--range=", "--out", str(model_file),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --range must look like A:B, got ''\n"
+        assert not model_file.exists()
+
 
 class TestForecastCommand:
     def test_world_linear_forecast(self, tmp_path):
@@ -583,6 +594,13 @@ class TestDiagnoseCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag} values must be finite, got {value!r}\n"
+        assert captured.out == ""
+
+    def test_empty_out_value_is_exit_2(self, capsys):
+        code = main(["diagnose", str(GDP_FIXTURE), "--out="])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
         assert captured.out == ""
 
 

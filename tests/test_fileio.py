@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from growthcast import (
@@ -251,13 +253,112 @@ def _write_all(tmp_path, n, delimiter):
 class TestChunkedWriters:
     """Each writer's file is the cell-by-cell format_float text, across chunk edges."""
 
-    @pytest.mark.parametrize("delimiter", [";", "%s%"])
+    @pytest.mark.parametrize("delimiter", [";", "%s%", "\t", "\u2192"])
     @pytest.mark.parametrize("n", [2, 6, 7, 8, 15])
     def test_rows_across_chunk_edges(self, tmp_path, monkeypatch, n, delimiter):
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
         for path, expected in _write_all(tmp_path, n, delimiter):
             assert path.read_bytes().decode("utf-8") == expected, path.name
 
     def test_rows_across_the_real_chunk_edge(self, tmp_path):
         for path, expected in _write_all(tmp_path, _CHUNK_ROWS + 1, ","):
             assert path.read_bytes().decode("utf-8") == expected, path.name
+
+
+def _reprs(x):
+    """The cells ``fileio._repr_cells`` gives for x, as text."""
+    cells = fileio._repr_cells(np.asarray(x, dtype=float))
+    lines = np.full((len(cells), 1), ord("\n"), np.uint8)
+    text = np.hstack((cells, lines)).tobytes().translate(None, fileio._PAD).decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def _powers_of_two():
+    p = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)))
+
+
+_RNG = np.random.default_rng(20)
+
+#: Every class of double whose repr takes a different path through the formatter.
+_INPUTS = {
+    "bit patterns": _RNG.integers(0, 0x7FF0 << 48, 100_000, dtype=np.uint64).view(float),
+    "subnormals": _RNG.integers(1, 1 << 52, 100_000, dtype=np.uint64).view(float),
+    "smallest subnormals": np.arange(1, 5000, dtype=np.uint64).view(float),
+    "powers of two and neighbours": _powers_of_two(),
+    "powers of ten": 10.0 ** np.arange(-323, 309),
+    "integers below 2^53": _RNG.integers(0, 1 << 53, 50_000).astype(float),
+    "integers above 2^53": _RNG.integers(1 << 53, 1 << 62, 50_000).astype(float),
+    "uniform decimals": _RNG.uniform(-1e4, 1e4, 50_000),
+    "rounded decimals": np.round(_RNG.uniform(0.0, 1e8, 50_000)) / 10.0 ** _RNG.integers(0, 8, 50_000),
+    "year grids": np.concatenate((np.arange(1900.0, 2101.0), np.linspace(2020.0, 2120.0, 50_001))),
+    "form edges": np.array([
+        1e16, 9999999999999998.0, 1e17, 0.0001, 0.00011, 9.9e-5, 1e-4 - 1e-20, 123456789.0, 1e100,
+    ]),
+    "extremes": np.array([0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308]),
+}
+
+
+class TestReprCells:
+    """The vectorised formatter gives Python's repr, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(_INPUTS))
+    def test_matches_repr_on_both_signs(self, name):
+        x = np.concatenate((_INPUTS[name], -_INPUTS[name]))
+        assert _reprs(x) == [repr(v) for v in x.tolist()]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_floats(self, values):
+        assert _reprs(values) == [repr(v) for v in values]
+
+    def test_cells_are_as_wide_as_the_longest(self):
+        assert fileio._repr_cells(np.array([1.0, 2.5])).shape == (2, 3)
+        widest = [-1.2345678901234567e-308, 0.5]
+        assert fileio._repr_cells(np.array(widest)).shape == (2, fileio._CELL)
+
+    def test_constants_span_only_the_decimal_exponents_met(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_G", {})
+        fileio._repr_cells(np.array([0.5, 3.0, 700.0]))
+        assert sorted(fileio._G) == [-17, -16, -15, -14, -13]
+
+
+class TestWriterMatchesPercentR:
+    """Whole files equal those of the replaced chunked ``%r`` writer."""
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", "\u2192", "%s%"])
+    @pytest.mark.parametrize("rows, chunk", [(0, 4), (1, 4), (3, 1), (200, 7), (200, 64)])
+    def test_same_bytes(self, tmp_path, monkeypatch, delimiter, rows, chunk):
+        rng = np.random.default_rng(rows + chunk)
+        pool = np.concatenate([_INPUTS[name][:50] for name in sorted(_INPUTS)])
+        columns = (
+            np.arange(rows) * 0.25 + 1990.0,
+            rng.choice(pool, rows) * rng.choice([-1.0, 1.0], rows),
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+        )
+        head = f"# label: x\u00e9\nt{delimiter}a{delimiter}b\n"
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
+        fileio._write_table(tmp_path / "new.csv", head, delimiter, *columns)
+        oracles.write_table_percent_r(tmp_path / "old.csv", head, delimiter, *columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [fileio._BULK_ROWS - 1, fileio._BULK_ROWS])
+    def test_both_sides_of_the_bulk_threshold(self, tmp_path, monkeypatch, rows):
+        bulk_calls = []
+        bulk = fileio._repr_cells
+        monkeypatch.setattr(fileio, "_repr_cells", lambda x: bulk_calls.append(x) or bulk(x))
+        rng = np.random.default_rng(rows)
+        columns = (np.arange(rows) + 1900.0, rng.standard_normal(rows) * 1e-3)
+        fileio._write_table(tmp_path / "new.csv", "t;v\n", ";", *columns)
+        oracles.write_table_percent_r(tmp_path / "old.csv", "t;v\n", ";", *columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(bulk_calls) == (rows >= fileio._BULK_ROWS)
+
+    def test_one_column(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
+        column = np.array([-0.0, 1e-7, 2.5, 1e22])
+        fileio._write_table(tmp_path / "new.csv", "x\n", ",", column)
+        oracles.write_table_percent_r(tmp_path / "old.csv", "x\n", ",", column)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
