@@ -62,13 +62,16 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"--grid {text!r} has more points than can be allocated") from None
 
 
-def _smoothing(args: argparse.Namespace) -> SmoothingConfig:
+def _smoothing(args: argparse.Namespace) -> Optional[SmoothingConfig]:
+    """The --window and --degree smoothing; None for direct rates, which ignore both flags."""
     from .rates import SmoothingConfig
 
+    if args.method == "direct":
+        return None
     return SmoothingConfig(window=args.window, degree=args.degree)
 
 
-def _load_input_series(args: argparse.Namespace):
+def _load_input_series(args: argparse.Namespace, label: Optional[str], unit: Optional[str]):
     from .timeseries import load_series
 
     return load_series(
@@ -76,48 +79,39 @@ def _load_input_series(args: argparse.Namespace):
         args.time_column,
         args.value_column,
         delimiter=args.delimiter,
-        label=args.label,
-        unit=args.unit,
+        label=label,
+        unit=unit,
     )
 
 
-def _add_series_io_flags(p: argparse.ArgumentParser) -> None:
+def _add_series_io_flags(p: argparse.ArgumentParser, *overrides: str) -> None:
+    """The flags that read the input series, and the ``--label``/``--unit`` overrides named."""
     p.add_argument("--time-column", default="t", help="name of the time column (default: t)")
     p.add_argument("--value-column", default="value", help="name of the value column (default: value)")
     p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
-    p.add_argument("--label", default=None, help="series label override")
-    p.add_argument("--unit", default=None, help="series unit override")
+    for name in overrides:
+        p.add_argument(f"--{name}", default=None, help=f"series {name} override")
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
     from .fileio import write_rates, write_sidecar
-    from .rates import RateMethod, direct_rates, rate_of_transform, refined_rates
-    from .timeseries import TransformKind
+    from .rates import RateMethod, estimate_rates, rate_of_transform
+    from .timeseries import TransformKind, transformed_unit
 
-    ts = _load_input_series(args)
+    ts = _load_input_series(args, args.label, args.unit)
     method = RateMethod(args.method)
-    transform = args.transform
-    if transform == "none":
-        if method is RateMethod.DIRECT:
-            rs = direct_rates(ts)
-        else:
-            rs = refined_rates(ts, _smoothing(args))
-        unit = ts.unit
-        transform_meta = ""
+    if args.transform == "none":
+        rs = estimate_rates(ts, method, _smoothing(args))
+        unit, transform = ts.unit, ""
     else:
-        kind = TransformKind(transform)
-        cfg = _smoothing(args) if method is RateMethod.REFINED else None
-        rs = rate_of_transform(ts, kind, method, cfg)
-        if kind is TransformKind.LOG:
-            unit = f"ln({ts.unit})" if ts.unit else "ln"
-        else:
-            unit = f"1/({ts.unit})" if ts.unit else "1/"
-        transform_meta = transform
-    write_rates(args.out, rs, unit=unit, transform=transform_meta)
+        kind = TransformKind(args.transform)
+        rs = rate_of_transform(ts, kind, method, _smoothing(args))
+        unit, transform = transformed_unit(ts.unit, kind), args.transform
+    write_rates(args.out, rs, unit=unit, transform=transform)
     write_sidecar(
         args.out,
         "rates",
-        [("input", str(args.input)), ("method", args.method), ("transform", transform)],
+        [("input", str(args.input)), ("method", args.method), ("transform", args.transform)],
     )
     return 0
 
@@ -138,7 +132,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
 
     if lin is LinearizationKind.RECIP_S_VS_T:
-        ts = _load_input_series(args)
+        ts = _load_input_series(args, None, args.unit)
         report = fit_reciprocal_series(ts, t_range=t_range)
         comments = fit_report_comments(report)
         model = report.model
@@ -260,10 +254,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     aux_a = _parse_float(args.aux_a, "--aux-a")
     threshold = _parse_float(args.threshold, "--threshold")
-    ts = _load_input_series(args)
-    method = RateMethod(args.method)
-    cfg = _smoothing(args) if method is RateMethod.REFINED else None
-    report = identify(ts, method=method, cfg=cfg, aux_a=aux_a)
+    ts = _load_input_series(args, args.label, None)
+    report = identify(ts, method=RateMethod(args.method), cfg=_smoothing(args), aux_a=aux_a)
     flag = stability_flag(
         report.rates, threshold=LOW_RATE_THRESHOLD if threshold is None else threshold
     )
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--transform", choices=["none", "log", "reciprocal"], default="none",
         help="compute rates of a transform of the series",
     )
-    _add_series_io_flags(p)
+    _add_series_io_flags(p, "label", "unit")
     p.add_argument("--out", required=True, help="output rates file")
     p.set_defaults(func=cmd_rates)
 
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan-aux", default=None, metavar="LO:HI",
         help="pick the shifted-ln-vs-t displacement by an r^2 grid scan over [LO, HI]",
     )
-    _add_series_io_flags(p)
+    _add_series_io_flags(p, "unit")
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_fit)
 
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--aux-a", default=None)
     p.add_argument("--threshold", default=None)
-    _add_series_io_flags(p)
+    _add_series_io_flags(p, "label")
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_diagnose)
 

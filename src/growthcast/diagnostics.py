@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .fitting import LinearizationKind, _fit_lines, _line_coords, model_kind_for
 from .models import LOG_LIFT, ModelKind
-from .rates import RateMethod, RateSeries, SmoothingConfig, direct_rates, rate_of_transform, refined_rates
+from .rates import RateMethod, RateSeries, SmoothingConfig, estimate_rates, rate_of_transform
 from .timeseries import TimeSeries, TransformKind
 
 #: Default instability threshold, 1.4% per year.
@@ -156,10 +156,7 @@ def identify(
     Every line test is one row of a single :func:`fitting._fit_lines`
     call on the uncompacted coordinates.
     """
-    if method is RateMethod.DIRECT:
-        rs = direct_rates(ts)
-    else:
-        rs = refined_rates(ts, cfg)
+    rs = estimate_rates(ts, method, cfg)
 
     skipped: list[str] = []
     tests = [(lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes)) for lin in _RATE_TESTS]

@@ -1,9 +1,12 @@
 """Reading and writing the tool's delimited-text file formats.
 
-Data files are UTF-8 delimited text with a header row and optional
+Data files are written as UTF-8 comma-separated text (the readers take
+any one-character delimiter) with a header row and optional
 ``# key: value`` metadata lines above it. Model files are flat
 ``key = value`` records with the fixed field set
 {kind, a, b, r, C, t_ref, unit}; fields a kind does not use are absent.
+A metadata value or model unit with a line break would end its line
+early, so the writers refuse it (``ConfigError``) before opening a file.
 
 Everything written here is deterministic: every float cell is its
 repr (shortest exact round-trip, :func:`format_float`) and no
@@ -58,8 +61,15 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _one_line(key: str, value: str) -> str:
+    """``value``, refused when a line break in it would end its line early."""
+    if "\n" in value or "\r" in value:
+        raise ConfigError(f"{key} must not contain a line break, got {value!r}")
+    return value
+
+
 def _meta_block(meta: dict[str, str]) -> str:
-    return "".join(f"# {k}: {v}\n" for k, v in meta.items() if v != "")
+    return "".join(f"# {k}: {_one_line(k, v)}\n" for k, v in meta.items() if v != "")
 
 
 # Shortest round-trip digits: the Schubfach algorithm (R. Giulietti, "The
@@ -154,7 +164,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: Width of one formatted cell: "-1.2345678901234567e-308" is the longest repr.
 _CELL = 24
 #: Pads cells to ``_CELL`` bytes; no UTF-8 text contains it, so deleting it
-#: from a chunk's bytes leaves exactly the cells and the delimiters.
+#: from a chunk's bytes leaves exactly the cells and their separators.
 _PAD = b"\xff"
 _POW10 = np.array([10**i for i in range(1, 18)], dtype=np.uint64)
 _SCALE17 = np.array([10 ** (17 - i) for i in range(18)], dtype=np.uint64)
@@ -263,57 +273,48 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     return src.ravel().take(idx)
 
 
-def _write_table(path: PathLike, head: str, delimiter: str, *columns: np.ndarray) -> None:
-    """Write ``head``, then one delimited row per index of the float64 columns.
+def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
+    """Write ``head``, then one comma-separated row per index of the float64 columns.
 
     Each cell is the text :func:`format_float` gives, Python's float
     ``repr``: the shortest decimal that reads back as the cell, nearest
     it when several are that short (Schubfach, :func:`_shortest`), laid
     out by ``repr``'s rules (:func:`_layouts`). All cells of a chunk are
-    formatted in one pass, then joined with the delimiter and newlines.
+    formatted in one pass, then joined with commas and newlines.
     A table of fewer than ``_BULK_ROWS`` rows is formatted by ``%r``
     instead, which costs less than the bulk pass's fixed cost there.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         if len(columns[0]) < _BULK_ROWS:
-            row = delimiter.replace("%", "%%").join(["%r"] * len(columns)) + "\n"
+            row = ",".join(["%r"] * len(columns)) + "\n"
             fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
             return
-        ends = [delimiter.encode("utf-8")] * (len(columns) - 1) + [b"\n"]
-        seps = np.full((len(columns), max(map(len, ends))), _PAD[0], np.uint8)
-        for sep, end in zip(seps, ends):
-            sep[: len(end)] = np.frombuffer(end, np.uint8)
+        seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
             cells = _repr_cells(chunk.ravel())
             width = cells.shape[1]
-            rows = np.empty(chunk.shape + (width + seps.shape[1],), np.uint8)
+            rows = np.empty(chunk.shape + (width + 1,), np.uint8)
             rows[..., :width] = cells.reshape(chunk.shape + (width,))
-            rows[..., width:] = seps
-            fh.write(rows.tobytes().translate(None, _PAD).decode("utf-8"))
+            rows[..., width] = seps
+            fh.write(rows.tobytes().translate(None, _PAD).decode("ascii"))
 
 
-def write_series(path: PathLike, ts: TimeSeries, delimiter: str = ",") -> None:
-    head = _meta_block({"label": ts.label, "unit": ts.unit}) + f"t{delimiter}value\n"
-    _write_table(path, head, delimiter, ts.times, ts.values)
+def write_series(path: PathLike, ts: TimeSeries) -> None:
+    head = _meta_block({"label": ts.label, "unit": ts.unit}) + "t,value\n"
+    _write_table(path, head, ts.times, ts.values)
 
 
-def write_rates(
-    path: PathLike,
-    rs: RateSeries,
-    unit: str = "",
-    transform: str = "",
-    delimiter: str = ",",
-) -> None:
+def write_rates(path: PathLike, rs: RateSeries, unit: str = "", transform: str = "") -> None:
     meta = {
         "label": rs.source_label,
         "method": rs.method.value,
         "transform": transform,
         "unit": unit,
     }
-    head = _meta_block(meta) + f"t{delimiter}rate{delimiter}size\n"
-    _write_table(path, head, delimiter, rs.times, rs.rates, rs.sizes)
+    head = _meta_block(meta) + "t,rate,size\n"
+    _write_table(path, head, rs.times, rs.rates, rs.sizes)
 
 
 def read_rates(path: PathLike, delimiter: str = ",") -> tuple[RateSeries, dict[str, str]]:
@@ -352,7 +353,7 @@ def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> N
         "r": p.r,
         "C": p.C,
         "t_ref": model.t_ref,
-        "unit": model.unit or None,
+        "unit": _one_line("unit", model.unit) or None,
     }
     for key in _MODEL_FIELDS:
         val = record[key]
@@ -418,7 +419,7 @@ def fit_report_comments(report: FitReport) -> list[str]:
     return out
 
 
-def write_projection(path: PathLike, proj: Projection, delimiter: str = ",") -> None:
+def write_projection(path: PathLike, proj: Projection) -> None:
     m = proj.model
     p = m.params
     param_text = ", ".join(
@@ -427,24 +428,23 @@ def write_projection(path: PathLike, proj: Projection, delimiter: str = ",") -> 
         if v is not None
     )
     feat = proj.features
-    feat_bits = [f"feature: {feat.kind.value}"]
+    feat_bits = [feat.kind.value]
     if feat.t_star is not None:
         feat_bits.append(f"t_star = {format_float(feat.t_star)}")
     if feat.s_star is not None:
         feat_bits.append(f"s_star = {format_float(feat.s_star)}")
-    meta_lines = [
-        f"# label: {proj.series.label}\n",
-        f"# unit: {proj.series.unit}\n" if proj.series.unit else "",
-        f"# model: {m.kind.value} ({param_text}), t_ref = {format_float(m.t_ref)}\n",
-        f"# anchor: t0 = {format_float(proj.anchor[0])}, s0 = {format_float(proj.anchor[1])}\n",
-        "# " + ", ".join(feat_bits) + ("" if not feat.note else f" ({feat.note})") + "\n",
-    ]
-    meta_lines.extend(f"# warning: {w}\n" for w in proj.warnings)
-    head = "".join(meta_lines) + f"t{delimiter}value\n"
-    _write_table(path, head, delimiter, proj.series.times, proj.series.values)
+    meta = {
+        "label": proj.series.label,
+        "unit": proj.series.unit,
+        "model": f"{m.kind.value} ({param_text}), t_ref = {format_float(m.t_ref)}",
+        "anchor": f"t0 = {format_float(proj.anchor[0])}, s0 = {format_float(proj.anchor[1])}",
+        "feature": ", ".join(feat_bits) + ("" if not feat.note else f" ({feat.note})"),
+    }
+    head = _meta_block(meta) + "".join(f"# warning: {w}\n" for w in proj.warnings)
+    _write_table(path, head + "t,value\n", proj.series.times, proj.series.values)
 
 
-def write_scenario_table(path: PathLike, report: ScenarioReport, delimiter: str = ",") -> None:
+def write_scenario_table(path: PathLike, report: ScenarioReport) -> None:
     """Scenario-by-year table with feature columns, plot-ready."""
     header = ["scenario"] + [format_float(y) for y in report.report_years]
     header += ["feature", "feature_t", "feature_s"]
@@ -455,7 +455,7 @@ def write_scenario_table(path: PathLike, report: ScenarioReport, delimiter: str 
                 "indistinguishable_threshold": format_float(report.threshold),
             }
         ),
-        delimiter.join(header) + "\n",
+        ",".join(header) + "\n",
     ]
     for row in report.rows:
         cells = [row.label]
@@ -463,13 +463,13 @@ def write_scenario_table(path: PathLike, report: ScenarioReport, delimiter: str 
         cells.append(row.features.kind.value)
         cells.append("" if row.features.t_star is None else format_float(row.features.t_star))
         cells.append("" if row.features.s_star is None else format_float(row.features.s_star))
-        lines.append(delimiter.join(cells) + "\n")
+        lines.append(",".join(cells) + "\n")
     flag_cells = ["indistinguishable"]
     flag_cells += [
         "" if f is None else ("yes" if f else "no") for f in report.indistinguishable
     ]
     flag_cells += ["", "", ""]
-    lines.append(delimiter.join(flag_cells) + "\n")
+    lines.append(",".join(flag_cells) + "\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 

@@ -79,11 +79,12 @@ class PolyFit:
     """Least-squares polynomial rate law with its fitted range.
 
     ``coefficients`` are in the plain power basis, lowest order first,
-    so published coefficient sets can be fed in directly. Fits produced
-    by :func:`fit_polynomial` additionally keep the internally scaled
-    representation used for stable evaluation and integration; raw
-    coefficients of high-degree fits on calendar years are reported for
-    inspection but are near the conditioning cliff.
+    so published coefficient sets can be fed in directly. Evaluation and
+    integration go through one ``numpy.polynomial.Polynomial``: a fit's
+    internally scaled one, or one on the identity domain built from the
+    coefficients, which gives the power series' bits. Raw coefficients
+    of high-degree fits on calendar years are reported for inspection
+    but are near the conditioning cliff.
 
     t_min/t_max record the fitted data range; rate-law integration
     refuses to leave it. ``warnings`` holds the fit's notices.
@@ -117,20 +118,16 @@ class PolyFit:
             raise ValidationError("t_min must be below t_max")
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
+        if self._series is None:
+            object.__setattr__(self, "_series", np.polynomial.Polynomial(coef))
 
     def value_at(self, t):
-        """Rate-law value; uses the scaled representation when present."""
-        if self._series is not None:
-            return self._series(t)
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
+        """Rate-law value."""
+        return self._series(t)
 
     def antiderivative_at(self, t):
         """Exact antiderivative (integration constant 0 in the working basis)."""
-        if self._series is not None:
-            return self._series.integ()(t)
-        return np.polynomial.polynomial.polyval(
-            t, np.polynomial.polynomial.polyint(self.coefficients)
-        )
+        return self._series.integ()(t)
 
 
 @dataclass(frozen=True)

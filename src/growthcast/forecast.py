@@ -167,12 +167,13 @@ def integrate_rate_function(
     if s0 <= 0:
         raise DomainError(f"anchor size must be positive, got {s0}")
     g = np.asarray(grid, dtype=float)
-    for t in np.concatenate(([t0], g)):
-        if t < p.t_min or t > p.t_max:
-            raise RangeRefusalError(
-                f"t = {t} lies outside the fitted range [{p.t_min}, {p.t_max}]; "
-                "polynomial rate laws are not extrapolated"
-            )
+    points = np.concatenate(([t0], g))
+    outside = np.flatnonzero((points < p.t_min) | (points > p.t_max))
+    if outside.size:
+        raise RangeRefusalError(
+            f"t = {points[outside[0]]} lies outside the fitted range [{p.t_min}, {p.t_max}]; "
+            "polynomial rate laws are not extrapolated"
+        )
     log_values = math.log(s0) + p.antiderivative_at(g) - p.antiderivative_at(t0)
     return TimeSeries(times=g, values=np.exp(log_values), label="rate-law integral")
 

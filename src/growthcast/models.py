@@ -525,9 +525,11 @@ def integrate_rational(a: float, b: float, c: float, e: float, x1: float, x2: fl
     """Integral of dx / ((a + b x)(c + e x)) from x1 to x2.
 
     Evaluates (1/D) * ln|(a + b x)/(c + e x)| between the endpoints,
-    with D = c*b - a*e. The factors must not be proportional (D != 0)
-    and neither may vanish anywhere on [x1, x2].
+    with D = c*b - a*e. The arguments must be finite, the factors must
+    not be proportional (D != 0) and neither may vanish anywhere on [x1, x2].
     """
+    if not all(map(math.isfinite, (a, b, c, e, x1, x2))):
+        raise ValidationError(f"arguments must be finite, got {(a, b, c, e, x1, x2)}")
     delta = c * b - a * e
     if delta == 0.0:
         raise DegenerateFactorError(
@@ -535,9 +537,7 @@ def integrate_rational(a: float, b: float, c: float, e: float, x1: float, x2: fl
         )
     lo, hi = min(x1, x2), max(x1, x2)
     for coef0, coef1, name in ((a, b, "a + b x"), (c, e, "c + e x")):
-        if coef1 == 0.0:
-            if coef0 == 0.0:
-                raise SingularIntegrandError(f"factor {name} is identically zero")
+        if coef1 == 0.0:  # a constant, nonzero since D != 0
             continue
         root = -coef0 / coef1
         if lo <= root <= hi:

@@ -192,6 +192,22 @@ def _refined(
     return ts.times, grads / ts.values, ts.values
 
 
+def estimate_rates(
+    ts: TimeSeries, method: RateMethod = RateMethod.DIRECT, cfg: Optional[SmoothingConfig] = None
+) -> RateSeries:
+    """Growth rates of a series by ``method``: :func:`direct_rates`, or
+    :func:`refined_rates` with ``cfg``."""
+    return _estimate(ts, method, cfg, ts.label)
+
+
+def _estimate(
+    ts: TimeSeries, method: RateMethod, cfg: Optional[SmoothingConfig], label: str
+) -> RateSeries:
+    """The rates by ``method``, labelled; the one place an estimator is chosen."""
+    arrays = _direct(ts) if method is RateMethod.DIRECT else _refined(ts, cfg)
+    return RateSeries(*arrays, source_label=label, method=method)
+
+
 def rate_of_transform(
     ts: TimeSeries,
     kind: TransformKind,
@@ -204,10 +220,5 @@ def rate_of_transform(
     size field of the result carries F(S), not S, so size-dependent fits
     on the transformed quantity work unchanged.
     """
-    transformed = transform_series(ts, kind)
-    if method is RateMethod.DIRECT:
-        arrays = _direct(transformed)
-    else:
-        arrays = _refined(transformed, cfg)
     label = f"{ts.label} [{kind.value}]" if ts.label else f"[{kind.value}]"
-    return RateSeries(*arrays, source_label=label, method=method)
+    return _estimate(transform_series(ts, kind), method, cfg, label)

@@ -204,7 +204,7 @@ def load_series(
 def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     """Replace values elementwise by ln(value) or 1/value.
 
-    Times are unchanged; the unit string is annotated with the transform.
+    Times are unchanged; the unit becomes :func:`transformed_unit`.
     LOG requires every value > 0, RECIPROCAL every value != 0.
     """
     if kind is TransformKind.LOG:
@@ -215,13 +215,18 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
                 f"{ts.values[bad]} at t={ts.times[bad]}"
             )
         new_values = np.log(ts.values)
-        new_unit = f"ln({ts.unit})" if ts.unit else "ln"
     elif kind is TransformKind.RECIPROCAL:
         if np.any(ts.values == 0):
             bad = int(np.argmax(ts.values == 0))
             raise DomainError(f"reciprocal transform hit a zero value at t={ts.times[bad]}")
         new_values = 1.0 / ts.values
-        new_unit = f"1/({ts.unit})" if ts.unit else "1/"
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown transform {kind!r}")
-    return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=new_unit)
+    unit = transformed_unit(ts.unit, kind)
+    return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
+
+
+def transformed_unit(unit: str, kind: TransformKind) -> str:
+    """The unit of transformed values: ``ln(unit)`` or ``1/(unit)``, "ln" or "1/" when unitless."""
+    name = "ln" if kind is TransformKind.LOG else "1/"
+    return f"{name}({unit})" if unit else name

@@ -604,6 +604,62 @@ class TestDiagnoseCommand:
         assert captured.out == ""
 
 
+class TestLineBreaksInMetadata:
+    """A label or unit holding a line break would end its metadata line
+    early and leave a file that no command reads back: exit 2, no file."""
+
+    @staticmethod
+    def assert_refused(code, capsys, key, value, out):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key} must not contain a line break, got {value!r}\n"
+        assert list(out.parent.glob(out.name + "*")) == []
+
+    @pytest.mark.parametrize("value", ["x\ny", "x\ry"])
+    @pytest.mark.parametrize("flag", ["label", "unit"])
+    def test_rates(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.csv"
+        code = main(["rates", str(GDP_FIXTURE), f"--{flag}", value, "--out", str(out)])
+        self.assert_refused(code, capsys, flag, value, out)
+
+    @pytest.mark.parametrize("value", ["p\nq", "p\rq"])
+    def test_forecast_label(self, tmp_path, capsys, value):
+        model = tmp_path / "m.txt"
+        model.write_text("kind = exp_const\na = 0.02\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model), "--anchor", "0:1", "--grid", "0:5:1",
+            "--label", value, "--out", str(out),
+        ])
+        self.assert_refused(code, capsys, "label", value, out)
+
+    @pytest.mark.parametrize("lin", ["r-vs-t", "recip-s-vs-t"])
+    def test_fit_unit(self, tmp_path, capsys, lin):
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(LOGISTIC_FIXTURE), "--out", str(rates)]) == 0
+        source = rates if lin == "r-vs-t" else LOGISTIC_FIXTURE
+        out = tmp_path / "m.txt"
+        code = main([
+            "fit", str(source), "--linearization", lin, "--unit", "a\nb", "--out", str(out),
+        ])
+        self.assert_refused(code, capsys, "unit", "a\nb", out)
+
+
+class TestSeriesFlags:
+    """Each command takes only the series overrides it reads."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--linearization", "recip-s-vs-t"], "--label"),
+        (["diagnose"], "--unit"),
+    ])
+    def test_unused_override_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.txt"
+        code = main([argv[0], str(GDP_FIXTURE), *argv[1:], flag, "x", "--out", str(out)])
+        assert code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReproduceCommand:
     @pytest.mark.parametrize("case", ["world-pop", "japan-gdp", "uk-gdpcap"])
     def test_each_case_passes(self, tmp_path, capsys, case):

@@ -186,31 +186,29 @@ def increasing_times(draw, min_size):
 
 
 @SETTINGS
-@given(increasing_times(2), st.data(), meta_text, meta_text,
-       st.sampled_from(DELIMITERS[:4]))
-def test_written_series_reads_back_exactly(times, data, label, unit, delimiter):
+@given(increasing_times(2), st.data(), meta_text, meta_text)
+def test_written_series_reads_back_exactly(times, data, label, unit):
     values = np.array(data.draw(st.lists(finite, min_size=times.size, max_size=times.size)))
     ts = TimeSeries(times, values, label=label, unit=unit)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.csv"
-        write_series(path, ts, delimiter=delimiter)
-        back = load_series(path, "t", "value", delimiter=delimiter)
+        write_series(path, ts)
+        back = load_series(path, "t", "value")
     np.testing.assert_array_equal(back.times, ts.times)
     np.testing.assert_array_equal(back.values, ts.values)
     assert (back.label, back.unit) == (label, unit)
 
 
 @SETTINGS
-@given(increasing_times(1), st.data(), meta_text, meta_text,
-       st.sampled_from(list(RateMethod)), st.sampled_from(DELIMITERS[:4]))
-def test_written_rates_read_back_exactly(times, data, label, unit, method, delimiter):
+@given(increasing_times(1), st.data(), meta_text, meta_text, st.sampled_from(list(RateMethod)))
+def test_written_rates_read_back_exactly(times, data, label, unit, method):
     column = st.lists(finite, min_size=times.size, max_size=times.size)
     rs = RateSeries(times, np.array(data.draw(column)), np.array(data.draw(column)),
                     source_label=label, method=method)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "r.csv"
-        write_rates(path, rs, unit=unit, transform="log", delimiter=delimiter)
-        back, meta = read_rates(path, delimiter=delimiter)
+        write_rates(path, rs, unit=unit, transform="log")
+        back, meta = read_rates(path)
     for field in ("times", "rates", "sizes"):
         np.testing.assert_array_equal(getattr(back, field), getattr(rs, field))
     assert (back.source_label, back.method) == (label, method)

@@ -213,56 +213,57 @@ def _columns(n):
     return times, np.resize(pool, n), -np.resize(pool[::-1], n)
 
 
-def _cell_by_cell(delimiter, *columns):
+def _cell_by_cell(*columns):
     """The data rows as the per-row writer loops rendered them."""
-    return "".join(
-        delimiter.join(format_float(x) for x in row) + "\n" for row in zip(*columns)
-    )
+    return "".join(",".join(format_float(x) for x in row) + "\n" for row in zip(*columns))
 
 
-def _write_all(tmp_path, n, delimiter):
+def _write_all(tmp_path, n, label):
     """Write a series, a rates and a projection file of n rows; return (path, expected text)."""
     times, values, sizes = _columns(n)
     series = tmp_path / "s.csv"
-    write_series(series, TimeSeries(times, values, label="L", unit="U"), delimiter=delimiter)
+    write_series(series, TimeSeries(times, values, label=label, unit="U"))
     rates = tmp_path / "r.csv"
-    rs = RateSeries(times, values, sizes, source_label="L", method=RateMethod.REFINED)
-    write_rates(rates, rs, unit="U", transform="log", delimiter=delimiter)
+    rs = RateSeries(times, values, sizes, source_label=label, method=RateMethod.REFINED)
+    write_rates(rates, rs, unit="U", transform="log")
     proj = project(Model(ModelKind.EXP_CONST, Params(a=0.02)), (0.0, 1.0), [0.0, 1.0])
-    proj = dataclasses.replace(proj, series=TimeSeries(times, values, label="L"))
+    proj = dataclasses.replace(proj, series=TimeSeries(times, values, label=label))
     projection = tmp_path / "p.csv"
-    write_projection(projection, proj, delimiter=delimiter)
-    two_columns = _cell_by_cell(delimiter, times, values)
+    write_projection(projection, proj)
+    two_columns = _cell_by_cell(times, values)
     return [
-        (series, f"# label: L\n# unit: U\nt{delimiter}value\n" + two_columns),
+        (series, f"# label: {label}\n# unit: U\nt,value\n" + two_columns),
         (
             rates,
-            "# label: L\n# method: refined\n# transform: log\n# unit: U\n"
-            f"t{delimiter}rate{delimiter}size\n" + _cell_by_cell(delimiter, times, values, sizes),
+            f"# label: {label}\n# method: refined\n# transform: log\n# unit: U\n"
+            "t,rate,size\n" + _cell_by_cell(times, values, sizes),
         ),
         (
             projection,
-            "# label: L\n# model: exp_const (a = 0.02, C = 1.0), t_ref = 0.0\n"
+            f"# label: {label}\n# model: exp_const (a = 0.02, C = 1.0), t_ref = 0.0\n"
             "# anchor: t0 = 0.0, s0 = 1.0\n"
             "# feature: none (constant rate: pure exponential, no finite feature)\n"
-            f"t{delimiter}value\n" + two_columns,
+            "t,value\n" + two_columns,
         ),
     ]
 
 
 class TestChunkedWriters:
-    """Each writer's file is the cell-by-cell format_float text, across chunk edges."""
+    """Each writer's file is its metadata as given, then the cell-by-cell
+    format_float text, across chunk edges."""
 
-    @pytest.mark.parametrize("delimiter", [";", "%s%", "\t", "\u2192"])
+    # labels that must reach the file untouched: no % formatting of the
+    # head, a tab kept, a non-ASCII character encoded as UTF-8
+    @pytest.mark.parametrize("label", [";", "%s%", "\t", "\u2192"])
     @pytest.mark.parametrize("n", [2, 6, 7, 8, 15])
-    def test_rows_across_chunk_edges(self, tmp_path, monkeypatch, n, delimiter):
+    def test_rows_across_chunk_edges(self, tmp_path, monkeypatch, n, label):
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", 7)
         monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
-        for path, expected in _write_all(tmp_path, n, delimiter):
+        for path, expected in _write_all(tmp_path, n, label):
             assert path.read_bytes().decode("utf-8") == expected, path.name
 
     def test_rows_across_the_real_chunk_edge(self, tmp_path):
-        for path, expected in _write_all(tmp_path, _CHUNK_ROWS + 1, ","):
+        for path, expected in _write_all(tmp_path, _CHUNK_ROWS + 1, "L"):
             assert path.read_bytes().decode("utf-8") == expected, path.name
 
 
@@ -327,9 +328,10 @@ class TestReprCells:
 class TestWriterMatchesPercentR:
     """Whole files equal those of the replaced chunked ``%r`` writer."""
 
-    @pytest.mark.parametrize("delimiter", [",", "\t", "\u2192", "%s%"])
+    # text the head must keep as given, as in TestChunkedWriters
+    @pytest.mark.parametrize("label", [",", "\t", "\u2192", "%s%"])
     @pytest.mark.parametrize("rows, chunk", [(0, 4), (1, 4), (3, 1), (200, 7), (200, 64)])
-    def test_same_bytes(self, tmp_path, monkeypatch, delimiter, rows, chunk):
+    def test_same_bytes(self, tmp_path, monkeypatch, label, rows, chunk):
         rng = np.random.default_rng(rows + chunk)
         pool = np.concatenate([_INPUTS[name][:50] for name in sorted(_INPUTS)])
         columns = (
@@ -337,11 +339,11 @@ class TestWriterMatchesPercentR:
             rng.choice(pool, rows) * rng.choice([-1.0, 1.0], rows),
             rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
         )
-        head = f"# label: x\u00e9\nt{delimiter}a{delimiter}b\n"
+        head = f"# label: x\u00e9{label}\nt,a,b\n"
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk)
         monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
-        fileio._write_table(tmp_path / "new.csv", head, delimiter, *columns)
-        oracles.write_table_percent_r(tmp_path / "old.csv", head, delimiter, *columns)
+        fileio._write_table(tmp_path / "new.csv", head, *columns)
+        oracles.write_table_percent_r(tmp_path / "old.csv", head, ",", *columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", [fileio._BULK_ROWS - 1, fileio._BULK_ROWS])
@@ -351,14 +353,14 @@ class TestWriterMatchesPercentR:
         monkeypatch.setattr(fileio, "_repr_cells", lambda x: bulk_calls.append(x) or bulk(x))
         rng = np.random.default_rng(rows)
         columns = (np.arange(rows) + 1900.0, rng.standard_normal(rows) * 1e-3)
-        fileio._write_table(tmp_path / "new.csv", "t;v\n", ";", *columns)
-        oracles.write_table_percent_r(tmp_path / "old.csv", "t;v\n", ";", *columns)
+        fileio._write_table(tmp_path / "new.csv", "t,v\n", *columns)
+        oracles.write_table_percent_r(tmp_path / "old.csv", "t,v\n", ",", *columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert len(bulk_calls) == (rows >= fileio._BULK_ROWS)
 
     def test_one_column(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
         column = np.array([-0.0, 1e-7, 2.5, 1e22])
-        fileio._write_table(tmp_path / "new.csv", "x\n", ",", column)
+        fileio._write_table(tmp_path / "new.csv", "x\n", column)
         oracles.write_table_percent_r(tmp_path / "old.csv", "x\n", ",", column)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

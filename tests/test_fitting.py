@@ -197,6 +197,11 @@ class TestFitPolynomial:
         # antiderivative difference: integral of a + b t
         val = p.antiderivative_at(4.0) - p.antiderivative_at(2.0)
         assert val == pytest.approx(0.01 * 2 + 1e-4 / 2 * (16 - 4), rel=1e-13)
+        # the Polynomial on the identity domain gives the power series' bits
+        t = np.linspace(-3000.0, 3000.0, 101)
+        P = np.polynomial.polynomial
+        assert np.array_equal(p.value_at(t), P.polyval(t, p.coefficients))
+        assert np.array_equal(p.antiderivative_at(t), P.polyval(t, P.polyint(p.coefficients)))
 
     def test_degree_zero_direct_construction_allowed(self):
         p = PolyFit(coefficients=np.array([0.02]), degree=0, rms_residual=0.0,

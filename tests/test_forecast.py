@@ -159,6 +159,20 @@ class TestIntegrateRateFunction:
         with pytest.raises(RangeRefusalError, match="2008"):
             integrate_rate_function(p, (1830.0, 1.0), [1900.0, 2020.0])
 
+    @pytest.mark.parametrize("t0, grid, t", [
+        (1820.0, [1900.0, 2020.0], "1820.0"),  # the anchor time is checked first
+        (1830.0, [1800.0, 2020.0], "1800.0"),  # then the grid, in order
+        (1830.0, [1900.0, 2008.5, 1700.0], "2008.5"),
+    ])
+    def test_refusal_names_the_first_point_outside(self, t0, grid, t):
+        p = PolyFit(np.array([0.01, 1e-4]), 1, 0.0, t_min=1830.0, t_max=2008.0)
+        with pytest.raises(RangeRefusalError) as excinfo:
+            integrate_rate_function(p, (t0, 1.0), grid)
+        assert str(excinfo.value) == (
+            f"t = {t} lies outside the fitted range [1830.0, 2008.0]; "
+            "polynomial rate laws are not extrapolated"
+        )
+
     def test_degree_six_matches_rk4(self):
         # synthetic rates shaped like a gently oscillating few-percent
         # growth rate over 179 calendar years

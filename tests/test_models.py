@@ -277,6 +277,23 @@ class TestFeatures:
         assert f.kind is FeatureKind.NONE
         assert "0.04" in f.note
 
+    @pytest.mark.parametrize("m, note", [
+        (model(ModelKind.HYPERBOLIC, b=-0.01, C=1.0), "b < 0: reciprocal grows"),
+        (model(ModelKind.LINEAR_S, a=-0.1, b=-0.01), "a < 0 and b < 0: rate negative"),
+        (model(ModelKind.RATE_LN_LINEAR, a=0.01, b=0.02), "b > 0: super-exponential"),
+    ], ids=["hyperbolic", "linear_s", "rate_ln_linear"])
+    def test_laws_without_a_feature_say_why(self, m, note):
+        f = features(m)
+        assert f.kind is FeatureKind.NONE
+        assert f.t_star is None and f.s_star is None
+        assert f.note.startswith(note)
+
+    def test_rate_recip_linear_falling_rate_is_singular(self):
+        # R = 1/(a + b t') blows up where a + b t' = 0, at t_ref - a/b
+        f = features(model(ModelKind.RATE_RECIP_LINEAR, a=0.5, b=-0.01, t_ref=1900.0))
+        assert f.kind is FeatureKind.SINGULARITY
+        assert f.t_star == 1950.0 and f.s_star is None
+
     def test_japan_maximum_year_formula(self):
         # rate 3.452 - 1.726e-3 * t crosses zero at exactly 2000.0
         m = model(ModelKind.LINEAR_T, a=3.452, b=-1.726e-3)
@@ -359,6 +376,14 @@ class TestNormalize:
         # its closed form is evaluated through ln F, so F = ln S must be > 0
         with pytest.raises(DomainError, match=r"ln s0 = -0\.69"):
             normalize(model(ModelKind.LOGLOG_S, a=0.5, b=-0.08), 0.0, 0.5)
+
+    @pytest.mark.parametrize("m, t0, message", [
+        (model(ModelKind.RATE_RECIP_LINEAR, a=0.5, b=-0.01), 100.0, r"a \+ b\*t' = -0\.5 "),
+        (model(ModelKind.RATE_SHIFTED_EXP, a=0.1, b=1.0, r=0.05), 0.0, r"a - b\*exp\(-r\*t'\) = -0\.9 "),
+    ], ids=["rate_recip_linear", "rate_shifted_exp"])
+    def test_anchor_time_outside_domain_rejected(self, m, t0, message):
+        with pytest.raises(DomainError, match="anchor time outside domain: " + message):
+            normalize(m, t0, 1.0)
 
     def test_unrepresentable_constant_suggests_t_ref(self):
         m = model(ModelKind.LINEAR_T, a=3.452, b=-1.726e-3)  # t_ref = 0
@@ -504,6 +529,20 @@ class TestIntegrateRational:
     def test_degenerate_factors(self):
         with pytest.raises(DegenerateFactorError):
             integrate_rational(1.0, 2.0, 1.0, 2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("factors", [(0.0, 0.0, 1.0, 2.0), (1.0, 2.0, 0.0, 0.0)])
+    def test_identically_zero_factor_is_degenerate(self, factors):
+        # a zero factor is proportional to any other: D = cb - ae = 0
+        with pytest.raises(DegenerateFactorError, match="proportional"):
+            integrate_rational(*factors, 0.0, 1.0)
+
+    @pytest.mark.parametrize("at", range(6))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, at, bad):
+        args = [1.0, 1.0, 0.0, 1.0, 1.0, 2.0]  # a valid integral but for the bad argument
+        args[at] = bad
+        with pytest.raises(ValidationError, match="arguments must be finite"):
+            integrate_rational(*args)
 
     def test_empty_interval_is_zero(self):
         assert integrate_rational(1.0, 1.0, 0.0, 1.0, 1.5, 1.5) == 0.0

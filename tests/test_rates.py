@@ -18,7 +18,7 @@ from growthcast import (
     refined_rates,
 )
 
-from growthcast.rates import RateSeries, _local_poly_gradients
+from growthcast.rates import RateSeries, _local_poly_gradients, estimate_rates
 
 from oracles import exact_local_poly_gradients, local_poly_gradients, poly_derivative_over_value
 
@@ -268,6 +268,21 @@ class TestRateOfTransform:
         ts = series(t, values)
         rs = rate_of_transform(ts, TransformKind.LOG, RateMethod.DIRECT)
         np.testing.assert_allclose(rs.sizes, np.log(values)[1:], rtol=1e-15)
+
+    @pytest.mark.parametrize("method", list(RateMethod))
+    def test_estimate_rates_uses_the_method(self, method):
+        ts = series(np.arange(12.0), np.exp(np.linspace(1.0, 2.0, 12)), label="pop")
+        cfg = SmoothingConfig(window=5, degree=2)
+        want = direct_rates(ts) if method is RateMethod.DIRECT else refined_rates(ts, cfg)
+        got = estimate_rates(ts, method, cfg)
+        for field in ("times", "rates", "sizes"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.method, got.source_label) == (method, "pop")
+
+    @pytest.mark.parametrize("label, expected", [("pop", "pop [log]"), ("", "[log]")])
+    def test_label_names_the_transform(self, label, expected):
+        ts = series([0, 1, 2], [2.0, 3.0, 4.0], label=label)
+        assert rate_of_transform(ts, TransformKind.LOG).source_label == expected
 
     def test_refined_variant_matches_refined_on_transformed(self):
         t = np.linspace(0, 20, 50)
