@@ -249,18 +249,20 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
-    from .fileio import write_sidecar
+    from .fileio import _one_line, write_sidecar
     from .rates import RateMethod
 
     aux_a = _parse_float(args.aux_a, "--aux-a")
     threshold = _parse_float(args.threshold, "--threshold")
     ts = _load_input_series(args, args.label, None)
+    # the title is the report's first line, a "# " comment
+    title = _one_line("label", ts.label or args.input)
     report = identify(ts, method=RateMethod(args.method), cfg=_smoothing(args), aux_a=aux_a)
     flag = stability_flag(
         report.rates, threshold=LOW_RATE_THRESHOLD if threshold is None else threshold
     )
 
-    lines = [f"# identification: {ts.label or args.input}"]
+    lines = [f"# identification: {title}"]
     lines.append("rank  model               linearization     r_squared      rms        dropped")
     for i, c in enumerate(report.candidates, start=1):
         mark = "" if c.valid else "  [degenerate]"

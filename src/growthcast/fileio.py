@@ -13,11 +13,15 @@ repr (shortest exact round-trip, :func:`format_float`) and no
 timestamps enter data files. Run metadata goes into a ``.meta`` sidecar
 next to each output.
 
-Data rows are streamed to the file in chunks of ``_CHUNK_ROWS`` rows.
-Each chunk's cells are formatted in one numpy pass that computes the
-repr text of every cell at once (:func:`_repr_cells`), so a 10^6-row
-projection is never held in memory as text and no cell goes through a
-per-float ``repr`` call. Tables of fewer than ``_BULK_ROWS`` rows are
+Data rows are streamed to the file as bytes, in chunks of
+``_CHUNK_ROWS`` rows, so their lines end in LF on every platform. Each
+chunk's cells are formatted in one numpy pass, with no per-float
+``repr`` call: :func:`_shortest` finds every cell's digits by the
+Schubfach algorithm at one 64x128-bit product per cell, and
+:func:`_repr_cells` lays out every cell's bytes in uint64 words by
+arithmetic and one table lookup, padding the shorter cells with a byte
+that is then deleted from the chunk. A 10^6-row projection is never
+held in memory as text. Tables of fewer than ``_BULK_ROWS`` rows are
 formatted with ``%r`` in one ``%`` operation, which is cheaper there.
 
 The readers import the records they build when first called, so
@@ -47,12 +51,12 @@ PathLike = Union[str, Path]
 _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 
 #: Rows formatted per write in :func:`_write_table`; bounds the text and the
-#: formatter's temporaries held in memory.
+#: formatter's temporaries held in memory (about 5 MB at two columns).
 _CHUNK_ROWS = 1 << 13
 
 #: Tables with fewer rows are formatted by ``%r``. The bulk formatter's fixed
-#: cost per call and its tables built on first use outweigh its gain below
-#: about 10^3 rows: the CLI's 10^2-row files stay on ``%r``.
+#: cost per call (about 0.4 ms) and its tables built on first use outweigh
+#: its gain below a few hundred rows: the CLI's 10^2-row files stay on ``%r``.
 _BULK_ROWS = 1 << 10
 
 
@@ -80,12 +84,12 @@ _U64 = np.uint64
 _LO32 = _U64(0xFFFFFFFF)
 _LO63 = _U64((1 << 63) - 1)
 
-#: k -> (g0 low limb, g0 high limb, g1 low limb, g1 high limb, g1): the
-#: 126-bit Schubfach constant g = g1 2^63 + g0 of 10^-k, filled on first use.
-_G: dict[int, tuple[int, int, int, int, int]] = {}
+#: k -> (g1, g0): the 126-bit Schubfach constant g = g1 2^63 + g0 of 10^-k,
+#: filled on first use.
+_G: dict[int, tuple[int, int]] = {}
 
 
-def _g(k: int) -> tuple[int, int, int, int, int]:
+def _g(k: int) -> tuple[int, int]:
     """g = floor(10^-k / 2^r) + 1, where r puts 10^-k / 2^r in [2^125, 2^126)."""
     limbs = _G.get(k)
     if limbs is None:
@@ -96,28 +100,19 @@ def _g(k: int) -> tuple[int, int, int, int, int]:
         else:
             p = 10**k
             g = (1 << (p.bit_length() + 125)) // p + 1
-        g1, g0 = g >> 63, g & ((1 << 63) - 1)
-        limbs = _G[k] = (g0 & 0xFFFFFFFF, g0 >> 32, g1 & 0xFFFFFFFF, g1 >> 32, g1)
+        limbs = _G[k] = (g >> 63, g & ((1 << 63) - 1))
     return limbs
 
 
-def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of the 128-bit product (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit limbs."""
-    t = a1 * b0 + ((a0 * b0) >> _U64(32))
-    u = a0 * b1 + (t & _LO32)
-    return a1 * b1 + (t >> _U64(32)) + (u >> _U64(32))
+def _mulhi(a, c0, c1):
+    """High 64 bits of a cp, for a < 2^63 and cp = c1 2^32 + c0 < 2^60.
 
-
-def _rop(g, cp):
-    """Schubfach's rounded-to-odd g cp / 2^127 (Java's ``rop``): the floor of
-    the product's top bits, with its lowest bit set when a lower bit was."""
-    g00, g01, g10, g11, g1 = g
-    c0 = cp & _LO32
-    c1 = cp >> _U64(32)
-    x1 = _mulhi(g00, g01, c0, c1)
-    y1 = _mulhi(g10, g11, c0, c1)
-    z = ((g1 * cp) >> _U64(1)) + x1
-    return (y1 + (z >> _U64(63))) | (((z & _LO63) + _LO63) >> _U64(63))
+    With those bounds the middle partial products and the carry sum to
+    less than 2^64, so no carry needs splitting off.
+    """
+    a0 = a & _LO32
+    a1 = a >> _U64(32)
+    return ((((a0 * c0) >> _U64(32)) + a1 * c0 + a0 * c1) >> _U64(32)) + a1 * c1
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,10 +121,19 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``bits`` is the uint64 view of finite float64 cells. Among the
     decimals of fewest digits inside x's rounding interval D is the one
     nearest x, ties to even, which is how ``repr`` picks its digits. A
-    zero cell gets D = 0. D has at most 17 digits and may end in zeros.
-    Java's code asks for at least two digits and so scales the two
-    smallest subnormals by 10; here the one-digit-shorter candidate is
-    tried for every cell instead, which gives 5e-324 where Java has 4.9e-324.
+    zero cell gets D = 0. D has at most 17 digits and may end in zeros;
+    a normal x gets 16 or 17. Java's code asks for at least two digits
+    and so scales the two smallest subnormals by 10; here the
+    one-digit-shorter candidate is tried for every cell instead, which
+    gives 5e-324 where Java has 4.9e-324.
+
+    Each cell costs one 64x128-bit product, of g and cp = 4c 2^h. Java
+    forms x's scaled value and both ends of its rounding interval with
+    three such products, each kept as T = floor(g1 cp / 2) + floor(g0 cp
+    / 2^64) and rounded to odd (``rop``). The ends' multipliers differ
+    from cp by a power of two, 2^e, so their T differ from x's by
+    g1 2^(e-1) plus floor(g0 2^e / 2^64) and a borrow or carry out of
+    the low word of g0 cp: shifts of g, not products.
     """
     bq = (bits >> _U64(52)) & _U64(0x7FF)
     frac = bits & _U64((1 << 52) - 1)
@@ -141,136 +145,169 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
     lo = int(k.min())
     table = np.array([_g(j) for j in range(lo, int(k.max()) + 1)], dtype=np.uint64)
-    at = k - lo
-    g = tuple(limb.take(at) for limb in table.T)
-    cb = c << _U64(2)
+    g = table.T.take(k - lo, axis=1)
+    g1, g0 = g
+    cp = c << (h + _U64(2))
+    # the products g1 cp = y1 2^64 + y0 and g0 cp = x1 2^64 + x0
+    y0, x0 = g * cp
+    y1, x1 = _mulhi(g, cp & _LO32, cp >> _U64(32))
+    # x's T = vh 2^63 + vl
+    vl = (y0 >> _U64(1)) + x1
+    vh = y1 + (vl >> _U64(63))
+    vl &= _LO63
+    vb = vh | ((vl + _LO63) >> _U64(63))
+    # the ends: cp - 2^el below, el = h + 1 or h for a power of two, and
+    # cp + 2^e above, e = h + 1; the low 63 bits of g1 2^(e-1) stay under
+    # 2^63 - 2^52 for every k, so the sums below borrow or carry at most 1
+    e = h + _U64(1)
+    el = e - irregular
+    r = vl - ((g1 << (h - irregular)) & _LO63) - (g0 >> (_U64(64) - el)) - (x0 < (g0 << el))
+    vbl = (vh - (g1 >> (_U64(64) - el)) - (r >> _U64(63))) | (((r & _LO63) + _LO63) >> _U64(63))
+    low = g0 << e
+    r = vl + ((g1 << h) & _LO63) + (g0 >> (_U64(64) - e)) + ((x0 + low) < low)
+    vbr = (vh + (g1 >> (_U64(64) - e)) + (r >> _U64(63))) | (((r & _LO63) + _LO63) >> _U64(63))
     odd = c & _U64(1)
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - _U64(2) + irregular) << h) + odd
-    vbr = _rop(g, (cb + _U64(2)) << h) - odd
+    vbl += odd
+    vbr -= odd
     s = vb >> _U64(2)
     sp10 = (s // _U64(10)) * _U64(10)
-    upin = vbl <= sp10 << _U64(2)
-    wpin = (sp10 + _U64(10)) << _U64(2) <= vbr
-    uin = vbl <= s << _U64(2)
-    win = (s + _U64(1)) << _U64(2) <= vbr
-    mid = (s << _U64(2)) + _U64(2)
-    above = (vb > mid) | ((vb == mid) & (s & _U64(1)).astype(bool))
-    d = np.where(upin != wpin, sp10 + _U64(10) * wpin, s + np.where(uin != win, win, above))
+    sp40 = sp10 << _U64(2)
+    upin = vbl <= sp40
+    wpin = sp40 + _U64(40) <= vbr
+    uin = vbl <= (vb & _U64((1 << 64) - 4))
+    win = (vb | _U64(3)) < vbr
+    # s or s + 1 when only one is in the interval, else the nearer, ties to even
+    d = s + (win & (~uin | ((vb & _U64(3)) + (s & _U64(1)) > _U64(2))))
+    # the one-digit-shorter candidate when only one of its two is in
+    sp10 += _U64(10) * wpin
+    d += (upin ^ wpin) * (sp10 - d)
     d *= (bits << _U64(1)) != _U64(0)  # D = 0 for +-0.0
     return d, k
 
 
 #: Width of one formatted cell: "-1.2345678901234567e-308" is the longest repr.
 _CELL = 24
-#: Pads cells to ``_CELL`` bytes; no UTF-8 text contains it, so deleting it
+#: Pads cells to a common width; no UTF-8 text contains it, so deleting it
 #: from a chunk's bytes leaves exactly the cells and their separators.
 _PAD = b"\xff"
 _POW10 = np.array([10**i for i in range(1, 18)], dtype=np.uint64)
 _SCALE17 = np.array([10 ** (17 - i) for i in range(18)], dtype=np.uint64)
-_SIGNS = np.frombuffer(b"+-.0--.0", np.uint32)
-_E_PAD = np.frombuffer(b"e" + _PAD * 3, np.uint32)[0]
-
-
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """The source byte of each output byte of a cell, and the cell's length, per layout class.
-
-    A cell's source row holds 3 unused bytes and the 17 digits, then
-    "0" and 3 exponent digits, the exponent sign, "-", ".", "0", "e" and
-    padding (bytes 20-23, 24, 25, 26, 27, 28, 29). The class is
-    (sign, digit count n in 1..17, form): the form is the decimal point
-    position dp = -3..16 in positional notation, or an exponent of 2 or
-    3 digits. The rules are ``repr``'s: exponent form when dp <= -4 or
-    dp > 16, with the exponent's sign and at least 2 of its digits;
-    otherwise "0." and zeros before the digits when dp <= 0, and zeros
-    and ".0" after them when dp >= n.
-    """
-    n = np.arange(1, 18, dtype=np.int8)[:, None, None]
-    form = np.arange(22, dtype=np.int8)[None, :, None]
-    p = np.arange(_CELL, dtype=np.int8)
-    # positional: an integer part of `whole` bytes, ".", the fraction; byte p
-    # shows digit v of the digits padded with zeros on both sides
-    dp = form - 3
-    whole = np.maximum(dp, 1)
-    v = p - (p > whole) - (whole - dp)
-    positional = np.where(p == whole, 26, np.where((v >= 0) & (v < n), 3 + v, 27))
-    # exponent: a digit, then "." and the other digits if any, "e", sign, digits
-    digits = form - 18
-    mantissa = np.where(n == 1, 1, n + 1)
-    e = p - mantissa
-    exponent = np.where(
-        p < mantissa,
-        np.where(p == 1, 26, 3 + p - (p > 1)),
-        np.where(e == 0, 28, np.where(e == 1, 24, 22 - digits + e)),
-    )
-    is_exp = form >= 20
-    length = np.where(is_exp, mantissa + 2 + digits, whole + 1 + np.maximum(n - dp, 1))
-    unsigned = np.where(p >= length, 29, np.where(is_exp, exponent, positional))
-    cols = np.empty((2, 17 * 22, _CELL), np.intp)
-    cols[0] = unsigned.reshape(-1, _CELL)
-    cols[1, :, 0] = 25
-    cols[1, :, 1:] = cols[0, :, :-1]
-    return cols.reshape(-1, _CELL), np.concatenate((length.ravel(), length.ravel() + 1))
+#: Offset of the decimal point position in the :func:`_tables` forms.
+_DECPT = 330
+#: "0.000" as a little-endian word: the prefix of 0.0001 <= |x| < 1.
+_ZEROS = _U64(int.from_bytes(b"0.000", "little"))
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Built on first use: the ASCII text of 0000..9999 as uint32 words, the
-    trailing zeros of each (4 for 0000), and :func:`_layouts`."""
-    ten = np.arange(10, dtype=np.uint8)
-    text = np.empty((10, 10, 10, 10, 4), np.uint8)
-    text[..., 0] = ten[:, None, None, None] + np.uint8(48)
-    text[..., 1] = ten[:, None, None] + np.uint8(48)
-    text[..., 2] = ten[:, None] + np.uint8(48)
-    text[..., 3] = ten + np.uint8(48)
-    z = (ten == 0).astype(np.int8)
-    zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
-    return (text.view(np.uint32).ravel(), zeros.ravel(), *_layouts())
+    """Built on first use: per decimal point position, and per (point byte, length).
+
+    A cell with digits D and its point after dp of them is written by
+    ``repr``'s rules: exponent form when dp <= -4 or dp > 16, with the
+    exponent's sign and at least 2 of its digits; otherwise "0." and
+    zeros before the digits when dp <= 0, and zeros and ".0" after them
+    when dp >= the digit count. The forms, indexed by dp + ``_DECPT``,
+    give where the point goes among D's 17 digits (17: nowhere), the
+    fewest bytes kept from them, how many bytes of "-0.000" go before
+    them and how many exponent bytes after; then 10^(17 - point) and the
+    exponent text XOR 0xFF. The marks, indexed by point * 19 + length,
+    are the three little-endian words that OR digit values 0..9 into their
+    ASCII text, give the point byte (value 0) a ".", and pad the bytes
+    from the length on.
+    """
+    forms, powers, suffixes = [], [], []
+    for dp in range(-_DECPT, _DECPT + 1):
+        if 1 <= dp <= 16:
+            point, fewest, before, suffix = dp, dp + 2, 0, b""
+        elif -3 <= dp <= 0:
+            point, fewest, before, suffix = 17, 0, 2 - dp, b""
+        else:
+            point, fewest, before, suffix = 1, 0, 0, b"e%+03d" % (dp - 1)
+        forms.append((point, fewest, before, len(suffix)))
+        powers.append(10 ** (17 - point))
+        suffixes.append(int.from_bytes(suffix, "little") ^ ((1 << 8 * len(suffix)) - 1))
+    marks = np.full((18, 19, _CELL), ord("0"), np.uint8)
+    marks[np.arange(18), :, np.arange(18)] = ord(".")
+    marks[:, np.arange(19)[:, None] <= np.arange(_CELL)] = _PAD[0]
+    return (
+        np.array(forms, np.intp).T.copy(),
+        np.array(powers, np.uint64),
+        np.array(suffixes, np.uint64),
+        marks.view("<u8").reshape(18 * 19, 3).T.astype(np.uint64),
+    )
 
 
 def _repr_cells(x: np.ndarray) -> np.ndarray:
     """``repr`` of each finite float64 in ``x``, as rows of bytes padded with ``_PAD``.
 
     The rows are as wide as the longest cell, at most ``_CELL`` bytes.
+    Each cell is laid out in little-endian uint64 words, one numpy array
+    per word, with no per-byte index: its 17 digits (:func:`_shortest`)
+    get a 0 digit inserted where the point goes by arithmetic, U = 10 D -
+    9 (D mod 10^(17 - point)), and U's 18 digits go to bytes by splitting
+    into halves, quarters, pairs and single digits within the words. One
+    table word per (point, length) then makes them ASCII, writes the
+    point and pads the rest; the exponent is XORed in after the kept
+    digits, and a sign or "0.000" prefix shifts the words up.
     """
-    quads, zeros, layouts, lengths = _tables()
+    forms, powers, suffixes, marks = _tables()
     bits = x.view(np.uint64)
     d, k = _shortest(bits)
     m = len(x)
-    # D's digits left-aligned in 17 places: a lead digit and four groups of four
-    nd = np.searchsorted(_POW10, d, side="right") + 1
-    padded = d * _SCALE17.take(nd)
-    top = padded // _U64(10**8)
-    low = (padded - top * _U64(10**8)).astype(float)
-    high = top.astype(float)
-    head = np.floor(high / 1e4)
-    groups = np.empty((m, 5), np.intp)
-    groups[:, 0] = lead = np.floor(head / 1e4)
-    groups[:, 1] = head - 1e4 * lead
-    groups[:, 2] = second = high - 1e4 * head
-    groups[:, 3] = third = np.floor(low / 1e4)
-    groups[:, 4] = fourth = low - 1e4 * third
-    # trailing zeros of the 17 digits; a group of 0000 adds its 4 to those before it
-    tz = zeros.take(groups[:, 1])
-    tz = zeros.take(groups[:, 2]) + (second == 0) * tz
-    tz = zeros.take(groups[:, 3]) + (third == 0) * tz
-    tz = zeros.take(groups[:, 4]) + (fourth == 0) * tz
-    decpt = np.where(d == _U64(0), 1, k + nd)
-    exp10 = decpt - 1
-    src = np.empty((m, 32), np.uint8)
-    words = src.view(np.uint32)
-    words[:, :5] = quads.take(groups)
-    words[:, 5] = quads.take(np.abs(exp10))
-    words[:, 6] = np.where(exp10 < 0, _SIGNS[1], _SIGNS[0])
-    words[:, 7] = _E_PAD
-    form = np.where(
-        (decpt > -4) & (decpt <= 16), decpt + 3, 20 + (np.abs(exp10) >= 100)
-    )
-    neg = (bits >> _U64(63)).astype(np.intp)
-    cls = (neg * 17 + 16 - tz) * 22 + form
-    idx = layouts[:, : lengths.take(cls).max()].take(cls, axis=0)
-    idx += np.arange(0, 32 * m, 32)[:, None]
-    return src.ravel().take(idx)
+    # left-align D to 17 digits: a normal x's D has 16 or 17
+    short = d < _U64(10**16)
+    nd = 17 - short
+    if ((d - _U64(1)) < _U64(10**15 - 1)).any():  # a subnormal x
+        nd = np.searchsorted(_POW10, d, side="right") + 1
+        d *= _SCALE17.take(nd)
+    else:
+        d *= short * _U64(9) + _U64(1)
+    dp = k + nd
+    dp[d == _U64(0)] = 1
+    dp += _DECPT
+    point, fewest, before, after = forms.take(dp, axis=1)
+    u = d * _U64(10) - (d % powers.take(dp)) * _U64(9)
+    words = np.empty((3, m), np.uint64)
+    hundreds = u // _U64(100)
+    words[0] = hundreds // _U64(10**8)
+    words[1] = hundreds - words[0] * _U64(10**8)
+    pair = u - hundreds * _U64(100)
+    tens = pair // _U64(10)
+    words[2] = tens | ((pair - tens * _U64(10)) << _U64(8))
+    # 8 digits to bytes, the first digit lowest: 4 + 4 into the 32-bit
+    # halves, 2 + 2 into each half's 16-bit quarters, 1 + 1 into bytes;
+    # x // 100 = (x 5243) >> 19 for x < 10^4 and x // 10 = (x 103) >> 10
+    # for x < 100, with no carry between the fields
+    w = words[:2]
+    hi = w // _U64(10000)
+    w = hi | ((w - hi * _U64(10000)) << _U64(32))
+    hi = ((w * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    w = hi | ((w - hi * _U64(100)) << _U64(16))
+    hi = ((w * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    words[:2] = hi | ((w - hi * _U64(10)) << _U64(8))
+    # U's last nonzero digit byte, from the exponent of each word as a
+    # float: exact, as a word of digit bytes 0..9 cannot round up to the
+    # next power of two; an all-zero word gives a negative byte
+    last = ((words.astype(float).view(np.int64) >> 52) - 1023) >> 3
+    last += np.array([[0], [8], [16]])
+    length = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], fewest - 1)) + 1
+    before += (bits >> _U64(63)).astype(np.intp)
+    words |= marks.take(point * 19 + length, axis=1)
+    if after.any():
+        # the exponent from byte `length` on, maybe across two words; numpy
+        # gives 0 for a shift by 64 or more, as a negative one is in uint64
+        shift = ((length - np.array([[0], [8], [16]])) * 8).astype(np.uint64)
+        suffix = suffixes.take(dp)
+        words ^= (suffix << shift) | (suffix >> (_U64(0) - shift))
+    if before.any():
+        # shift each cell's 24 bytes up; numpy gives 0 for a shift by 64
+        shift = before.astype(np.uint64) * _U64(8)
+        words[1:] = (words[1:] << shift) | (words[:-1] >> (_U64(64) - shift))
+        neg = bits >> _U64(63)
+        prefix = (_ZEROS << (neg * _U64(8))) | (neg * _U64(ord("-")))
+        words[0] = (words[0] << shift) | (prefix & ((_U64(1) << shift) - _U64(1)))
+    width = int((before + length + after).max())
+    return words.T.astype("<u8", order="C").view(np.uint8)[:, :width]
 
 
 def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
@@ -279,16 +316,19 @@ def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
     Each cell is the text :func:`format_float` gives, Python's float
     ``repr``: the shortest decimal that reads back as the cell, nearest
     it when several are that short (Schubfach, :func:`_shortest`), laid
-    out by ``repr``'s rules (:func:`_layouts`). All cells of a chunk are
-    formatted in one pass, then joined with commas and newlines.
+    out by ``repr``'s rules (:func:`_repr_cells`). All cells of a chunk
+    are formatted in one pass, then joined with commas and newlines.
     A table of fewer than ``_BULK_ROWS`` rows is formatted by ``%r``
     instead, which costs less than the bulk pass's fixed cost there.
+    The file is written as bytes, so its lines end in LF on every
+    platform.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
         if len(columns[0]) < _BULK_ROWS:
             row = ",".join(["%r"] * len(columns)) + "\n"
-            fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
+            cells = tuple(np.column_stack(columns).ravel().tolist())
+            fh.write(((row * len(columns[0])) % cells).encode("ascii"))
             return
         seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -298,7 +338,7 @@ def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
             rows = np.empty(chunk.shape + (width + 1,), np.uint8)
             rows[..., :width] = cells.reshape(chunk.shape + (width,))
             rows[..., width] = seps
-            fh.write(rows.tobytes().translate(None, _PAD).decode("ascii"))
+            fh.write(rows.tobytes().translate(None, _PAD))
 
 
 def write_series(path: PathLike, ts: TimeSeries) -> None:

@@ -633,6 +633,13 @@ class TestLineBreaksInMetadata:
         ])
         self.assert_refused(code, capsys, "label", value, out)
 
+    @pytest.mark.parametrize("value", ["x\ny", "x\ry"])
+    def test_diagnose_label(self, tmp_path, capsys, value):
+        out = tmp_path / "rep.txt"
+        code = main(["diagnose", str(GDP_FIXTURE), "--label", value, "--out", str(out)])
+        self.assert_refused(code, capsys, "label", value, out)
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("lin", ["r-vs-t", "recip-s-vs-t"])
     def test_fit_unit(self, tmp_path, capsys, lin):
         rates = tmp_path / "r.csv"

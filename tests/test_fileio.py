@@ -280,6 +280,23 @@ def _powers_of_two():
     return np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)))
 
 
+def _projection_shape():
+    """Thinned 100-year grid of 10^6 points and an exponential trajectory on it."""
+    t = np.linspace(2024.37, 2124.37, 1_000_000)[::41]
+    return np.concatenate((t, 18734.25 * np.exp(0.0213 * (t - t[0]))))
+
+
+def _short_decimals():
+    """Exactly representable short decimals m 2^-n and their 1-ulp neighbours."""
+    rng = np.random.default_rng(21)
+    x = np.concatenate((
+        rng.integers(1, 10**6, 20_000) / 2.0 ** rng.integers(0, 30, 20_000),
+        np.arange(0.0, 5000.0, 0.25),
+        rng.integers(1, 1 << 53, 5_000) * 2.0 ** rng.integers(0, 40, 5_000),
+    ))
+    return np.concatenate((x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)))
+
+
 _RNG = np.random.default_rng(20)
 
 #: Every class of double whose repr takes a different path through the formatter.
@@ -298,6 +315,9 @@ _INPUTS = {
         1e16, 9999999999999998.0, 1e17, 0.0001, 0.00011, 9.9e-5, 1e-4 - 1e-20, 123456789.0, 1e100,
     ]),
     "extremes": np.array([0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308]),
+    "long-series projection": _projection_shape(),
+    # their rounding interval's ends are where the derived end products decide
+    "short decimals and neighbours": _short_decimals(),
 }
 
 
@@ -364,3 +384,4 @@ class TestWriterMatchesPercentR:
         fileio._write_table(tmp_path / "new.csv", "x\n", column)
         oracles.write_table_percent_r(tmp_path / "old.csv", "x\n", ",", column)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
