@@ -54,9 +54,10 @@ _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 #: formatter's temporaries held in memory (about 5 MB at two columns).
 _CHUNK_ROWS = 1 << 13
 
-#: Tables with fewer rows are formatted by ``%r``. The bulk formatter's fixed
-#: cost per call (about 0.4 ms) and its tables built on first use outweigh
-#: its gain below a few hundred rows: the CLI's 10^2-row files stay on ``%r``.
+#: Tables with fewer rows are formatted by ``%r``, so the CLI's 10^2-row files
+#: skip the bulk formatter's fixed cost and the tables it builds on first use.
+#: The two cost the same at about 400-500 rows of two columns; the value stays
+#: 1024 because the ids of ``test_both_sides_of_the_bulk_threshold`` carry it.
 _BULK_ROWS = 1 << 10
 
 
@@ -237,6 +238,27 @@ def _tables() -> tuple[np.ndarray, ...]:
     )
 
 
+def _put_exponent(words: np.ndarray, length: np.ndarray, suffix: np.ndarray) -> None:
+    """XOR each cell's exponent text ``suffix`` into ``words`` from byte ``length`` on.
+
+    The text may span two words; numpy gives 0 for a shift by 64 or
+    more, as a negative one is in uint64.
+    """
+    shift = ((length - np.array([[0], [8], [16]])) * 8).astype(np.uint64)
+    words ^= (suffix << shift) | (suffix >> (_U64(0) - shift))
+
+
+def _put_prefix(words: np.ndarray, before: np.ndarray, neg: np.ndarray) -> None:
+    """Shift each cell's 24 bytes up by ``before`` and write its sign and "0.000" there.
+
+    ``neg`` is 1 for a negative cell; numpy gives 0 for a shift by 64.
+    """
+    shift = before.astype(np.uint64) * _U64(8)
+    words[1:] = (words[1:] << shift) | (words[:-1] >> (_U64(64) - shift))
+    prefix = (_ZEROS << (neg * _U64(8))) | (neg * _U64(ord("-")))
+    words[0] = (words[0] << shift) | (prefix & ((_U64(1) << shift) - _U64(1)))
+
+
 def _repr_cells(x: np.ndarray) -> np.ndarray:
     """``repr`` of each finite float64 in ``x``, as rows of bytes padded with ``_PAD``.
 
@@ -248,20 +270,17 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     into halves, quarters, pairs and single digits within the words. One
     table word per (point, length) then makes them ASCII, writes the
     point and pads the rest; the exponent is XORed in after the kept
-    digits, and a sign or "0.000" prefix shifts the words up.
+    digits (:func:`_put_exponent`), and a sign or "0.000" prefix shifts
+    the words up (:func:`_put_prefix`), each only in a chunk that has
+    such cells.
     """
     forms, powers, suffixes, marks = _tables()
     bits = x.view(np.uint64)
     d, k = _shortest(bits)
     m = len(x)
-    # left-align D to 17 digits: a normal x's D has 16 or 17
-    short = d < _U64(10**16)
-    nd = 17 - short
-    if ((d - _U64(1)) < _U64(10**15 - 1)).any():  # a subnormal x
-        nd = np.searchsorted(_POW10, d, side="right") + 1
-        d *= _SCALE17.take(nd)
-    else:
-        d *= short * _U64(9) + _U64(1)
+    # left-align D, of nd digits, to 17
+    nd = np.searchsorted(_POW10, d, side="right") + 1
+    d *= _SCALE17.take(nd)
     dp = k + nd
     dp[d == _U64(0)] = 1
     dp += _DECPT
@@ -291,21 +310,15 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     last = ((words.astype(float).view(np.int64) >> 52) - 1023) >> 3
     last += np.array([[0], [8], [16]])
     length = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], fewest - 1)) + 1
-    before += (bits >> _U64(63)).astype(np.intp)
+    neg = bits >> _U64(63)
+    before += neg.astype(np.intp)
     words |= marks.take(point * 19 + length, axis=1)
+    # each step only in a chunk that has such cells: one 8192-row
+    # long-series chunk has none, and running both there costs a fifth more
     if after.any():
-        # the exponent from byte `length` on, maybe across two words; numpy
-        # gives 0 for a shift by 64 or more, as a negative one is in uint64
-        shift = ((length - np.array([[0], [8], [16]])) * 8).astype(np.uint64)
-        suffix = suffixes.take(dp)
-        words ^= (suffix << shift) | (suffix >> (_U64(0) - shift))
+        _put_exponent(words, length, suffixes.take(dp))
     if before.any():
-        # shift each cell's 24 bytes up; numpy gives 0 for a shift by 64
-        shift = before.astype(np.uint64) * _U64(8)
-        words[1:] = (words[1:] << shift) | (words[:-1] >> (_U64(64) - shift))
-        neg = bits >> _U64(63)
-        prefix = (_ZEROS << (neg * _U64(8))) | (neg * _U64(ord("-")))
-        words[0] = (words[0] << shift) | (prefix & ((_U64(1) << shift) - _U64(1)))
+        _put_prefix(words, before, neg)
     width = int((before + length + after).max())
     return words.T.astype("<u8", order="C").view(np.uint8)[:, :width]
 

@@ -344,6 +344,31 @@ class TestReprCells:
         fileio._repr_cells(np.array([0.5, 3.0, 700.0]))
         assert sorted(fileio._G) == [-17, -16, -15, -14, -13]
 
+    def test_exponent_and_prefix_steps_run_only_where_needed(self, monkeypatch):
+        ran = []
+        for step in ("_put_exponent", "_put_prefix"):
+            spy = lambda *a, step=step, real=getattr(fileio, step): ran.append(step) or real(*a)
+            monkeypatch.setattr(fileio, step, spy)
+        steps = {}
+        for name in sorted(_INPUTS):
+            ran.clear()
+            fileio._repr_cells(_INPUTS[name])
+            steps[name] = set(ran)
+        assert steps["long-series projection"] == set()
+        assert steps["year grids"] == set()
+        assert steps["powers of ten"] == {"_put_exponent", "_put_prefix"}
+        assert steps["integers above 2^53"] == {"_put_exponent"}
+        assert steps["uniform decimals"] == {"_put_prefix"}  # has negative cells
+
+    def test_shifted_g_leaves_room_for_one_carry(self):
+        # _shortest's derived interval ends borrow or carry at most 1 only if
+        # the low 63 bits of g1 2^s stay under 2^63 - 2^52, s = h - 1 or h
+        _, k = fileio._shortest(np.array([5e-324, np.finfo(float).max]).view(np.uint64))
+        for j in range(int(k[0]), int(k[1]) + 1):
+            g1 = fileio._g(j)[0]
+            for s in range(1, 6):  # h is 2..5 for every double
+                assert (g1 << s) & ((1 << 63) - 1) < (1 << 63) - (1 << 52), (j, s)
+
 
 class TestWriterMatchesPercentR:
     """Whole files equal those of the replaced chunked ``%r`` writer."""
