@@ -18,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fileio import format_float, write_projection, write_rates, write_scenario_table
+from .fileio import (
+    format_features, format_float, write_projection, write_rates, write_scenario_table, write_text,
+)
 from .fitting import PolyFit
 from .forecast import (
     Projection,
@@ -171,14 +173,8 @@ def _feature_summary_lines(
                         "(maximum value requires an anchor)\n"
                     )
                 continue
-        bits = [feat.kind.value]
-        if feat.t_star is not None:
-            bits.append(f"t_star = {format_float(feat.t_star)}")
-        if feat.s_star is not None:
-            bits.append(f"s_star = {format_float(feat.s_star)}")
-        if feat.note:
-            bits.append(f"({feat.note})")
-        lines.append(f"feature  {name}: {', '.join(bits)}\n")
+        text = format_features(feat) + ("" if not feat.note else f", ({feat.note})")
+        lines.append(f"feature  {name}: {text}\n")
     return lines
 
 
@@ -251,7 +247,7 @@ def run_case(name: str, out_dir: Path) -> CaseResult:
     lines.extend(_feature_summary_lines(models, projections))
     for note in case.get("footnotes", ()):
         lines.append(f"note: {note}\n")
-    report_path.write_text("".join(lines), encoding="utf-8")
+    write_text(report_path, "".join(lines))
     files.append(str(report_path))
 
     return CaseResult(

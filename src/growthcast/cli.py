@@ -249,7 +249,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
-    from .fileio import _one_line, write_sidecar
+    from .fileio import _one_line, write_sidecar, write_text
     from .rates import RateMethod
 
     aux_a = _parse_float(args.aux_a, "--aux-a")
@@ -280,8 +280,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     )
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, text)
         write_sidecar(args.out, "diagnose", [("input", str(args.input))])
     print(text, end="")
     return 0

@@ -13,16 +13,16 @@ repr (shortest exact round-trip, :func:`format_float`) and no
 timestamps enter data files. Run metadata goes into a ``.meta`` sidecar
 next to each output.
 
-Data rows are streamed to the file as bytes, in chunks of
-``_CHUNK_ROWS`` rows, so their lines end in LF on every platform. Each
-chunk's cells are formatted in one numpy pass, with no per-float
-``repr`` call: :func:`_shortest` finds every cell's digits by the
-Schubfach algorithm at one 64x128-bit product per cell, and
+Every output file is written here, as UTF-8 bytes, so its lines end
+in LF on every platform: text by :func:`write_text`, data rows by
+:func:`_write_table`, which streams them in chunks of ``_CHUNK_ROWS``
+rows. Each chunk's cells are formatted in one numpy pass, with no
+per-float ``repr`` call: :func:`_shortest` finds every cell's digits by
+the Schubfach algorithm at one 64x128-bit product per cell, and
 :func:`_repr_cells` lays out every cell's bytes in uint64 words by
 arithmetic and one table lookup, padding the shorter cells with a byte
 that is then deleted from the chunk. A 10^6-row projection is never
-held in memory as text. Tables of fewer than ``_BULK_ROWS`` rows are
-formatted with ``%r`` in one ``%`` operation, which is cheaper there.
+held in memory as text.
 
 The readers import the records they build when first called, so
 writing a file loads no model or rate code.
@@ -42,7 +42,7 @@ from .timeseries import read_table
 if TYPE_CHECKING:
     from .fitting import FitReport
     from .forecast import Projection, ScenarioReport
-    from .models import Model
+    from .models import Features, Model
     from .rates import RateSeries
     from .timeseries import TimeSeries
 
@@ -54,16 +54,22 @@ _MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 #: formatter's temporaries held in memory (about 5 MB at two columns).
 _CHUNK_ROWS = 1 << 13
 
-#: Tables with fewer rows are formatted by ``%r``, so the CLI's 10^2-row files
-#: skip the bulk formatter's fixed cost and the tables it builds on first use.
-#: The two cost the same at about 400-500 rows of two columns; the value stays
-#: 1024 because the ids of ``test_both_sides_of_the_bulk_threshold`` carry it.
-_BULK_ROWS = 1 << 10
-
 
 def format_float(x: float) -> str:
     """Shortest exact round-trip text of a float, as every output file writes it."""
     return repr(float(x))
+
+
+def format_features(feat: Features) -> str:
+    """``kind, t_star = ..., s_star = ...`` of a feature, without its note."""
+    stars = (("t_star", feat.t_star), ("s_star", feat.s_star))
+    return ", ".join([feat.kind.value] + [f"{k} = {format_float(v)}" for k, v in stars if v is not None])
+
+
+def write_text(path: PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8 bytes, so its lines end in LF on every platform."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _one_line(key: str, value: str) -> str:
@@ -331,18 +337,11 @@ def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
     it when several are that short (Schubfach, :func:`_shortest`), laid
     out by ``repr``'s rules (:func:`_repr_cells`). All cells of a chunk
     are formatted in one pass, then joined with commas and newlines.
-    A table of fewer than ``_BULK_ROWS`` rows is formatted by ``%r``
-    instead, which costs less than the bulk pass's fixed cost there.
-    The file is written as bytes, so its lines end in LF on every
-    platform.
+    The file is written as bytes, as by :func:`write_text`, so its lines
+    end in LF on every platform.
     """
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        if len(columns[0]) < _BULK_ROWS:
-            row = ",".join(["%r"] * len(columns)) + "\n"
-            cells = tuple(np.column_stack(columns).ravel().tolist())
-            fh.write(((row * len(columns[0])) % cells).encode("ascii"))
-            return
         seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
@@ -414,7 +413,7 @@ def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> N
             continue
         rendered = val if isinstance(val, str) else format_float(val)
         lines.append(f"{key} = {rendered}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text(path, "".join(lines))
 
 
 def read_model(path: PathLike) -> Model:
@@ -481,17 +480,12 @@ def write_projection(path: PathLike, proj: Projection) -> None:
         if v is not None
     )
     feat = proj.features
-    feat_bits = [feat.kind.value]
-    if feat.t_star is not None:
-        feat_bits.append(f"t_star = {format_float(feat.t_star)}")
-    if feat.s_star is not None:
-        feat_bits.append(f"s_star = {format_float(feat.s_star)}")
     meta = {
         "label": proj.series.label,
         "unit": proj.series.unit,
         "model": f"{m.kind.value} ({param_text}), t_ref = {format_float(m.t_ref)}",
         "anchor": f"t0 = {format_float(proj.anchor[0])}, s0 = {format_float(proj.anchor[1])}",
-        "feature": ", ".join(feat_bits) + ("" if not feat.note else f" ({feat.note})"),
+        "feature": format_features(feat) + ("" if not feat.note else f" ({feat.note})"),
     }
     head = _meta_block(meta) + "".join(f"# warning: {w}\n" for w in proj.warnings)
     _write_table(path, head + "t,value\n", proj.series.times, proj.series.values)
@@ -523,7 +517,7 @@ def write_scenario_table(path: PathLike, report: ScenarioReport) -> None:
     ]
     flag_cells += ["", "", ""]
     lines.append(",".join(flag_cells) + "\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text(path, "".join(lines))
 
 
 def write_sidecar(path: PathLike, command: str, args: Iterable[tuple[str, str]]) -> None:
@@ -532,4 +526,4 @@ def write_sidecar(path: PathLike, command: str, args: Iterable[tuple[str, str]])
 
     lines = [f"command: {command}\n", f"version: {__version__}\n"]
     lines.extend(f"{k}: {v}\n" for k, v in args)
-    Path(str(path) + ".meta").write_text("".join(lines), encoding="utf-8")
+    write_text(str(path) + ".meta", "".join(lines))

@@ -239,13 +239,14 @@ def _log_recip_denominator(m: Model, tp: np.ndarray) -> np.ndarray:
 
 
 def _linear_s_singular_time(a: float, b: float, c: float) -> Optional[float]:
-    """t' where C e^(-a t') = b/a, or None if no real solution."""
-    if c == 0.0:
+    """t' where C e^(-a t') = b/a, or None if there is no finite one."""
+    if a * c == 0.0:
         return None
     ratio = b / (a * c)
     if ratio <= 0:
         return None
-    return -math.log(ratio) / a
+    ts = -math.log(ratio) / a
+    return ts if math.isfinite(ts) else None
 
 
 def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
@@ -382,8 +383,16 @@ def features(m: Model) -> Features:
 
     Kinds whose feature location or value depends on the normalization
     constant require a normalized model. A size beyond the float range
-    is left out (s_star None) and the note says so.
+    is left out (s_star None) and the note says so; a feature whose time
+    is beyond it is NONE, with a note naming the feature.
     """
+    feat = _critical_point(m)
+    if feat.t_star is None or math.isfinite(feat.t_star):
+        return feat
+    return Features(FeatureKind.NONE, note=f"{feat.kind.value} time is beyond the float range")
+
+
+def _critical_point(m: Model) -> Features:
     p = m.params
     kind = _LIFT_BASE.get(m.kind, m.kind)
     lifted = kind is not m.kind

@@ -431,6 +431,36 @@ class TestForecastCommand:
         assert "beyond the float range" in text
         assert "s_star" not in text and "inf" not in text
 
+    @pytest.mark.parametrize(
+        "record, flags, feature",
+        [
+            # t* = -a/b and t* = C/b are beyond the float range
+            ("kind = linear_t\na = 1.0\nb = -6.35e-318\n", ["--anchor", "0:1"], "maximum"),
+            ("kind = hyperbolic\nb = 1e-300\nC = 1e10\n", [], "singularity"),
+        ],
+        ids=["linear_t", "hyperbolic"],
+    )
+    def test_feature_time_beyond_float_range_is_none(self, tmp_path, record, flags, feature):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(record, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main(["forecast", str(model_file), *flags, "--grid", "0:3:1", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert f"# feature: none ({feature} time is beyond the float range)\n" in text
+        assert "inf" not in text
+
+    def test_linear_s_without_a_finite_singular_time_is_exit_3(self, tmp_path, capsys):
+        # a * C underflows to 0 in the singular time's ratio b / (a C)
+        model_file = tmp_path / "m.txt"
+        model_file.write_text("kind = linear_s\na = 1e-200\nb = 1.0\nC = 1e-200\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main(["forecast", str(model_file), "--grid", "0:3:1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: linear_s trajectory undefined where its denominator <= 0\n"
+        assert not out.exists()
+
     def test_trajectory_beyond_float_range_is_exit_3(self, tmp_path, capsys):
         model_file = tmp_path / "m.txt"
         model_file.write_text("kind = loglog_t\na = 0.3\nb = -0.001\n", encoding="utf-8")

@@ -258,7 +258,6 @@ class TestChunkedWriters:
     @pytest.mark.parametrize("n", [2, 6, 7, 8, 15])
     def test_rows_across_chunk_edges(self, tmp_path, monkeypatch, n, label):
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
         for path, expected in _write_all(tmp_path, n, label):
             assert path.read_bytes().decode("utf-8") == expected, path.name
 
@@ -375,7 +374,10 @@ class TestWriterMatchesPercentR:
 
     # text the head must keep as given, as in TestChunkedWriters
     @pytest.mark.parametrize("label", [",", "\t", "\u2192", "%s%"])
-    @pytest.mark.parametrize("rows, chunk", [(0, 4), (1, 4), (3, 1), (200, 7), (200, 64)])
+    @pytest.mark.parametrize(
+        "rows, chunk",
+        [(0, 4), (1, 4), (3, 1), (200, 7), (200, 64), (1023, _CHUNK_ROWS), (1024, _CHUNK_ROWS)],
+    )
     def test_same_bytes(self, tmp_path, monkeypatch, label, rows, chunk):
         rng = np.random.default_rng(rows + chunk)
         pool = np.concatenate([_INPUTS[name][:50] for name in sorted(_INPUTS)])
@@ -386,25 +388,11 @@ class TestWriterMatchesPercentR:
         )
         head = f"# label: x\u00e9{label}\nt,a,b\n"
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk)
-        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
         fileio._write_table(tmp_path / "new.csv", head, *columns)
         oracles.write_table_percent_r(tmp_path / "old.csv", head, ",", *columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("rows", [fileio._BULK_ROWS - 1, fileio._BULK_ROWS])
-    def test_both_sides_of_the_bulk_threshold(self, tmp_path, monkeypatch, rows):
-        bulk_calls = []
-        bulk = fileio._repr_cells
-        monkeypatch.setattr(fileio, "_repr_cells", lambda x: bulk_calls.append(x) or bulk(x))
-        rng = np.random.default_rng(rows)
-        columns = (np.arange(rows) + 1900.0, rng.standard_normal(rows) * 1e-3)
-        fileio._write_table(tmp_path / "new.csv", "t,v\n", *columns)
-        oracles.write_table_percent_r(tmp_path / "old.csv", "t,v\n", ",", *columns)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert len(bulk_calls) == (rows >= fileio._BULK_ROWS)
-
-    def test_one_column(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_BULK_ROWS", 0)
+    def test_one_column(self, tmp_path):
         column = np.array([-0.0, 1e-7, 2.5, 1e22])
         fileio._write_table(tmp_path / "new.csv", "x\n", column)
         oracles.write_table_percent_r(tmp_path / "old.csv", "x\n", ",", column)

@@ -8,11 +8,13 @@ log and reciprocal), fit with every linearization (each with and without
 ``--range``; shifted-ln-vs-t with ``--aux-a 60`` and with
 ``--scan-aux``), forecast of every fitted model (anchored, and
 unanchored when the fit is normalized), integrate (discrete and
-``--poly-degree``), diagnose, ``reproduce all``, and a few invalid
-inputs. Every invocation gets its own directory under OUT_DIR holding
-the files it wrote, its stdout, its stderr and its exit code; inputs
-are copied into OUT_DIR and named by relative paths, so the tree does
-not depend on where the checkout lives.
+``--poly-degree``), diagnose, ``reproduce all``, one anchored forecast
+on a 10 001-point grid, longer than one write chunk of the data-file
+formatter, and a few invalid inputs. Every invocation gets its own
+directory under OUT_DIR holding the files it wrote, its stdout, its
+stderr and its exit code; inputs are copied into OUT_DIR and named by
+relative paths, so the tree does not depend on where the checkout
+lives.
 
 Two trees compare with ``diff -r``: the same checkout run twice must
 give identical trees (determinism), and a refactor must give the tree
@@ -47,6 +49,9 @@ EDGE_SERIES = {
     "zero_value": "t,value\n0,1\n1,2\n2,0\n3,4\n4,5\n",
     "duplicate_time": "t,value\n0,1\n1,2\n1,3\n2,4\n",
 }
+# a model forecast on more grid points than one write chunk holds
+# (fileio._CHUNK_ROWS = 8192 rows)
+LONG_MODEL = "kind = linear_t\na = 0.252\nb = -0.0001197\nunit = persons\n"
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -90,6 +95,7 @@ def run_pipeline(out: Path) -> int:
         shutil.copy(ROOT / "tests" / "data" / f"{stem}.csv", inputs / f"{stem}.csv")
     for stem, text in EDGE_SERIES.items():
         (inputs / f"{stem}.csv").write_text(text, encoding="utf-8")
+    (inputs / "long_model.txt").write_text(LONG_MODEL, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -154,6 +160,10 @@ def run_pipeline(out: Path) -> int:
             "--linearization", "recip-s-vs-t", "--out", "model.txt",
         )
     rec.run("reproduce-all", "reproduce", "all", "--out", "reproduce")
+    rec.run(
+        "forecast-long-grid", "forecast", "../../inputs/long_model.txt",
+        "--anchor", "1950:2.5e9", "--grid", "1950:2050:0.01", "--out", "projection.csv",
+    )
     series = f"../../inputs/{next(iter(FIXTURES))}.csv"
     for name, (command, *flags) in INVALID_FLAGS.items():
         rec.run(name, command, series, *flags)
