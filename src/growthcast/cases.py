@@ -10,7 +10,7 @@ returns one pass/fail line per check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -68,9 +68,7 @@ def load_catalog() -> dict:
 
 
 def _scenario_model(spec: dict, unit: str) -> Model:
-    params = Params(
-        a=spec.get("a"), b=spec.get("b"), r=spec.get("r"), C=spec.get("C")
-    )
+    params = Params(**{f.name: spec.get(f.name) for f in fields(Params)})
     return Model(
         kind=ModelKind(spec["kind"]), params=params, t_ref=spec.get("t_ref", 0.0), unit=unit
     )
@@ -109,14 +107,10 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
         computed = float(np.max(np.abs(numeric.values / closed - 1.0)))
     elif kind == "rate":
         computed = float(rate_at(models[scenario], check["t"]))
-    elif kind == "feature_s":
+    elif kind in ("feature_s", "feature_t_range"):
         proj = projections.get(scenario)
         feat = proj.features if proj is not None else features(models[scenario])
-        computed = feat.s_star
-    elif kind == "feature_t_range":
-        proj = projections.get(scenario)
-        feat = proj.features if proj is not None else features(models[scenario])
-        computed = feat.t_star
+        computed = feat.s_star if kind == "feature_s" else feat.t_star
     elif kind == "stationary_t":
         m = models[scenario]
         computed = m.t_ref - m.params.a / m.params.b

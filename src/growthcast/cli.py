@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GrowthcastError, InputError, NumericError
+from .errors import ConfigError, GrowthcastError, InputError
 
 if TYPE_CHECKING:
     from .rates import SmoothingConfig
@@ -395,10 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GrowthcastError as exc:  # pragma: no cover - defensive
+    except GrowthcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,9 @@
 Data files are written as UTF-8 comma-separated text (the readers take
 any one-character delimiter) with a header row and optional
 ``# key: value`` metadata lines above it. Model files are flat
-``key = value`` records with the fixed field set
-{kind, a, b, r, C, t_ref, unit}; fields a kind does not use are absent.
+``key = value`` records with the fixed field set: kind, the fields of
+``models.Params`` in their order, t_ref and unit; fields a kind does not
+use are absent.
 A metadata value or model unit with a line break would end its line
 early, so the writers refuse it (``ConfigError``) before opening a file.
 
@@ -30,6 +31,7 @@ writing a file loads no model or rate code.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
@@ -47,8 +49,6 @@ if TYPE_CHECKING:
     from .timeseries import TimeSeries
 
 PathLike = Union[str, Path]
-
-_MODEL_FIELDS = ("kind", "a", "b", "r", "C", "t_ref", "unit")
 
 #: Rows formatted per write in :func:`_write_table`; bounds the text and the
 #: formatter's temporaries held in memory (about 5 MB at two columns).
@@ -216,13 +216,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     when dp >= the digit count. The forms, indexed by dp + ``_DECPT``,
     give where the point goes among D's 17 digits (17: nowhere), the
     fewest bytes kept from them, how many bytes of "-0.000" go before
-    them and how many exponent bytes after; then 10^(17 - point) and the
-    exponent text XOR 0xFF. The marks, indexed by point * 19 + length,
-    are the three little-endian words that OR digit values 0..9 into their
-    ASCII text, give the point byte (value 0) a ".", and pad the bytes
-    from the length on.
+    them and how many exponent bytes after; then the exponent text XOR
+    0xFF. The marks, indexed by point * 19 + length, are the three
+    little-endian words that OR digit values 0..9 into their ASCII text,
+    give the point byte (value 0) a ".", and pad the bytes from the
+    length on.
     """
-    forms, powers, suffixes = [], [], []
+    forms, suffixes = [], []
     for dp in range(-_DECPT, _DECPT + 1):
         if 1 <= dp <= 16:
             point, fewest, before, suffix = dp, dp + 2, 0, b""
@@ -231,14 +231,12 @@ def _tables() -> tuple[np.ndarray, ...]:
         else:
             point, fewest, before, suffix = 1, 0, 0, b"e%+03d" % (dp - 1)
         forms.append((point, fewest, before, len(suffix)))
-        powers.append(10 ** (17 - point))
         suffixes.append(int.from_bytes(suffix, "little") ^ ((1 << 8 * len(suffix)) - 1))
     marks = np.full((18, 19, _CELL), ord("0"), np.uint8)
     marks[np.arange(18), :, np.arange(18)] = ord(".")
     marks[:, np.arange(19)[:, None] <= np.arange(_CELL)] = _PAD[0]
     return (
         np.array(forms, np.intp).T.copy(),
-        np.array(powers, np.uint64),
         np.array(suffixes, np.uint64),
         marks.view("<u8").reshape(18 * 19, 3).T.astype(np.uint64),
     )
@@ -280,7 +278,7 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     the words up (:func:`_put_prefix`), each only in a chunk that has
     such cells.
     """
-    forms, powers, suffixes, marks = _tables()
+    forms, suffixes, marks = _tables()
     bits = x.view(np.uint64)
     d, k = _shortest(bits)
     m = len(x)
@@ -291,7 +289,7 @@ def _repr_cells(x: np.ndarray) -> np.ndarray:
     dp[d == _U64(0)] = 1
     dp += _DECPT
     point, fewest, before, after = forms.take(dp, axis=1)
-    u = d * _U64(10) - (d % powers.take(dp)) * _U64(9)
+    u = d * _U64(10) - (d % _SCALE17.take(point)) * _U64(9)
     words = np.empty((3, m), np.uint64)
     hundreds = u // _U64(100)
     words[0] = hundreds // _U64(10**8)
@@ -397,18 +395,13 @@ def read_rates(path: PathLike, delimiter: str = ",") -> tuple[RateSeries, dict[s
 
 def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> None:
     lines = [f"# {c}\n" for c in comments]
-    p = model.params
     record = {
         "kind": model.kind.value,
-        "a": p.a,
-        "b": p.b,
-        "r": p.r,
-        "C": p.C,
+        **vars(model.params),
         "t_ref": model.t_ref,
         "unit": _one_line("unit", model.unit) or None,
     }
-    for key in _MODEL_FIELDS:
-        val = record[key]
+    for key, val in record.items():
         if val is None:
             continue
         rendered = val if isinstance(val, str) else format_float(val)
@@ -419,6 +412,7 @@ def write_model(path: PathLike, model: Model, comments: Sequence[str] = ()) -> N
 def read_model(path: PathLike) -> Model:
     from .models import Model, ModelKind, Params
 
+    names = ("kind", *(f.name for f in dataclasses.fields(Params)), "t_ref", "unit")
     fields: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):
@@ -429,10 +423,8 @@ def read_model(path: PathLike) -> Model:
                 raise ParseError(f"{path}: line {n}: expected 'key = value', got {stripped!r}")
             key, _, val = stripped.partition("=")
             key = key.strip()
-            if key not in _MODEL_FIELDS:
-                raise ConfigError(
-                    f"{path}: unknown model field {key!r}; expected one of {_MODEL_FIELDS}"
-                )
+            if key not in names:
+                raise ConfigError(f"{path}: unknown model field {key!r}; expected one of {names}")
             fields[key] = val.strip()
     if "kind" not in fields:
         raise ConfigError(f"{path}: model file is missing the 'kind' field")
@@ -449,11 +441,8 @@ def read_model(path: PathLike) -> Model:
         except ValueError:
             raise ParseError(f"{path}: cannot parse {key} = {val!r} as a number") from None
     t_ref = numeric.pop("t_ref", 0.0)
-    params = Params(
-        a=numeric.get("a"), b=numeric.get("b"), r=numeric.get("r"), C=numeric.get("C")
-    )
     try:
-        return Model(kind=kind, params=params, t_ref=t_ref, unit=unit)
+        return Model(kind=kind, params=Params(**numeric), t_ref=t_ref, unit=unit)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -473,11 +462,8 @@ def fit_report_comments(report: FitReport) -> list[str]:
 
 def write_projection(path: PathLike, proj: Projection) -> None:
     m = proj.model
-    p = m.params
     param_text = ", ".join(
-        f"{k} = {format_float(v)}"
-        for k, v in (("a", p.a), ("b", p.b), ("r", p.r), ("C", p.C))
-        if v is not None
+        f"{k} = {format_float(v)}" for k, v in vars(m.params).items() if v is not None
     )
     feat = proj.features
     meta = {

@@ -92,6 +92,9 @@ class Params:
     C is the normalization constant fixed by anchoring the trajectory to
     a data point; None until the model is normalized (fits other than
     the reciprocal-line hyperbolic fit leave it unset).
+
+    These fields are the one list of parameter names: model files,
+    projection headers and case data take them from here, in this order.
     """
 
     a: Optional[float] = None
@@ -142,8 +145,7 @@ class Model:
 
     def __post_init__(self) -> None:
         required, nonzero = _PARAM_RULES[self.kind]
-        p = self.params
-        for name, val in (("a", p.a), ("b", p.b), ("r", p.r), ("C", p.C), ("t_ref", self.t_ref)):
+        for name, val in (*vars(self.params).items(), ("t_ref", self.t_ref)):
             if val is None and name in required:
                 raise ValidationError(f"{self.kind.value} requires parameter {name!r}")
             if val is not None and not math.isfinite(val):
@@ -303,7 +305,7 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
         out = math.log(c) + (p.a / p.b) * np.exp(p.b * tp)
     elif kind is ModelKind.RATE_SHIFTED_EXP:
         c = _require_c(m, positive=True)
-        if p.a * p.b > 0:
+        if p.b != 0 and p.a / p.b > 0:
             _guard_singularity(tp, -math.log(p.a / p.b) / p.r, m)
         shifted = p.a - p.b * np.exp(-p.r * tp)
         if np.any(shifted <= 0):
@@ -489,25 +491,30 @@ def normalize(m: Model, t0: float, s0: float) -> Model:
         c = _scaled_reciprocal_constant(1.0 / s0 + p.b / p.a, p.a, tp, m.kind)
     else:
         # multiplicative C: ln |C| = ln |s0| - g(t0'); only a lifted
-        # anchor (ln s0) can be negative, and C takes its sign
-        if kind is ModelKind.EXP_CONST:
-            g = p.a * tp
-        elif kind is ModelKind.LINEAR_T:
-            g = p.a * tp + 0.5 * p.b * tp * tp
-        elif kind is ModelKind.RATE_RECIP_LINEAR:
-            lin = p.a + p.b * tp
-            if lin <= 0:
-                raise DomainError(f"anchor time outside domain: a + b*t' = {lin} <= 0")
-            g = math.log(lin) / p.b
-        elif kind is ModelKind.RATE_LN_LINEAR:
-            g = (p.a / p.b) * math.exp(p.b * tp)
-        elif kind is ModelKind.RATE_SHIFTED_EXP:
-            shifted = p.a - p.b * math.exp(-p.r * tp)
-            if shifted <= 0:
-                raise DomainError(f"anchor time outside domain: a - b*exp(-r*t') = {shifted} <= 0")
-            g = tp / p.a + math.log(shifted) / (p.r * p.a)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError(f"unknown model kind {kind!r}")
+        # anchor (ln s0) can be negative, and C takes its sign. Where math
+        # raises on a step of g (an exp overflows, r a underflows to 0),
+        # the trajectory at t0 leaves the float range too, so C is refused.
+        try:
+            if kind is ModelKind.EXP_CONST:
+                g = p.a * tp
+            elif kind is ModelKind.LINEAR_T:
+                g = p.a * tp + 0.5 * p.b * tp * tp
+            elif kind is ModelKind.RATE_RECIP_LINEAR:
+                lin = p.a + p.b * tp
+                if lin <= 0:
+                    raise DomainError(f"anchor time outside domain: a + b*t' = {lin} <= 0")
+                g = math.log(lin) / p.b
+            elif kind is ModelKind.RATE_LN_LINEAR:
+                g = (p.a / p.b) * math.exp(p.b * tp)
+            elif kind is ModelKind.RATE_SHIFTED_EXP:
+                shifted = p.a - p.b * math.exp(-p.r * tp)
+                if shifted <= 0:
+                    raise DomainError(f"anchor time outside domain: a - b*exp(-r*t') = {shifted} <= 0")
+                g = tp / p.a + math.log(shifted) / (p.r * p.a)
+            else:  # pragma: no cover - enum is exhaustive
+                raise ValidationError(f"unknown model kind {kind!r}")
+        except (OverflowError, ZeroDivisionError):
+            g = math.inf
         c = math.copysign(_exp_or_raise(math.log(abs(s0)) - g, m.kind), s0)
 
     return replace(m, params=replace(p, C=c))

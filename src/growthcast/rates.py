@@ -15,6 +15,11 @@ are provided:
   spacing (Gorry, Anal. Chem. 63:534, 1991), computed for all windows in
   one batched QR least-squares solve; see ``_local_poly_gradients`` for
   its rounding bound.
+
+Both run in one body, ``_rates``: it checks the series (refined rates
+need a full window; a zero value leaves either rate undefined), computes
+the chosen estimator's arrays and builds the ``RateSeries``. The public
+functions are calls of it.
 """
 
 from __future__ import annotations
@@ -100,16 +105,7 @@ def direct_rates(ts: TimeSeries) -> RateSeries:
     For each consecutive pair, R = (S[i+1] - S[i]) / (S[i] * (t[i+1]-t[i])),
     attributed to time t[i+1] with size S[i+1]; n points in, n-1 rates out.
     """
-    return RateSeries(*_direct(ts), source_label=ts.label, method=RateMethod.DIRECT)
-
-
-def _direct(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, rates, sizes) of :func:`direct_rates`."""
-    if np.any(ts.values == 0):
-        bad = int(np.argmax(ts.values == 0))
-        raise DomainError(f"direct rates undefined: series value 0 at t={ts.times[bad]}")
-    dt = np.diff(ts.times)
-    return ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
+    return _rates(ts, RateMethod.DIRECT, None, ts.label)
 
 
 def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
@@ -172,24 +168,7 @@ def refined_rates(ts: TimeSeries, cfg: SmoothingConfig | None = None) -> RateSer
     R at each point is the local-polynomial derivative of S divided by
     the raw series value there; one rate per input point.
     """
-    return RateSeries(*_refined(ts, cfg), source_label=ts.label, method=RateMethod.REFINED)
-
-
-def _refined(
-    ts: TimeSeries, cfg: SmoothingConfig | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, rates, sizes) of :func:`refined_rates`."""
-    if cfg is None:
-        cfg = SmoothingConfig()
-    if len(ts) < cfg.window:
-        raise ValidationError(
-            f"refined rates need at least window={cfg.window} points, series has {len(ts)}"
-        )
-    if np.any(ts.values == 0):
-        bad = int(np.argmax(ts.values == 0))
-        raise DomainError(f"refined rates undefined: series value 0 at t={ts.times[bad]}")
-    grads = _local_poly_gradients(ts.times, ts.values, cfg)
-    return ts.times, grads / ts.values, ts.values
+    return _rates(ts, RateMethod.REFINED, cfg, ts.label)
 
 
 def estimate_rates(
@@ -197,14 +176,28 @@ def estimate_rates(
 ) -> RateSeries:
     """Growth rates of a series by ``method``: :func:`direct_rates`, or
     :func:`refined_rates` with ``cfg``."""
-    return _estimate(ts, method, cfg, ts.label)
+    return _rates(ts, method, cfg, ts.label)
 
 
-def _estimate(
+def _rates(
     ts: TimeSeries, method: RateMethod, cfg: Optional[SmoothingConfig], label: str
 ) -> RateSeries:
-    """The rates by ``method``, labelled; the one place an estimator is chosen."""
-    arrays = _direct(ts) if method is RateMethod.DIRECT else _refined(ts, cfg)
+    """The rates of ``ts`` by ``method``, labelled: the one estimator body."""
+    if method is RateMethod.REFINED:
+        if cfg is None:
+            cfg = SmoothingConfig()
+        if len(ts) < cfg.window:
+            raise ValidationError(
+                f"refined rates need at least window={cfg.window} points, series has {len(ts)}"
+            )
+    if np.any(ts.values == 0):
+        bad = int(np.argmax(ts.values == 0))
+        raise DomainError(f"{method.value} rates undefined: series value 0 at t={ts.times[bad]}")
+    if method is RateMethod.DIRECT:
+        dt = np.diff(ts.times)
+        arrays = ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
+    else:
+        arrays = ts.times, _local_poly_gradients(ts.times, ts.values, cfg) / ts.values, ts.values
     return RateSeries(*arrays, source_label=label, method=method)
 
 
@@ -221,4 +214,4 @@ def rate_of_transform(
     on the transformed quantity work unchanged.
     """
     label = f"{ts.label} [{kind.value}]" if ts.label else f"[{kind.value}]"
-    return _estimate(transform_series(ts, kind), method, cfg, label)
+    return _rates(transform_series(ts, kind), method, cfg, label)

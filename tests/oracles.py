@@ -82,13 +82,6 @@ def rk4_log_integrate(
     return out
 
 
-def centered_log_derivative(
-    value: Callable[[float], float], t: float, h: float = 1e-4
-) -> float:
-    """d(ln f)/dt by a centered difference on ln f."""
-    return (math.log(value(t + h)) - math.log(value(t - h))) / (2 * h)
-
-
 def poly_derivative_over_value(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:
     """p'(t) / p(t) for a power-basis polynomial, via symbolic differentiation."""
     c = np.asarray(coeffs, dtype=float)

@@ -18,6 +18,10 @@ from growthcast.fileio import read_model, read_rates, write_rates
 DATA = Path(__file__).parent / "data"
 GDP_FIXTURE = DATA / "gdp_per_capita.csv"
 LOGISTIC_FIXTURE = DATA / "logistic_population.csv"
+_C_NOT_REPRESENTABLE = (
+    "normalization constant for {} is not float-representable (ln C = -inf); "
+    "re-express the model with t_ref near the anchor time"
+)
 
 
 def write_exponential_series(path, r=0.02, n=50):
@@ -475,6 +479,37 @@ class TestForecastCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "record, flags, message",
+        [
+            # b t0' = 711 overflows exp, though g = (a/b) e^(b t0') is finite
+            ("kind = rate_ln_linear\na = 1.33e-307\nb = 0.36\n",
+             ["--anchor", "1975:1", "--grid", "1975:1980:1"],
+             _C_NOT_REPRESENTABLE.format("rate_ln_linear")),
+            ("kind = rate_shifted_exp\na = 10\nb = 1\nr = 0.5\n",
+             ["--anchor=-2000:1", "--grid=-2000:-1990:1"],
+             _C_NOT_REPRESENTABLE.format("rate_shifted_exp")),
+            # r a underflows to 0
+            ("kind = rate_shifted_exp\na = 1e-200\nb = -1\nr = 1e-200\n",
+             ["--anchor=0:1", "--grid=0:3:1"], _C_NOT_REPRESENTABLE.format("rate_shifted_exp")),
+            # a / b underflows to 0, so there is no singular time to guard
+            ("kind = rate_shifted_exp\na = 1e-320\nb = 1e10\nr = 1\nC = 1\n",
+             ["--grid=0:3:1"], "rate_shifted_exp trajectory undefined where a - b*exp(-r*t') <= 0"),
+        ],
+        ids=["ln-linear-exp-overflow", "shifted-exp-overflow", "shifted-exp-ra-underflow",
+             "shifted-exp-ab-underflow"],
+    )
+    def test_derived_constant_beyond_float_range_is_exit_3(
+        self, tmp_path, capsys, record, flags, message
+    ):
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(record, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main(["forecast", str(model_file), *flags, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_finite_model_parameter_is_exit_2(self, tmp_path, capsys):
         model_file = tmp_path / "m.txt"
         model_file.write_text("kind = linear_t\na = nan\nb = 0.1\n", encoding="utf-8")
@@ -493,8 +528,10 @@ class TestForecastCommand:
             ("kind = linear_t\na 0.02\n", "line 2: expected 'key = value', got 'a 0.02'"),
             ("a = 0.02\nb = 0.1\n", "model file is missing the 'kind' field"),
             ("kind = linear_t\na = 0.02\nb = fast\n", "cannot parse b = 'fast' as a number"),
+            ("kind = linear_t\nA = 0.02\n", "unknown model field 'A'; expected one of "
+             "('kind', 'a', 'b', 'r', 'C', 't_ref', 'unit')"),
         ],
-        ids=["no-equals", "no-kind", "not-a-number"],
+        ids=["no-equals", "no-kind", "not-a-number", "unknown-field"],
     )
     def test_malformed_model_file_is_exit_2(self, tmp_path, capsys, text, message):
         model_file = tmp_path / "m.txt"
@@ -521,6 +558,11 @@ class TestForecastCommand:
              "--grid '0:1e17:1' has more points than can be allocated"),
             (["--anchor", "0:1", "--grid", "0:1e300:1e-16"],
              "--grid '0:1e300:1e-16' has more points than can be allocated"),
+            (["--anchor", "0:1", "--grid", "5:0:1"], "--grid needs stop > start and step > 0"),
+            (["--anchor", "0:1", "--grid", "0:5:0"], "--grid needs stop > start and step > 0"),
+            (["--anchor", "0:abc", "--grid", "0:5:1"], "--anchor must be numeric, got '0:abc'"),
+            (["--anchor", "0:1", "--grid", "0:5"],
+             "--grid must look like start:stop:step, got '0:5'"),
         ],
     )
     def test_bad_anchor_or_grid_names_its_flag(self, tmp_path, capsys, flags, message):

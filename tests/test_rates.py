@@ -65,7 +65,7 @@ class TestDirectRates:
         assert expected == pytest.approx(0.0202013, abs=1e-7)
 
     def test_zero_size_is_domain_error(self):
-        with pytest.raises(DomainError, match="t=1"):
+        with pytest.raises(DomainError, match=r"^direct rates undefined: series value 0 at t=1\.0$"):
             direct_rates(series([0, 1, 2], [1.0, 0.0, 2.0]))
 
     def test_output_has_n_minus_1_points(self):
@@ -121,8 +121,12 @@ class TestRefinedRates:
         t = np.arange(9, dtype=float)
         v = np.ones(9)
         v[4] = 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^refined rates undefined: series value 0 at t=4\.0$"):
             refined_rates(series(t, v))
+
+    def test_window_is_checked_before_zero_values(self):
+        with pytest.raises(ValidationError, match="need at least window=7 points, series has 3"):
+            refined_rates(series([0, 1, 2], [1.0, 0.0, 3.0]))
 
     def test_nonuniform_spacing_polynomial(self):
         rng = np.random.default_rng(11)

@@ -10,11 +10,13 @@ log and reciprocal), fit with every linearization (each with and without
 unanchored when the fit is normalized), integrate (discrete and
 ``--poly-degree``), diagnose, ``reproduce all``, one anchored forecast
 on a 10 001-point grid, longer than one write chunk of the data-file
-formatter, and a few invalid inputs. Every invocation gets its own
-directory under OUT_DIR holding the files it wrote, its stdout, its
-stderr and its exit code; inputs are copied into OUT_DIR and named by
-relative paths, so the tree does not depend on where the checkout
-lives.
+formatter, and a few invalid inputs: edge series (constant, zero values,
+a duplicate time), each through ``fit --linearization recip-s-vs-t`` and
+both rate methods, and invalid flag values; 329 runs in all. Every
+invocation gets its own directory under OUT_DIR holding the files it
+wrote, its stdout, its stderr and its exit code; inputs are copied into
+OUT_DIR and named by relative paths, so the tree does not depend on
+where the checkout lives.
 
 Two trees compare with ``diff -r``: the same checkout run twice must
 give identical trees (determinism), and a refactor must give the tree
@@ -47,6 +49,8 @@ RATE_FITS = {
 EDGE_SERIES = {
     "constant": "t,value\n0,2\n1,2\n2,2\n3,2\n",
     "zero_value": "t,value\n0,1\n1,2\n2,0\n3,4\n4,5\n",
+    # long enough for refined rates' default window, so they reach the zero check
+    "zero_value_7": "t,value\n0,1\n1,2\n2,3\n3,0\n4,5\n5,6\n6,7\n",
     "duplicate_time": "t,value\n0,1\n1,2\n1,3\n2,4\n",
 }
 # a model forecast on more grid points than one write chunk holds
@@ -159,6 +163,11 @@ def run_pipeline(out: Path) -> int:
             f"{stem}-fit-recip-s-vs-t", "fit", f"../../inputs/{stem}.csv",
             "--linearization", "recip-s-vs-t", "--out", "model.txt",
         )
+        for method in ("direct", "refined"):
+            rec.run(
+                f"{stem}-rates-{method}", "rates", f"../../inputs/{stem}.csv",
+                "--method", method, "--out", "rates.csv",
+            )
     rec.run("reproduce-all", "reproduce", "all", "--out", "reproduce")
     rec.run(
         "forecast-long-grid", "forecast", "../../inputs/long_model.txt",
