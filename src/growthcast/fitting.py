@@ -46,7 +46,7 @@ from .errors import (
     EmptyLinearizationError,
     ValidationError,
 )
-from .models import Model, ModelKind, Params
+from .models import Model, ModelKind, Params, _exp
 
 if TYPE_CHECKING:
     from .rates import RateSeries
@@ -294,14 +294,6 @@ def _shifted_ln(rates: np.ndarray, aux_a: Optional[float]) -> tuple[np.ndarray, 
     inv_r, keep = _reciprocal(rates)
     shifted = aux_a - inv_r
     return _log_kept(shifted, keep & (shifted > 0))
-
-
-def _exp(x: float) -> float:
-    """e^x, or inf beyond the float range, so that ``Model`` names the parameter."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _all_kept(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,13 @@ All trajectory evaluation happens on ln S internally and exponentiates
 only at the output boundary, so families whose exponents reach several
 hundred on raw calendar years stay evaluable.
 
+A value beyond the float range follows one rule per kind of step:
+``_exp`` (e^x, or inf) is the one exp of a derived constant; ``normalize``
+refuses every kind's C that is not float-representable by one DomainError;
+``trajectory_at`` evaluates quietly, and its callers name an inf or nan;
+``features`` makes a feature time beyond the range NONE and leaves such a
+size out, each with a note.
+
 LINEAR_S with b < 0 is logistic growth (approaches a/|b|); with b > 0 it
 is pseudo-hyperbolic (diverges at a finite time). HYPERBOLIC is kept as
 its own family rather than the a = 0 limit of LINEAR_S: the LINEAR_S
@@ -61,9 +68,6 @@ SINGULARITY_GUARD_YEARS = 1e-9
 
 #: |ln C| beyond this cannot be represented as a float C.
 _LOG_FLOAT_LIMIT = 700.0
-
-#: exp(x) is a finite float for x below this.
-_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class ModelKind(Enum):
@@ -320,10 +324,10 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
 
 
 def trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
-    """S(t) of a normalized model, exp of the log-space evaluation."""
-    lns = log_trajectory_at(m, t)
-    with np.errstate(over="ignore"):
-        out = np.exp(lns)
+    """S(t) of a normalized model, exp of the log-space evaluation. Quiet:
+    a size beyond the float range is inf or nan, for the caller to name."""
+    with np.errstate(all="ignore"):
+        out = np.exp(log_trajectory_at(m, t))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -384,14 +388,16 @@ def features(m: Model) -> Features:
     """The model's critical point: maximum, asymptote, singularity, or NONE.
 
     Kinds whose feature location or value depends on the normalization
-    constant require a normalized model. A size beyond the float range
-    is left out (s_star None) and the note says so; a feature whose time
-    is beyond it is NONE, with a note naming the feature.
+    constant require a normalized model. A feature whose time is beyond
+    the float range is NONE, and a size beyond it is left out (s_star
+    None); the note names the feature.
     """
     feat = _critical_point(m)
-    if feat.t_star is None or math.isfinite(feat.t_star):
-        return feat
-    return Features(FeatureKind.NONE, note=f"{feat.kind.value} time is beyond the float range")
+    if feat.t_star is not None and not math.isfinite(feat.t_star):
+        return Features(FeatureKind.NONE, note=f"{feat.kind.value} time is beyond the float range")
+    if feat.s_star is not None and not math.isfinite(feat.s_star):
+        return replace(feat, s_star=None, note=f"{feat.kind.value} size is beyond the float range")
+    return feat
 
 
 def _critical_point(m: Model) -> Features:
@@ -405,14 +411,13 @@ def _critical_point(m: Model) -> Features:
     if kind is ModelKind.LINEAR_T:
         # a lifted F = C e^g with C < 0 turns the extremum of g upside down
         flip = lifted and _require_c(m) < 0
+        t_star = m.t_ref - p.a / p.b if p.b != 0 else None
         if p.b != 0 and (p.b < 0) != flip:
-            t_star = m.t_ref - p.a / p.b
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _sized(FeatureKind.MAXIMUM, trajectory_at(m, t_star), t_star)
+            return Features(FeatureKind.MAXIMUM, t_star=t_star, s_star=trajectory_at(m, t_star))
         if flip and p.b < 0:
+            where = f"at t = {t_star}" if math.isfinite(t_star) else "beyond the float range"
             return Features(
-                FeatureKind.NONE,
-                note=f"C < 0: ln S is negative with a minimum of S at t = {m.t_ref - p.a / p.b}",
+                FeatureKind.NONE, note=f"C < 0: ln S is negative with a minimum of S {where}"
             )
         return Features(FeatureKind.NONE, note="rate never crosses zero from above (b >= 0)")
 
@@ -425,10 +430,8 @@ def _critical_point(m: Model) -> Features:
     if kind is ModelKind.LINEAR_S:
         if p.b < 0:
             if p.a > 0:
-                s_star = -p.a / p.b
-                if lifted:
-                    s_star = math.exp(s_star) if s_star < _LN_FLOAT_MAX else math.inf
-                return _sized(FeatureKind.ASYMPTOTE, s_star)
+                s_star = _exp(-p.a / p.b) if lifted else -p.a / p.b
+                return Features(FeatureKind.ASYMPTOTE, s_star=s_star)
             return Features(FeatureKind.NONE, note="a < 0 and b < 0: rate negative, decaying size")
         ts = _linear_s_singular_time(p.a, p.b, _require_c(m))
         if ts is None:
@@ -457,13 +460,6 @@ def _critical_point(m: Model) -> Features:
     raise ValidationError(f"unknown model kind {kind!r}")  # pragma: no cover
 
 
-def _sized(kind: FeatureKind, s_star: float, t_star: Optional[float] = None) -> Features:
-    """A feature that has a size; one beyond the float range is left out."""
-    if math.isfinite(s_star):
-        return Features(kind, t_star=t_star, s_star=s_star)
-    return Features(kind, t_star=t_star, note=f"{kind.value} size is beyond the float range")
-
-
 def normalize(m: Model, t0: float, s0: float) -> Model:
     """Fix the normalization constant so the trajectory passes (t0, s0).
 
@@ -483,58 +479,57 @@ def normalize(m: Model, t0: float, s0: float) -> Model:
         if s0 == 0.0:
             raise DomainError(f"{m.kind.value} cannot anchor at s0 = 1 (ln s0 = 0)")
 
-    if kind is ModelKind.HYPERBOLIC:
-        c = 1.0 / s0 + p.b * tp
-    elif kind is ModelKind.LINEAR_S:
-        if s0 < 0:  # only a lifted anchor, ln s0, can be negative
-            raise DomainError(f"{m.kind.value} closed form needs ln s0 > 0, got ln s0 = {s0}")
-        c = _scaled_reciprocal_constant(1.0 / s0 + p.b / p.a, p.a, tp, m.kind)
-    else:
-        # multiplicative C: ln |C| = ln |s0| - g(t0'); only a lifted
-        # anchor (ln s0) can be negative, and C takes its sign. Where math
-        # raises on a step of g (an exp overflows, r a underflows to 0),
-        # the trajectory at t0 leaves the float range too, so C is refused.
-        try:
-            if kind is ModelKind.EXP_CONST:
-                g = p.a * tp
-            elif kind is ModelKind.LINEAR_T:
-                g = p.a * tp + 0.5 * p.b * tp * tp
-            elif kind is ModelKind.RATE_RECIP_LINEAR:
-                lin = p.a + p.b * tp
-                if lin <= 0:
-                    raise DomainError(f"anchor time outside domain: a + b*t' = {lin} <= 0")
-                g = math.log(lin) / p.b
-            elif kind is ModelKind.RATE_LN_LINEAR:
-                g = (p.a / p.b) * math.exp(p.b * tp)
-            elif kind is ModelKind.RATE_SHIFTED_EXP:
-                shifted = p.a - p.b * math.exp(-p.r * tp)
-                if shifted <= 0:
-                    raise DomainError(f"anchor time outside domain: a - b*exp(-r*t') = {shifted} <= 0")
-                g = tp / p.a + math.log(shifted) / (p.r * p.a)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ValidationError(f"unknown model kind {kind!r}")
-        except (OverflowError, ZeroDivisionError):
-            g = math.inf
-        c = math.copysign(_exp_or_raise(math.log(abs(s0)) - g, m.kind), s0)
-
+    # C = 1/s0 + b t0' for hyperbolic, else C = K e^(-g(t0')): K = s0 (only
+    # a lifted anchor, ln s0, can be negative, and C takes its sign), or
+    # K = 1/s0 + b/a for linear_s. Where math raises on a step (an exp
+    # overflows, r a underflows to 0), the trajectory at t0 leaves the
+    # float range, and the refusal names that.
+    k, why = s0, ""
+    try:
+        if kind is ModelKind.HYPERBOLIC:
+            c = 1.0 / s0 + p.b * tp
+        elif kind is ModelKind.LINEAR_S:
+            if s0 < 0:
+                raise DomainError(f"{m.kind.value} closed form needs ln s0 > 0, got ln s0 = {s0}")
+            k, g = 1.0 / s0 + p.b / p.a, -p.a * tp  # C = 0 where K = 0
+        elif kind is ModelKind.EXP_CONST:
+            g = p.a * tp
+        elif kind is ModelKind.LINEAR_T:
+            g = p.a * tp + 0.5 * p.b * tp * tp
+        elif kind is ModelKind.RATE_RECIP_LINEAR:
+            lin = p.a + p.b * tp
+            if lin <= 0:
+                raise DomainError(f"anchor time outside domain: a + b*t' = {lin} <= 0")
+            g = math.log(lin) / p.b
+        elif kind is ModelKind.RATE_LN_LINEAR:
+            g = (p.a / p.b) * math.exp(p.b * tp)
+        elif kind is ModelKind.RATE_SHIFTED_EXP:
+            shifted = p.a - p.b * math.exp(-p.r * tp)
+            if shifted <= 0:
+                raise DomainError(f"anchor time outside domain: a - b*exp(-r*t') = {shifted} <= 0")
+            g = tp / p.a + math.log(shifted) / (p.r * p.a)
+        else:  # pragma: no cover - enum is exhaustive
+            raise ValidationError(f"unknown model kind {kind!r}")
+        if kind is not ModelKind.HYPERBOLIC:
+            log_c = math.log(abs(k)) - g if k else 0.0  # a NaN ln C fails the bound below
+            c = k and math.copysign(_exp(log_c), k) if abs(log_c) <= _LOG_FLOAT_LIMIT else math.nan
+    except (OverflowError, ZeroDivisionError):
+        c, why = math.nan, f"the trajectory leaves the float range at t0 = {t0}"
+    if not math.isfinite(c):
+        why = why or (f"C = {c}" if kind is ModelKind.HYPERBOLIC else f"ln C = {log_c:.1f}")
+        raise DomainError(
+            f"normalization constant for {m.kind.value} is not float-representable "
+            f"({why}); re-express the model with t_ref near the anchor time"
+        )
     return replace(m, params=replace(p, C=c))
 
 
-def _exp_or_raise(log_c: float, kind: ModelKind) -> float:
-    if abs(log_c) > _LOG_FLOAT_LIMIT:
-        raise DomainError(
-            f"normalization constant for {kind.value} is not float-representable "
-            f"(ln C = {log_c:.1f}); re-express the model with t_ref near the anchor time"
-        )
-    return math.exp(log_c)
-
-
-def _scaled_reciprocal_constant(k: float, a: float, tp: float, kind: ModelKind) -> float:
-    """C = K * exp(a t') with overflow guarded through logs; K = 0 allowed."""
-    if k == 0.0:
-        return 0.0
-    log_c = math.log(abs(k)) + a * tp
-    return math.copysign(_exp_or_raise(log_c, kind), k)
+def _exp(x: float) -> float:
+    """e^x, or inf beyond the float range: the one exp of a derived constant."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def integrate_rational(a: float, b: float, c: float, e: float, x1: float, x2: float) -> float:

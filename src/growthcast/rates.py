@@ -193,11 +193,15 @@ def _rates(
     if np.any(ts.values == 0):
         bad = int(np.argmax(ts.values == 0))
         raise DomainError(f"{method.value} rates undefined: series value 0 at t={ts.times[bad]}")
-    if method is RateMethod.DIRECT:
-        dt = np.diff(ts.times)
-        arrays = ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
-    else:
-        arrays = ts.times, _local_poly_gradients(ts.times, ts.values, cfg) / ts.values, ts.values
+    with np.errstate(all="ignore"):
+        if method is RateMethod.DIRECT:
+            dt = np.diff(ts.times)
+            arrays = ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
+        else:
+            arrays = ts.times, _local_poly_gradients(ts.times, ts.values, cfg) / ts.values, ts.values
+    if not np.isfinite(arrays[1]).all():
+        bad = int(np.argmax(~np.isfinite(arrays[1])))
+        raise DomainError(f"{method.value} rates are beyond the float range at t = {arrays[0][bad]}")
     return RateSeries(*arrays, source_label=label, method=method)
 
 

@@ -219,7 +219,11 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
         if np.any(ts.values == 0):
             bad = int(np.argmax(ts.values == 0))
             raise DomainError(f"reciprocal transform hit a zero value at t={ts.times[bad]}")
-        new_values = 1.0 / ts.values
+        with np.errstate(over="ignore"):
+            new_values = 1.0 / ts.values
+        if not np.isfinite(new_values).all():
+            bad = int(np.argmax(~np.isfinite(new_values)))
+            raise DomainError(f"reciprocal transform leaves the float range at t={ts.times[bad]}")
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown transform {kind!r}")
     unit = transformed_unit(ts.unit, kind)

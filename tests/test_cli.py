@@ -19,9 +19,10 @@ DATA = Path(__file__).parent / "data"
 GDP_FIXTURE = DATA / "gdp_per_capita.csv"
 LOGISTIC_FIXTURE = DATA / "logistic_population.csv"
 _C_NOT_REPRESENTABLE = (
-    "normalization constant for {} is not float-representable (ln C = -inf); "
+    "normalization constant for {} is not float-representable ({}); "
     "re-express the model with t_ref near the anchor time"
 )
+_LEAVES_AT = "the trajectory leaves the float range at t0 = {}"
 
 
 def write_exponential_series(path, r=0.02, n=50):
@@ -57,6 +58,24 @@ class TestRatesCommand:
         code = main(["rates", str(src), "--transform", "log", "--out", str(out)])
         assert code == 3
         assert "log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "direct"], "direct rates are beyond the float range at t = 1.0"),
+            (["--method", "refined"], "refined rates are beyond the float range at t = 0.0"),
+            (["--transform", "reciprocal"], "reciprocal transform leaves the float range at t=3.0"),
+        ],
+        ids=["direct", "refined", "reciprocal"],
+    )
+    def test_rates_beyond_float_range_are_exit_3(self, tmp_path, capsys, flags, message):
+        src = tmp_path / "s.csv"
+        src.write_text("t,value\n0,1e308\n1,-1e308\n2,1e308\n3,5e-324\n4,1e308\n5,1\n6,2\n7,3\n")
+        out = tmp_path / "r.csv"
+        code = main(["rates", str(src), *flags, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_reciprocal_transform_unit(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -191,7 +210,21 @@ class TestFitCommand:
             "--unit", "thousands", "--out", str(tmp_path / "m.txt"),
         ])
         assert code == 2
-        assert "millions" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: size-dependent fit refused: --unit 'thousands' disagrees with "
+            "the rates file unit 'millions'\n"
+        )
+
+    def test_size_independent_fit_takes_a_different_unit(self, tmp_path):
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--unit", "usd", "--out", str(rates)]) == 0
+        model_file = tmp_path / "m.txt"
+        code = main([
+            "fit", str(rates), "--linearization", "r-vs-t", "--unit", "eur",
+            "--out", str(model_file),
+        ])
+        assert code == 0
+        assert read_model(model_file).unit == "eur"
 
     def test_non_finite_size_in_rates_file_is_exit_2(self, tmp_path, capsys):
         rates = tmp_path / "r.csv"
@@ -454,6 +487,27 @@ class TestForecastCommand:
         assert f"# feature: none ({feature} time is beyond the float range)\n" in text
         assert "inf" not in text
 
+    def test_loglog_t_minimum_beyond_float_range_names_no_time(self, tmp_path, capsys):
+        # C < 0 (anchor below S = 1) and -a/b overflows
+        model_file = tmp_path / "m.txt"
+        model_file.write_text(
+            "kind = loglog_t\na = 5.460987896459454e+217\nb = -5.2160937140885485e-230\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model_file), "--anchor=0.0:1.4125245691891383e-05",
+            "--grid=0.0:10.0:1", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert (
+            "# feature: none (C < 0: ln S is negative with a minimum of S beyond the float range)\n"
+            in text
+        )
+        assert "inf" not in text
+
     def test_linear_s_without_a_finite_singular_time_is_exit_3(self, tmp_path, capsys):
         # a * C underflows to 0 in the singular time's ratio b / (a C)
         model_file = tmp_path / "m.txt"
@@ -485,19 +539,27 @@ class TestForecastCommand:
             # b t0' = 711 overflows exp, though g = (a/b) e^(b t0') is finite
             ("kind = rate_ln_linear\na = 1.33e-307\nb = 0.36\n",
              ["--anchor", "1975:1", "--grid", "1975:1980:1"],
-             _C_NOT_REPRESENTABLE.format("rate_ln_linear")),
+             _C_NOT_REPRESENTABLE.format("rate_ln_linear", _LEAVES_AT.format(1975.0))),
             ("kind = rate_shifted_exp\na = 10\nb = 1\nr = 0.5\n",
              ["--anchor=-2000:1", "--grid=-2000:-1990:1"],
-             _C_NOT_REPRESENTABLE.format("rate_shifted_exp")),
+             _C_NOT_REPRESENTABLE.format("rate_shifted_exp", _LEAVES_AT.format(-2000.0))),
             # r a underflows to 0
             ("kind = rate_shifted_exp\na = 1e-200\nb = -1\nr = 1e-200\n",
-             ["--anchor=0:1", "--grid=0:3:1"], _C_NOT_REPRESENTABLE.format("rate_shifted_exp")),
+             ["--anchor=0:1", "--grid=0:3:1"],
+             _C_NOT_REPRESENTABLE.format("rate_shifted_exp", _LEAVES_AT.format(0.0))),
+            # g = t0'/a + ln(a - b e^(-r t0'))/(r a) = inf - inf
+            ("kind = rate_shifted_exp\na = 1e-315\nb = 1\nr = 1\n",
+             ["--anchor=1000:1", "--grid=1000:1003:1"],
+             _C_NOT_REPRESENTABLE.format("rate_shifted_exp", "ln C = nan")),
+            # C = 1/s0 + b t0' overflows
+            ("kind = hyperbolic\nb = 1e300\nt_ref = -1e10\n", ["--anchor=0:1", "--grid=0:3:1"],
+             _C_NOT_REPRESENTABLE.format("hyperbolic", "C = inf")),
             # a / b underflows to 0, so there is no singular time to guard
             ("kind = rate_shifted_exp\na = 1e-320\nb = 1e10\nr = 1\nC = 1\n",
              ["--grid=0:3:1"], "rate_shifted_exp trajectory undefined where a - b*exp(-r*t') <= 0"),
         ],
         ids=["ln-linear-exp-overflow", "shifted-exp-overflow", "shifted-exp-ra-underflow",
-             "shifted-exp-ab-underflow"],
+             "shifted-exp-nan", "hyperbolic-overflow", "shifted-exp-ab-underflow"],
     )
     def test_derived_constant_beyond_float_range_is_exit_3(
         self, tmp_path, capsys, record, flags, message

@@ -10,9 +10,11 @@ log and reciprocal), fit with every linearization (each with and without
 unanchored when the fit is normalized), integrate (discrete and
 ``--poly-degree``), diagnose, ``reproduce all``, one anchored forecast
 on a 10 001-point grid, longer than one write chunk of the data-file
-formatter, and a few invalid inputs: edge series (constant, zero values,
-a duplicate time), each through ``fit --linearization recip-s-vs-t`` and
-both rate methods, and invalid flag values; 329 runs in all. Every
+formatter, anchored forecasts of three hand-written models whose feature
+time or size is beyond the float range, and a few invalid inputs: edge
+series (constant, zero values, a duplicate time), each through ``fit
+--linearization recip-s-vs-t`` and both rate methods, and invalid flag
+values; 332 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -56,6 +58,16 @@ EDGE_SERIES = {
 # a model forecast on more grid points than one write chunk holds
 # (fileio._CHUNK_ROWS = 8192 rows)
 LONG_MODEL = "kind = linear_t\na = 0.252\nb = -0.0001197\nunit = persons\n"
+# models whose feature is beyond the float range: name -> (model file
+# text, forecast anchor, forecast grid)
+FLOAT_RANGE_MODELS = {
+    # t_star = -a/b overflows
+    "maximum-time": ("kind = linear_t\na = 1\nb = -6.35e-318\n", "0:1", "0:3:1"),
+    # S(t_star) = e^800
+    "maximum-size": ("kind = linear_t\na = 40\nb = -1\n", "0:1", "0:3:1"),
+    # S* = e^800
+    "asymptote-size": ("kind = loglog_s\na = 800\nb = -1\n", "0:10", "0:0.003:0.001"),
+}
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -100,6 +112,8 @@ def run_pipeline(out: Path) -> int:
     for stem, text in EDGE_SERIES.items():
         (inputs / f"{stem}.csv").write_text(text, encoding="utf-8")
     (inputs / "long_model.txt").write_text(LONG_MODEL, encoding="utf-8")
+    for name, (text, _, _) in FLOAT_RANGE_MODELS.items():
+        (inputs / f"{name}.txt").write_text(text, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -173,6 +187,11 @@ def run_pipeline(out: Path) -> int:
         "forecast-long-grid", "forecast", "../../inputs/long_model.txt",
         "--anchor", "1950:2.5e9", "--grid", "1950:2050:0.01", "--out", "projection.csv",
     )
+    for name, (_, anchor, grid) in FLOAT_RANGE_MODELS.items():
+        rec.run(
+            f"forecast-{name}", "forecast", f"../../inputs/{name}.txt",
+            "--anchor", anchor, "--grid", grid, "--out", "projection.csv",
+        )
     series = f"../../inputs/{next(iter(FIXTURES))}.csv"
     for name, (command, *flags) in INVALID_FLAGS.items():
         rec.run(name, command, series, *flags)
