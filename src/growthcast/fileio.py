@@ -222,22 +222,31 @@ def _tables() -> tuple[np.ndarray, ...]:
     give the point byte (value 0) a ".", and pad the bytes from the
     length on.
     """
-    forms, suffixes = [], []
-    for dp in range(-_DECPT, _DECPT + 1):
-        if 1 <= dp <= 16:
-            point, fewest, before, suffix = dp, dp + 2, 0, b""
-        elif -3 <= dp <= 0:
-            point, fewest, before, suffix = 17, 0, 2 - dp, b""
-        else:
-            point, fewest, before, suffix = 1, 0, 0, b"e%+03d" % (dp - 1)
-        forms.append((point, fewest, before, len(suffix)))
-        suffixes.append(int.from_bytes(suffix, "little") ^ ((1 << 8 * len(suffix)) - 1))
+    dp = np.arange(-_DECPT, _DECPT + 1)
+    plain = (1 <= dp) & (dp <= 16)
+    small = (-3 <= dp) & (dp <= 0)
+    # the exponent text "e%+03d" % (dp - 1), one byte a column, of 4 or 5 bytes
+    e = np.abs(dp - 1)
+    three = e >= 100
+    size = np.where(plain | small, 0, 4 + three)
+    digits = np.stack((e // 100, e // 10 % 10, e % 10), axis=1)
+    text = np.zeros((dp.size, 8), np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(dp > 1, ord("+"), ord("-"))
+    text[:, 2:5] = ord("0") + np.where(three[:, None], digits, np.roll(digits, -1, axis=1))
+    text[np.arange(8) >= size[:, None]] = 0xFF  # so that the XOR leaves 0 there
+    forms = np.stack((
+        np.where(plain, dp, np.where(small, 17, 1)),
+        np.where(plain, dp + 2, 0),
+        np.where(small, 2 - dp, 0),
+        size,
+    )).astype(np.intp)
     marks = np.full((18, 19, _CELL), ord("0"), np.uint8)
     marks[np.arange(18), :, np.arange(18)] = ord(".")
     marks[:, np.arange(19)[:, None] <= np.arange(_CELL)] = _PAD[0]
     return (
-        np.array(forms, np.intp).T.copy(),
-        np.array(suffixes, np.uint64),
+        forms,
+        (~text).view("<u8").ravel().astype(np.uint64),
         marks.view("<u8").reshape(18 * 19, 3).T.astype(np.uint64),
     )
 

@@ -248,9 +248,11 @@ def compare_scenarios(
     (relative to the smallest value) are marked indistinguishable: up to
     that horizon the data cannot tell the scenarios apart. Values at
     report years come from the models directly, not from grid
-    interpolation. A year past a scenario's singularity, or where its
-    size is beyond the float range, yields None, and a year where fewer
-    than two scenarios have a value is flagged None.
+    interpolation: one ``trajectory_at`` call over all report years per
+    projection, or, when that call raises a NumericError, one call per
+    year. A year past a scenario's singularity, or where its size is
+    beyond the float range, yields None, and a year where fewer than two
+    scenarios have a value is flagged None.
     """
     if not projections:
         raise ConfigError("compare_scenarios needs at least one projection")
@@ -261,17 +263,13 @@ def compare_scenarios(
     years = tuple(float(y) for y in report_years)
     rows = []
     for p in projections:
-        vals: list[Optional[float]] = []
-        for y in years:
-            try:
-                v = float(trajectory_at(p.model, y))
-            except NumericError:
-                v = math.nan
-            vals.append(v if math.isfinite(v) else None)
+        try:
+            vals = trajectory_at(p.model, np.array(years)).tolist()
+        except NumericError:  # some year is refused: evaluate them one by one
+            vals = [_value_or_nan(p.model, y) for y in years]
+        values = tuple(v if math.isfinite(v) else None for v in vals)
         rows.append(
-            ScenarioRow(
-                label=p.series.label, values=tuple(vals), features=p.features, anchor=p.anchor
-            )
+            ScenarioRow(label=p.series.label, values=values, features=p.features, anchor=p.anchor)
         )
 
     flags: list[Optional[bool]] = []
@@ -290,3 +288,11 @@ def compare_scenarios(
         threshold=threshold,
         unit=units.pop(),
     )
+
+
+def _value_or_nan(m: Model, year: float) -> float:
+    """S(year) of ``m``, or nan where the model refuses the year."""
+    try:
+        return float(trajectory_at(m, year))
+    except NumericError:
+        return math.nan

@@ -33,7 +33,8 @@ hundred on raw calendar years stay evaluable.
 A value beyond the float range follows one rule per kind of step:
 ``_exp`` (e^x, or inf) is the one exp of a derived constant; ``normalize``
 refuses every kind's C that is not float-representable by one DomainError;
-``trajectory_at`` evaluates quietly, and its callers name an inf or nan;
+``trajectory_at``, ``log_trajectory_at`` and ``rate_at`` evaluate quietly,
+and their callers name an inf or nan;
 ``features`` makes a feature time beyond the range NONE and leaves such a
 size out, each with a note.
 
@@ -194,7 +195,7 @@ def _require_c(m: Model, positive: bool = False) -> float:
 def _guard_singularity(tp: np.ndarray, t_sing_prime: float, m: Model) -> None:
     """Refuse evaluation within the guard band of a singular time."""
     t_star = m.t_ref + t_sing_prime
-    if np.any(np.abs(tp - t_sing_prime) <= SINGULARITY_GUARD_YEARS):
+    if (np.abs(tp - t_sing_prime) <= SINGULARITY_GUARD_YEARS).any():
         raise SingularityError(
             f"{m.kind.value} trajectory is singular at t = {t_star}; "
             f"evaluation requested within {SINGULARITY_GUARD_YEARS} years"
@@ -226,21 +227,24 @@ def _log_recip_denominator(m: Model, tp: np.ndarray) -> np.ndarray:
             fail()
         return np.full_like(tp, math.log(-q))
 
+    def log_denominator(w: np.ndarray) -> np.ndarray:
+        denom = math.copysign(1.0, c) * np.exp(w) - q
+        if (denom <= 0).any():
+            fail()
+        return np.log(denom)
+
     w = math.log(abs(c)) - a * tp
-    sign_c = math.copysign(1.0, c)
-    out = np.empty_like(w)
     big = w > 600.0  # exponential term dominates any float-size b/a
-    if np.any(big):
-        if sign_c < 0:
-            fail()
-        wb = w[big]
-        out[big] = wb + np.log1p(-q * np.exp(-wb))
+    if not big.any():
+        return log_denominator(w)
+    if c < 0:
+        fail()
+    out = np.empty_like(w)
+    wb = w[big]
+    out[big] = wb + np.log1p(-q * np.exp(-wb))
     rest = ~big
-    if np.any(rest):
-        denom = sign_c * np.exp(w[rest]) - q
-        if np.any(denom <= 0):
-            fail()
-        out[rest] = np.log(denom)
+    if rest.any():
+        out[rest] = log_denominator(w[rest])
     return out
 
 
@@ -261,7 +265,15 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
     Raises SingularityError within 1e-9 years of a finite-time
     singularity and DomainError where the closed form is undefined
     (e.g. past the singular time of a pseudo-hyperbolic trajectory).
+    Quiet: a value beyond the float range is inf or nan, with no numpy
+    warning.
     """
+    with np.errstate(all="ignore"):
+        return _log_trajectory(m, t)
+
+
+def _log_trajectory(m: Model, t: ArrayLike) -> ArrayLike:
+    """The log-space evaluation body, with no errstate of its own: each caller sets one."""
     tt, scalar = _as_array(t)
     tp = tt - m.t_ref
     p = m.params
@@ -280,7 +292,7 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
         c = _require_c(m)
         _guard_singularity(tp, c / p.b, m)
         denom = c - p.b * tp
-        if np.any(denom <= 0):
+        if (denom <= 0).any():
             raise DomainError(
                 f"hyperbolic trajectory undefined where C - b*t' <= 0 "
                 f"(singular at t = {m.t_ref + c / p.b})"
@@ -298,7 +310,7 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
         c = _require_c(m, positive=True)
         _guard_singularity(tp, -p.a / p.b, m)
         lin = p.a + p.b * tp
-        if np.any(lin <= 0):
+        if (lin <= 0).any():
             raise DomainError(
                 f"rate_recip_linear trajectory undefined where a + b*t' <= 0 "
                 f"(boundary at t = {m.t_ref - p.a / p.b})"
@@ -312,7 +324,7 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
         if p.b != 0 and p.a / p.b > 0:
             _guard_singularity(tp, -math.log(p.a / p.b) / p.r, m)
         shifted = p.a - p.b * np.exp(-p.r * tp)
-        if np.any(shifted <= 0):
+        if (shifted <= 0).any():
             raise DomainError(
                 "rate_shifted_exp trajectory undefined where a - b*exp(-r*t') <= 0"
             )
@@ -327,8 +339,8 @@ def trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
     """S(t) of a normalized model, exp of the log-space evaluation. Quiet:
     a size beyond the float range is inf or nan, for the caller to name."""
     with np.errstate(all="ignore"):
-        out = np.exp(log_trajectory_at(m, t))
-    return float(out) if np.ndim(out) == 0 else out
+        out = np.exp(_log_trajectory(m, t))
+    return float(out) if out.ndim == 0 else out
 
 
 def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
@@ -338,8 +350,15 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
     model must be normalized and s defaults to trajectory_at(m, t). For
     the lifted kinds the returned value is the growth rate of S itself,
     obtained by chain rule from the rate of F = ln S:
-    (1/S) dS/dt = dF/dt = F * R_F.
+    (1/S) dS/dt = dF/dt = F * R_F. Quiet: a rate beyond the float range
+    is inf or nan, with no numpy warning.
     """
+    with np.errstate(all="ignore"):
+        return _rate(m, t, s)
+
+
+def _rate(m: Model, t: ArrayLike, s: Optional[ArrayLike]) -> ArrayLike:
+    """The rate law body of :func:`rate_at`, which sets its errstate."""
     tt, scalar = _as_array(t)
     tp = tt - m.t_ref
     p = m.params
@@ -350,7 +369,7 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
             s = trajectory_at(m, tt if not scalar else float(tt))
         s_arr = np.asarray(s, dtype=float)
         if kind is not m.kind:
-            if np.any(s_arr <= 0):
+            if (s_arr <= 0).any():
                 raise DomainError(f"{m.kind.value} rate needs s > 0 (it scales with ln s)")
             s_arr = np.log(s_arr)  # the base law sees F = ln S
     else:
@@ -366,14 +385,14 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
         out = p.a + p.b * s_arr
     elif kind is ModelKind.RATE_RECIP_LINEAR:
         lin = p.a + p.b * tp
-        if np.any(lin == 0):
+        if (lin == 0).any():
             raise SingularityError(f"rate singular where a + b*t' = 0 (t = {m.t_ref - p.a / p.b})")
         out = 1.0 / lin
     elif kind is ModelKind.RATE_LN_LINEAR:
         out = p.a * np.exp(p.b * tp)
     elif kind is ModelKind.RATE_SHIFTED_EXP:
         shifted = p.a - p.b * np.exp(-p.r * tp)
-        if np.any(shifted == 0):
+        if (shifted == 0).any():
             raise SingularityError("rate singular where a - b*exp(-r*t') = 0")
         out = 1.0 / shifted
     else:  # pragma: no cover - enum is exhaustive

@@ -20,6 +20,12 @@ Both run in one body, ``_rates``: it checks the series (refined rates
 need a full window; a zero value leaves either rate undefined), computes
 the chosen estimator's arrays and builds the ``RateSeries``. The public
 functions are calls of it.
+
+``_rates`` builds its record unchecked (``timeseries._unchecked``): the
+times and sizes are those of the already validated ``TimeSeries`` (or
+their tail), so they are finite, strictly increasing and at least one,
+and the rates have just been checked finite. ``RateSeries(...)`` itself
+keeps every check for rates read from files or built by a caller.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .timeseries import TimeSeries, TransformKind, transform_series
+from .timeseries import TimeSeries, TransformKind, _unchecked, transform_series
 
 
 class RateMethod(Enum):
@@ -190,19 +196,22 @@ def _rates(
             raise ValidationError(
                 f"refined rates need at least window={cfg.window} points, series has {len(ts)}"
             )
-    if np.any(ts.values == 0):
+    if (ts.values == 0).any():
         bad = int(np.argmax(ts.values == 0))
         raise DomainError(f"{method.value} rates undefined: series value 0 at t={ts.times[bad]}")
     with np.errstate(all="ignore"):
         if method is RateMethod.DIRECT:
-            dt = np.diff(ts.times)
-            arrays = ts.times[1:], np.diff(ts.values) / (ts.values[:-1] * dt), ts.values[1:]
+            times, sizes = ts.times[1:], ts.values[1:]
+            rates = np.diff(ts.values) / (ts.values[:-1] * np.diff(ts.times))
         else:
-            arrays = ts.times, _local_poly_gradients(ts.times, ts.values, cfg) / ts.values, ts.values
-    if not np.isfinite(arrays[1]).all():
-        bad = int(np.argmax(~np.isfinite(arrays[1])))
-        raise DomainError(f"{method.value} rates are beyond the float range at t = {arrays[0][bad]}")
-    return RateSeries(*arrays, source_label=label, method=method)
+            times, sizes = ts.times, ts.values
+            rates = _local_poly_gradients(ts.times, ts.values, cfg) / ts.values
+    if not np.isfinite(rates).all():
+        bad = int(np.argmax(~np.isfinite(rates)))
+        raise DomainError(f"{method.value} rates are beyond the float range at t = {times[bad]}")
+    return _unchecked(
+        RateSeries, times=times, rates=rates, sizes=sizes, source_label=label, method=method
+    )
 
 
 def rate_of_transform(

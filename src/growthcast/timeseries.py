@@ -5,6 +5,13 @@ years, observed sizes) with a label and a unit. Times must be strictly
 increasing and all values finite; violations raise at construction so
 downstream gradient code never sees bad spacing.
 
+A record derived from one already built is made by :func:`_unchecked`,
+which runs no check: :func:`transform_series` keeps the validated
+series' times (strictly increasing, at least two, finite) and has just
+checked its new values finite, and ``rates`` builds its ``RateSeries``
+the same way. The public constructors keep every check for records made
+from outside data.
+
 :func:`read_table` is the one reader of delimited data files, series
 (:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
 the stream once and converts each needed column in bulk, and looks for
@@ -18,11 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence, TextIO, Union
+from typing import Any, Iterable, NoReturn, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, ValidationError
+
+_Record = TypeVar("_Record")
 
 
 class TransformKind(Enum):
@@ -208,7 +217,7 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     LOG requires every value > 0, RECIPROCAL every value != 0.
     """
     if kind is TransformKind.LOG:
-        if np.any(ts.values <= 0):
+        if (ts.values <= 0).any():
             bad = int(np.argmax(ts.values <= 0))
             raise DomainError(
                 f"log transform requires positive values; value "
@@ -216,7 +225,7 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
             )
         new_values = np.log(ts.values)
     elif kind is TransformKind.RECIPROCAL:
-        if np.any(ts.values == 0):
+        if (ts.values == 0).any():
             bad = int(np.argmax(ts.values == 0))
             raise DomainError(f"reciprocal transform hit a zero value at t={ts.times[bad]}")
         with np.errstate(over="ignore"):
@@ -227,7 +236,21 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown transform {kind!r}")
     unit = transformed_unit(ts.unit, kind)
-    return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
+    return _unchecked(TimeSeries, times=ts.times, values=new_values, label=ts.label, unit=unit)
+
+
+def _unchecked(cls: type[_Record], **fields: Any) -> _Record:
+    """A ``cls`` record of ``fields``, all of them, its arrays made read-only; no check runs.
+
+    The caller has established the invariants: float64 1-d finite arrays
+    of equal length, and strictly increasing times.
+    """
+    record = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    record.__dict__.update(fields)
+    return record
 
 
 def transformed_unit(unit: str, kind: TransformKind) -> str:

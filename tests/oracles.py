@@ -35,6 +35,7 @@ from growthcast.diagnostics import (
     IdentificationReport,
     _constant_rate_candidate,
 )
+from growthcast.fileio import _CELL, _DECPT, _PAD
 from growthcast.fitting import (
     FitReport,
     LinearizationKind,
@@ -280,6 +281,29 @@ def write_table_percent_r(
             stop = start + chunk_rows
             chunk = np.column_stack([c[start:stop] for c in columns])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def tables_loop() -> tuple[np.ndarray, ...]:
+    """``fileio._tables`` as it was first written, a Python loop over the
+    decimal point positions, verbatim."""
+    forms, suffixes = [], []
+    for dp in range(-_DECPT, _DECPT + 1):
+        if 1 <= dp <= 16:
+            point, fewest, before, suffix = dp, dp + 2, 0, b""
+        elif -3 <= dp <= 0:
+            point, fewest, before, suffix = 17, 0, 2 - dp, b""
+        else:
+            point, fewest, before, suffix = 1, 0, 0, b"e%+03d" % (dp - 1)
+        forms.append((point, fewest, before, len(suffix)))
+        suffixes.append(int.from_bytes(suffix, "little") ^ ((1 << 8 * len(suffix)) - 1))
+    marks = np.full((18, 19, _CELL), ord("0"), np.uint8)
+    marks[np.arange(18), :, np.arange(18)] = ord(".")
+    marks[:, np.arange(19)[:, None] <= np.arange(_CELL)] = _PAD[0]
+    return (
+        np.array(forms, np.intp).T.copy(),
+        np.array(suffixes, np.uint64),
+        marks.view("<u8").reshape(18 * 19, 3).T.astype(np.uint64),
+    )
 
 
 def load_series_loop(

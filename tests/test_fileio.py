@@ -359,6 +359,11 @@ class TestReprCells:
         assert steps["integers above 2^53"] == {"_put_exponent"}
         assert steps["uniform decimals"] == {"_put_prefix"}  # has negative cells
 
+    def test_tables_match_the_loop(self):
+        for got, want in zip(fileio._tables(), oracles.tables_loop(), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_shifted_g_leaves_room_for_one_carry(self):
         # _shortest's derived interval ends borrow or carry at most 1 only if
         # the low 63 bits of g1 2^s stay under 2^63 - 2^52, s = h - 1 or h

@@ -362,3 +362,58 @@ class TestCompareScenarios:
         report = compare_scenarios([proj], [5.0, 11.0])
         assert report.rows[0].values[0] is not None
         assert report.rows[0].values[1] is None
+
+
+# one model per kind, anchored at (2000, 50) with t_ref 1990 and finite over
+# 1990-2080
+_ONE_PER_KIND = {
+    ModelKind.EXP_CONST: Params(a=0.02),
+    ModelKind.LINEAR_T: Params(a=0.03, b=-0.0004),
+    ModelKind.HYPERBOLIC: Params(b=0.0002),
+    ModelKind.LINEAR_S: Params(a=0.03, b=-0.001),
+    ModelKind.LOGLOG_T: Params(a=0.01, b=0.0001),
+    ModelKind.LOGLOG_S: Params(a=0.02, b=-0.003),
+    ModelKind.RATE_RECIP_LINEAR: Params(a=20.0, b=0.5),
+    ModelKind.RATE_LN_LINEAR: Params(a=0.03, b=-0.01),
+    ModelKind.RATE_SHIFTED_EXP: Params(a=20.0, b=5.0, r=0.1),
+}
+_SCENARIOS = [kind.value for kind in _ONE_PER_KIND] + ["linear_s wide"]
+
+
+def _scenario(name):
+    """A projection and report years at which its model is finite."""
+    if name == "linear_s wide":
+        # the reciprocal forms take their big-exponent branch from t = 1200.4 on
+        m = Model(ModelKind.LINEAR_S, Params(a=-0.5, b=0.1))
+        return project(m, (0.0, 1.0), [0.0, 2000.0]), (0.5, 1000.0, 1300.0, 2000.0)
+    m = Model(ModelKind(name), _ONE_PER_KIND[ModelKind(name)], t_ref=1990.0)
+    return project(m, (2000.0, 50.0), [2000.0, 2080.0]), (1995.5, 2000.0, 2030.25, 2061.7)
+
+
+class TestOneEvaluationPerScenario:
+    """One array evaluation per projection gives the scalar evaluations' values."""
+
+    @pytest.mark.parametrize("name", _SCENARIOS)
+    def test_values_equal_scalar_evaluation(self, name):
+        proj, years = _scenario(name)
+        want = tuple(trajectory_at(proj.model, y) for y in years)
+        assert all(map(math.isfinite, want))
+        assert compare_scenarios([proj, proj], years).rows[1].values == want
+
+    @pytest.mark.parametrize("n", [1, 3, 101])
+    @pytest.mark.parametrize("name", _SCENARIOS)
+    def test_array_evaluation_equals_scalar_calls(self, name, n):
+        proj, years = _scenario(name)
+        t = np.linspace(years[0], years[-1], n)
+        got = trajectory_at(proj.model, t)
+        assert got.shape == (n,)
+        assert got.tolist() == [trajectory_at(proj.model, x) for x in t.tolist()]
+
+    def test_year_past_the_singularity_falls_back_to_scalar_calls(self):
+        m = Model(ModelKind.HYPERBOLIC, Params(b=1.0))
+        proj = project(m, (0.0, 0.1), np.linspace(0.0, 8.0, 10))  # singular at t = 10
+        years = (5.0, 11.0, 9.5)
+        with pytest.raises(NumericError):
+            trajectory_at(proj.model, np.array(years))
+        row = compare_scenarios([proj], years).rows[0]
+        assert row.values == (trajectory_at(proj.model, 5.0), None, trajectory_at(proj.model, 9.5))

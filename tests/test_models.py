@@ -225,6 +225,22 @@ class TestTrajectoryAt:
         assert trajectory_at(m, t) == 0.0  # genuine underflow of S itself
 
 
+class TestQuietEvaluation:
+    """A value beyond the float range is inf, with no numpy warning: the
+    suite turns every RuntimeWarning into an error."""
+
+    def test_rate_at_overflow_is_inf(self):
+        m = model(ModelKind.RATE_LN_LINEAR, a=1.0, b=1.0, C=1.0)
+        assert rate_at(m, 1000.0) == math.inf
+        assert rate_at(m, np.array([0.0, 1000.0])).tolist() == [1.0, math.inf]
+
+    def test_log_trajectory_at_overflow_is_inf(self):
+        m = model(ModelKind.LOGLOG_T, a=1.0, b=1.0, C=1.0)
+        assert log_trajectory_at(m, 100.0) == math.inf
+        assert log_trajectory_at(m, np.array([0.0, 100.0])).tolist() == [1.0, math.inf]
+        assert trajectory_at(m, 100.0) == math.inf
+
+
 class TestFeatures:
     def test_world_population_maximum(self):
         m = normalize(model(ModelKind.LINEAR_T, a=2.520e-1, b=-1.197e-4), 2030.0, 8.4e9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from growthcast import (
     integrate_discrete,
     rate_of_transform,
     refined_rates,
+    transform_series,
 )
 
 from growthcast.rates import RateSeries, _local_poly_gradients, estimate_rates
@@ -236,6 +238,55 @@ class TestRateSeriesInvariants:
             RateSeries(**arrays)
 
 
+def _rebuilt(record):
+    """The record the validating constructor builds from copies of ``record``'s fields."""
+    fields = {
+        f.name: np.array(v) if isinstance(v, np.ndarray) else v
+        for f in dataclasses.fields(record)
+        for v in [getattr(record, f.name)]
+    }
+    return type(record)(**fields)
+
+
+_DERIVED = {
+    "direct_rates": direct_rates,
+    "refined_rates": lambda ts: refined_rates(ts, SmoothingConfig(window=5, degree=2)),
+    "rate_of_transform log": lambda ts: rate_of_transform(ts, TransformKind.LOG),
+    "rate_of_transform reciprocal refined": lambda ts: rate_of_transform(
+        ts, TransformKind.RECIPROCAL, RateMethod.REFINED
+    ),
+    "transform_series log": lambda ts: transform_series(ts, TransformKind.LOG),
+    "transform_series reciprocal": lambda ts: transform_series(ts, TransformKind.RECIPROCAL),
+}
+
+
+class TestDerivedRecords:
+    """Records built from a validated series skip the checks but not their result."""
+
+    @pytest.mark.parametrize("name", sorted(_DERIVED))
+    def test_equals_the_validated_record_and_is_read_only(self, name):
+        values = np.exp(np.linspace(1.0, 2.5, 12))
+        ts = series(np.arange(1990.0, 2002.0), values, label="x", unit="u")
+        got = _DERIVED[name](ts)
+        want = _rebuilt(got)
+        assert vars(got).keys() == vars(want).keys()
+        for key, value in vars(got).items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == want.__dict__[key].dtype == np.float64
+                assert np.array_equal(value, want.__dict__[key])
+                assert not value.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0] = 0.0
+            else:
+                assert value == want.__dict__[key]
+
+    def test_validating_constructors_still_check(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            RateSeries([1.0, 0.0], [0.1, 0.2], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            TimeSeries([1.0, 0.0], [1.0, 2.0])
+
+
 class TestDirectRefinedAgreement:
     def test_both_recover_constant_rate_on_dense_exponential(self):
         r = 0.02
@@ -293,7 +344,5 @@ class TestRateOfTransform:
         ts = series(t, np.exp(0.05 * t) + 1.0)
         cfg = SmoothingConfig(window=5, degree=2)
         via_transform = rate_of_transform(ts, TransformKind.LOG, RateMethod.REFINED, cfg)
-        from growthcast import transform_series
-
         direct_path = refined_rates(transform_series(ts, TransformKind.LOG), cfg)
         np.testing.assert_allclose(via_transform.rates, direct_path.rates, rtol=1e-14)
