@@ -161,7 +161,8 @@ def integrate_rate_function(
     """Trajectory of a polynomial rate law via its exact antiderivative.
 
     ln S(t) = ln s0 + P(t) - P(t0); evaluation refuses any point outside
-    the polynomial's fitted range.
+    the polynomial's fitted range. A size beyond the float range is a
+    NumericError naming the first such grid time.
     """
     t0, s0 = anchor
     if s0 <= 0:
@@ -174,8 +175,12 @@ def integrate_rate_function(
             f"t = {points[outside[0]]} lies outside the fitted range [{p.t_min}, {p.t_max}]; "
             "polynomial rate laws are not extrapolated"
         )
-    log_values = math.log(s0) + p.antiderivative_at(g) - p.antiderivative_at(t0)
-    return TimeSeries(times=g, values=np.exp(log_values), label="rate-law integral")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(math.log(s0) + p.antiderivative_at(g) - p.antiderivative_at(t0))
+    beyond = np.flatnonzero(~np.isfinite(values))
+    if beyond.size:
+        raise NumericError(f"rate-law integral is beyond the float range at t = {g[beyond[0]]}")
+    return TimeSeries(times=g, values=values, label="rate-law integral")
 
 
 def project(

@@ -70,6 +70,9 @@ SINGULARITY_GUARD_YEARS = 1e-9
 #: |ln C| beyond this cannot be represented as a float C.
 _LOG_FLOAT_LIMIT = 700.0
 
+#: The smallest positive normal float; below it a float has lost precision.
+_NORMAL_MIN = float.fromhex("0x1p-1022")
+
 
 class ModelKind(Enum):
     EXP_CONST = "exp_const"
@@ -249,13 +252,19 @@ def _log_recip_denominator(m: Model, tp: np.ndarray) -> np.ndarray:
 
 
 def _linear_s_singular_time(a: float, b: float, c: float) -> Optional[float]:
-    """t' where C e^(-a t') = b/a, or None if there is no finite one."""
-    if a * c == 0.0:
-        return None
-    ratio = b / (a * c)
-    if ratio <= 0:
-        return None
-    ts = -math.log(ratio) / a
+    """t' where C e^(-a t') = b/a, or None if there is no finite one.
+
+    t' = -ln(b / (a C)) / a; where a C or the quotient is not a normal
+    float, the log is ln|b| - ln|a| - ln|C|. Other cases keep their bits.
+    """
+    if a == 0.0 or b == 0.0 or c == 0.0 or (b < 0.0) != ((a < 0.0) != (c < 0.0)):
+        return None  # b / (a C) is not positive
+    ac = a * c
+    if _NORMAL_MIN <= abs(ac) and _NORMAL_MIN <= b / ac < math.inf:
+        log_ratio = math.log(b / ac)
+    else:
+        log_ratio = math.log(abs(b)) - math.log(abs(a)) - math.log(abs(c))
+    ts = -log_ratio / a
     return ts if math.isfinite(ts) else None
 
 

@@ -20,12 +20,6 @@ Both run in one body, ``_rates``: it checks the series (refined rates
 need a full window; a zero value leaves either rate undefined), computes
 the chosen estimator's arrays and builds the ``RateSeries``. The public
 functions are calls of it.
-
-``_rates`` builds its record unchecked (``timeseries._unchecked``): the
-times and sizes are those of the already validated ``TimeSeries`` (or
-their tail), so they are finite, strictly increasing and at least one,
-and the rates have just been checked finite. ``RateSeries(...)`` itself
-keeps every check for rates read from files or built by a caller.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .timeseries import TimeSeries, TransformKind, _unchecked, transform_series
+from .timeseries import TimeSeries, TransformKind, _set_checked_fields, transform_series
 
 
 class RateMethod(Enum):
@@ -82,24 +76,13 @@ class RateSeries:
     method: RateMethod = RateMethod.DIRECT
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        rates = np.asarray(self.rates, dtype=float)
-        sizes = np.asarray(self.sizes, dtype=float)
-        if not (times.shape == rates.shape == sizes.shape) or times.ndim != 1:
-            raise ValidationError("times, rates and sizes must be 1-d arrays of equal length")
-        if times.size == 0:
-            raise ValidationError("a rate series needs at least one point")
-        if not np.isfinite(np.concatenate((times, rates, sizes))).all():
-            named = (("times", times), ("rates", rates), ("sizes", sizes))
-            bad = next(name for name, arr in named if not np.isfinite(arr).all())
-            raise ValidationError(f"{bad} contain non-finite entries")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("rate times must be strictly increasing")
-        for arr in (times, rates, sizes):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "sizes", sizes)
+        _set_checked_fields(
+            self,
+            ("times", "rates", "sizes"),
+            least=1,
+            too_few="a rate series needs at least one point",
+            not_increasing="rate times must be strictly increasing",
+        )
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -209,9 +192,7 @@ def _rates(
     if not np.isfinite(rates).all():
         bad = int(np.argmax(~np.isfinite(rates)))
         raise DomainError(f"{method.value} rates are beyond the float range at t = {times[bad]}")
-    return _unchecked(
-        RateSeries, times=times, rates=rates, sizes=sizes, source_label=label, method=method
-    )
+    return RateSeries(times=times, rates=rates, sizes=sizes, source_label=label, method=method)
 
 
 def rate_of_transform(

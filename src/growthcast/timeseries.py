@@ -3,14 +3,8 @@
 A :class:`TimeSeries` is an immutable pair of arrays (times in calendar
 years, observed sizes) with a label and a unit. Times must be strictly
 increasing and all values finite; violations raise at construction so
-downstream gradient code never sees bad spacing.
-
-A record derived from one already built is made by :func:`_unchecked`,
-which runs no check: :func:`transform_series` keeps the validated
-series' times (strictly increasing, at least two, finite) and has just
-checked its new values finite, and ``rates`` builds its ``RateSeries``
-the same way. The public constructors keep every check for records made
-from outside data.
+downstream gradient code never sees bad spacing. ``rates.RateSeries``
+shares these checks, and the library builds both through them.
 
 :func:`read_table` is the one reader of delimited data files, series
 (:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
@@ -25,13 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Sequence, TextIO, TypeVar, Union
+from typing import Any, Iterable, NoReturn, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-
-_Record = TypeVar("_Record")
 
 
 class TransformKind(Enum):
@@ -55,27 +47,14 @@ class TimeSeries:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
-            raise ValidationError("times and values must be 1-d arrays of equal length")
-        if times.size < 2:
-            raise ValidationError(f"a series needs at least 2 points, got {times.size}")
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("times contain non-finite entries")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("values contain non-finite entries")
-        dt = np.diff(times)
-        if np.any(dt <= 0):
-            bad = int(np.argmax(dt <= 0))
-            raise ValidationError(
-                f"times must be strictly increasing; violation between "
-                f"t={times[bad]} and t={times[bad + 1]}"
-            )
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        _set_checked_fields(
+            self,
+            ("times", "values"),
+            least=2,
+            too_few="a series needs at least 2 points, got {n}",
+            not_increasing="times must be strictly increasing; violation between "
+            "t={prev} and t={now}",
+        )
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -83,6 +62,48 @@ class TimeSeries:
     @property
     def points(self) -> Iterable[tuple[float, float]]:
         return zip(self.times.tolist(), self.values.tolist())
+
+
+def _set_checked_fields(
+    record: Any, names: tuple[str, ...], *, least: int, too_few: str, not_increasing: str
+) -> None:
+    """Set ``record``'s fields ``names`` (times first) to read-only float64 arrays, checked.
+
+    In order, the first failure raising a ValidationError: one 1-d shape;
+    at least ``least`` points (``too_few``, formatted with n); each field
+    finite; strictly increasing times (``not_increasing``, formatted with
+    prev and now). No array is made read-only unless all checks pass.
+    """
+    arrays = [np.asarray(getattr(record, name), dtype=float) for name in names]
+    shape = arrays[0].shape
+    if len(shape) != 1 or any(arr.shape != shape for arr in arrays):
+        listed = ", ".join(names[:-1]) + " and " + names[-1]
+        raise ValidationError(f"{listed} must be 1-d arrays of equal length")
+    n = shape[0]
+    if n < least:
+        raise ValidationError(too_few.format(n=n))
+    for name, arr in zip(names, arrays):
+        if np.count_nonzero(np.isfinite(arr)) != n:
+            raise ValidationError(f"{name} contain non-finite entries")
+    times = arrays[0]
+    i = _first_non_increasing(times)
+    if i is not None:
+        raise ValidationError(not_increasing.format(prev=times[i - 1], now=times[i]))
+    for name, arr in zip(names, arrays):
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def _first_non_increasing(times: np.ndarray) -> Optional[int]:
+    """The first i with times[i] <= times[i - 1], or None; one comparison when there is none.
+
+    A NaN compares neither way and is never the answer: finiteness is a separate check.
+    """
+    up = times[1:] > times[:-1]
+    if np.count_nonzero(up) == up.size:
+        return None
+    bad = np.flatnonzero(times[1:] <= times[:-1])
+    return int(bad[0]) + 1 if bad.size else None
 
 
 def read_table(
@@ -153,9 +174,8 @@ def read_table(
         _raise_first_bad_cell(where, header, rows, wanted)
 
     times = out[time_column]
-    bad = np.flatnonzero(times[1:] <= times[:-1])
-    if bad.size:
-        i = int(bad[0]) + 1
+    i = _first_non_increasing(times)
+    if i is not None:
         prev, now = float(times[i - 1]), float(times[i])
         kind = "duplicated" if now == prev else "non-increasing"
         raise ValidationError(f"{where}row {i + 2}: {kind} time {now} (previous {prev})")
@@ -236,21 +256,7 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigError(f"unknown transform {kind!r}")
     unit = transformed_unit(ts.unit, kind)
-    return _unchecked(TimeSeries, times=ts.times, values=new_values, label=ts.label, unit=unit)
-
-
-def _unchecked(cls: type[_Record], **fields: Any) -> _Record:
-    """A ``cls`` record of ``fields``, all of them, its arrays made read-only; no check runs.
-
-    The caller has established the invariants: float64 1-d finite arrays
-    of equal length, and strictly increasing times.
-    """
-    record = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    record.__dict__.update(fields)
-    return record
+    return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
 
 
 def transformed_unit(unit: str, kind: TransformKind) -> str:

@@ -508,15 +508,19 @@ class TestForecastCommand:
         )
         assert "inf" not in text
 
-    def test_linear_s_without_a_finite_singular_time_is_exit_3(self, tmp_path, capsys):
-        # a * C underflows to 0 in the singular time's ratio b / (a C)
+    def test_linear_s_past_its_singular_time_is_exit_3_naming_it(self, tmp_path, capsys):
+        # a * C underflows to 0 in the singular time's ratio b / (a C);
+        # the time is still found, in log space
         model_file = tmp_path / "m.txt"
         model_file.write_text("kind = linear_s\na = 1e-200\nb = 1.0\nC = 1e-200\n", encoding="utf-8")
         out = tmp_path / "p.csv"
         code = main(["forecast", str(model_file), "--grid", "0:3:1", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "error: linear_s trajectory undefined where its denominator <= 0\n"
+        assert err == (
+            "error: linear_s trajectory undefined where its denominator <= 0 "
+            "(singular at t = -9.210340371976184e+202)\n"
+        )
         assert not out.exists()
 
     def test_trajectory_beyond_float_range_is_exit_3(self, tmp_path, capsys):
@@ -657,6 +661,21 @@ class TestIntegrateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: discretely integrated size is beyond the float range at t = 2.0\n"
+        assert not out.exists()
+
+    def test_polynomial_route_size_beyond_float_range_is_exit_3(self, tmp_path, capsys):
+        # run under the suite's error::RuntimeWarning filter: an overflow
+        # warning from the exp would raise here instead of exiting 3
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,100,1\n1,200,1\n2,300,1\n3,400,1\n")
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "0:1", "--poly-degree", "1",
+            "--grid", "0:3:0.5", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: rate-law integral is beyond the float range at t = 3.0\n"
         assert not out.exists()
 
     def test_polynomial_route_needs_grid(self, tmp_path, capsys):

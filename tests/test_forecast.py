@@ -173,6 +173,14 @@ class TestIntegrateRateFunction:
             "polynomial rate laws are not extrapolated"
         )
 
+    def test_size_beyond_float_range_names_first_grid_time(self):
+        # ln S = 100 t + 50 t^2: e^653.125 at t = 2.75 is a float, e^750
+        # at t = 3 and every later grid time is not
+        p = PolyFit(np.array([100.0, 100.0]), 1, 0.0, t_min=0.0, t_max=4.0)
+        with pytest.raises(NumericError) as excinfo:
+            integrate_rate_function(p, (0.0, 1.0), np.arange(0.0, 4.01, 0.25))
+        assert str(excinfo.value) == "rate-law integral is beyond the float range at t = 3.0"
+
     def test_degree_six_matches_rk4(self):
         # synthetic rates shaped like a gently oscillating few-percent
         # growth rate over 179 calendar years

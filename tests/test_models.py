@@ -281,6 +281,31 @@ class TestFeatures:
         assert f.kind is FeatureKind.NONE
         assert "denominator" in f.note
 
+    @pytest.mark.parametrize("a, b, c", [
+        (1e-200, 1.0, 1e-200),  # a C underflows to 0
+        (-1e-200, 1.0, -1e-200),
+        (1e200, 1.0, 1e200),  # a C overflows, b / (a C) is 0
+        (1.0, 1e300, 1e-100),  # b / (a C) overflows
+        (2.0, 1e-300, 1e10),  # b / (a C) is subnormal
+        (1e-160, 1e-300, 1e-160),  # a C is subnormal
+    ])
+    def test_linear_s_singular_time_outside_the_normal_quotient(self, a, b, c):
+        f = features(model(ModelKind.LINEAR_S, a=a, b=b, C=c))
+        assert f.kind is FeatureKind.SINGULARITY
+        log_ratio = math.log(abs(b)) - math.log(abs(a)) - math.log(abs(c))
+        assert f.t_star == -log_ratio / a
+        # C e^(-a t*) = b/a, compared in log space
+        assert math.log(abs(c)) - a * f.t_star == pytest.approx(math.log(abs(b / a)), rel=1e-12)
+
+    def test_linear_s_singular_time_keeps_its_bits_for_normal_quotients(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a, b, c = 10.0 ** rng.uniform(-100.0, 100.0, 3)
+            sign = rng.choice([-1.0, 1.0])  # b > 0 is singular when a C > 0
+            a, c = sign * a, sign * c
+            f = features(model(ModelKind.LINEAR_S, a=a, b=b, C=c))
+            assert f.t_star == -math.log(b / (a * c)) / a
+
     def test_rate_ln_linear_asymptote_is_c(self):
         m = model(ModelKind.RATE_LN_LINEAR, a=2.179e10, b=-1.406e-2, C=15.6e9)
         f = features(m)

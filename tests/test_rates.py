@@ -237,6 +237,25 @@ class TestRateSeriesInvariants:
         with pytest.raises(ValidationError, match=f"{field} contain non-finite"):
             RateSeries(**arrays)
 
+    _SHAPE = "times, rates and sizes must be 1-d arrays of equal length"
+
+    # (times, rates, sizes, message): most cases also fail a later check, which
+    # pins the order of the checks
+    @pytest.mark.parametrize("times, rates, sizes, message", [
+        ([0.0, math.nan], [0.1, 0.2], [1.0], _SHAPE),
+        ([[0.0]], [[0.1]], [[1.0]], _SHAPE),
+        ([], [], [], "a rate series needs at least one point"),
+        ([1.0, math.nan], [math.inf, 0.2], [math.nan, 2.0], "times contain non-finite entries"),
+        ([1.0, 0.0], [0.1, -math.inf], [math.nan, 2.0], "rates contain non-finite entries"),
+        ([1.0, 0.0], [0.1, 0.2], [1.0, math.inf], "sizes contain non-finite entries"),
+        ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], "rate times must be strictly increasing"),
+        ([1.0, 0.0], [0.1, 0.2], [1.0, 2.0], "rate times must be strictly increasing"),
+    ])
+    def test_first_failing_check_names_itself(self, times, rates, sizes, message):
+        with pytest.raises(ValidationError) as info:
+            RateSeries(times, rates, sizes)
+        assert str(info.value) == message
+
 
 def _rebuilt(record):
     """The record the validating constructor builds from copies of ``record``'s fields."""
@@ -261,7 +280,8 @@ _DERIVED = {
 
 
 class TestDerivedRecords:
-    """Records built from a validated series skip the checks but not their result."""
+    """Records derived from a validated series equal the record the
+    constructor builds from copies of their fields, and are read-only."""
 
     @pytest.mark.parametrize("name", sorted(_DERIVED))
     def test_equals_the_validated_record_and_is_read_only(self, name):

@@ -52,6 +52,32 @@ class TestTimeSeriesInvariants:
         with pytest.raises(ValueError):
             ts.values[0] = 5.0
 
+    # (times, values, message): most cases also fail a later check, which
+    # pins the order of the checks
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, math.nan], [1.0], "times and values must be 1-d arrays of equal length"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], "times and values must be 1-d arrays of equal length"),
+        (0.0, 1.0, "times and values must be 1-d arrays of equal length"),
+        ([math.nan], [1.0], "a series needs at least 2 points, got 1"),
+        ([], [], "a series needs at least 2 points, got 0"),
+        ([1.0, math.inf], [math.nan, 2.0], "times contain non-finite entries"),
+        ([1.0, 0.0], [1.0, -math.inf], "values contain non-finite entries"),
+        ([0.0, 2.0, 1.0, 0.5], [1.0, 2.0, 3.0, 4.0],
+         "times must be strictly increasing; violation between t=2.0 and t=1.0"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0],
+         "times must be strictly increasing; violation between t=1.0 and t=1.0"),
+    ])
+    def test_first_failing_check_names_itself(self, times, values, message):
+        with pytest.raises(ValidationError) as info:
+            TimeSeries(times, values)
+        assert str(info.value) == message
+
+    def test_caller_arrays_stay_writable_when_a_check_fails(self):
+        times, values = np.array([1.0, 0.0]), np.array([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            TimeSeries(times, values)
+        assert times.flags.writeable and values.flags.writeable
+
 
 class TestLoadSeries:
     def test_two_rows(self):
@@ -262,6 +288,13 @@ class TestReadTable:
     def test_delimiter_must_be_one_character(self, delimiter):
         with pytest.raises(ConfigError, match="single character"):
             read_table(io.StringIO("t,v\n1,2\n"), "t", ("v",), delimiter=delimiter)
+
+    def test_nan_time_is_left_to_the_series_finiteness_check(self):
+        text = "t,v\n1,1\nnan,2\n0,3\n"
+        _, cols = read_table(io.StringIO(text), "t", ("v",))
+        assert math.isnan(cols["t"][1])
+        with pytest.raises(ValidationError, match="^times contain non-finite entries$"):
+            load_series(io.StringIO(text), "t", "v")
 
     def test_non_increasing_time_names_row(self):
         with pytest.raises(ValidationError, match=r"row 4: non-increasing time 1.5 \(previous 2.0\)"):

@@ -10,11 +10,13 @@ log and reciprocal), fit with every linearization (each with and without
 unanchored when the fit is normalized), integrate (discrete and
 ``--poly-degree``), diagnose, ``reproduce all``, one anchored forecast
 on a 10 001-point grid, longer than one write chunk of the data-file
-formatter, anchored forecasts of three hand-written models whose feature
-time or size is beyond the float range, and a few invalid inputs: edge
-series (constant, zero values, a duplicate time), each through ``fit
---linearization recip-s-vs-t`` and both rate methods, and invalid flag
-values; 332 runs in all. Every
+formatter, forecasts of four hand-written models at the edge of the
+float range (three anchored, whose feature time or size is beyond it;
+one normalized ``linear_s`` whose a*C underflows), and a few invalid
+inputs: edge series (constant, zero values, a duplicate time), each
+through ``fit --linearization recip-s-vs-t`` and both rate methods, a
+``--poly-degree`` integral beyond the float range, and invalid flag
+values; 334 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -58,8 +60,8 @@ EDGE_SERIES = {
 # a model forecast on more grid points than one write chunk holds
 # (fileio._CHUNK_ROWS = 8192 rows)
 LONG_MODEL = "kind = linear_t\na = 0.252\nb = -0.0001197\nunit = persons\n"
-# models whose feature is beyond the float range: name -> (model file
-# text, forecast anchor, forecast grid)
+# models at the edge of the float range: name -> (model file text,
+# forecast anchor or None for a normalized model's own, forecast grid)
 FLOAT_RANGE_MODELS = {
     # t_star = -a/b overflows
     "maximum-time": ("kind = linear_t\na = 1\nb = -6.35e-318\n", "0:1", "0:3:1"),
@@ -67,7 +69,13 @@ FLOAT_RANGE_MODELS = {
     "maximum-size": ("kind = linear_t\na = 40\nb = -1\n", "0:1", "0:3:1"),
     # S* = e^800
     "asymptote-size": ("kind = loglog_s\na = 800\nb = -1\n", "0:10", "0:0.003:0.001"),
+    # a C underflows to 0, yet the singular time -9.2e202 is a float
+    "singular-time": (
+        "kind = linear_s\na = 1e-200\nb = 1\nC = 1e-200\n", None, "-1e203:-9e202:5e201"
+    ),
 }
+# a rates file whose degree-1 integral leaves the float range at t = 3
+OVERFLOW_RATES = "t,rate,size\n0,100,1\n1,200,1\n2,300,1\n3,400,1\n"
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -114,6 +122,7 @@ def run_pipeline(out: Path) -> int:
     (inputs / "long_model.txt").write_text(LONG_MODEL, encoding="utf-8")
     for name, (text, _, _) in FLOAT_RANGE_MODELS.items():
         (inputs / f"{name}.txt").write_text(text, encoding="utf-8")
+    (inputs / "overflow_rates.csv").write_text(OVERFLOW_RATES, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -190,8 +199,13 @@ def run_pipeline(out: Path) -> int:
     for name, (_, anchor, grid) in FLOAT_RANGE_MODELS.items():
         rec.run(
             f"forecast-{name}", "forecast", f"../../inputs/{name}.txt",
-            "--anchor", anchor, "--grid", grid, "--out", "projection.csv",
+            # --grid=: argparse takes a lone "-1e203:..." for an option
+            *(["--anchor", anchor] if anchor else []), f"--grid={grid}", "--out", "projection.csv",
         )
+    rec.run(
+        "integrate-poly-overflow", "integrate", "../../inputs/overflow_rates.csv",
+        "--anchor", "0:1", "--poly-degree", "1", "--grid", "0:3:0.5", "--out", "series.csv",
+    )
     series = f"../../inputs/{next(iter(FIXTURES))}.csv"
     for name, (command, *flags) in INVALID_FLAGS.items():
         rec.run(name, command, series, *flags)
