@@ -5,8 +5,8 @@ same data and ranks them by r^2: whichever transform straightens the
 data best names the law. Ties (several transforms exactly linear, which
 happens on clean synthetic data) go to the simplest family. All the
 line tests are fitted together in one batched least-squares pass that
-makes no BLAS call, and a test keeping fewer than 3 points is not
-ranked.
+makes no BLAS call, over one block filled from arrays, and a test
+keeping fewer than 3 points is not ranked.
 
 The stability flag encodes an empirical observation about economies
 whose growth rate decays toward zero: once the recent rate drops below
@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .fitting import LinearizationKind, _fit_lines, _line_coords, model_kind_for
 from .models import LOG_LIFT, ModelKind
-from .rates import RateMethod, RateSeries, SmoothingConfig, estimate_rates, rate_of_transform
-from .timeseries import TimeSeries, TransformKind
+from .rates import RateMethod, RateSeries, SmoothingConfig, _rate_arrays, estimate_rates
+from .timeseries import TimeSeries, TransformKind, _log_values
 
 #: Default instability threshold, 1.4% per year.
 LOW_RATE_THRESHOLD = 0.014
@@ -48,6 +48,8 @@ _CATALOG_ORDER = (
     ModelKind.RATE_LN_LINEAR,
     ModelKind.RATE_SHIFTED_EXP,
 )
+
+_CATALOG_RANK = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
 
 _R2_TIE_DECIMALS = 10
 
@@ -109,11 +111,10 @@ def _constant_rate_candidate(rs: RateSeries) -> Candidate:
     flat line either is the data or explains none of its variation.
     """
     r = rs.rates
-    mean = float(r.mean())
-    scale = max(abs(mean), 1e-300)
-    spread = float(np.max(np.abs(r - mean)))
-    constant = spread <= 1e-9 * scale
-    rms = math.sqrt(float(np.mean((r - mean) ** 2)))
+    mean = float(np.add.reduce(r) / r.size)
+    dev = r - mean
+    constant = float(np.abs(dev).max()) <= 1e-9 * max(abs(mean), 1e-300)
+    rms = math.sqrt(float(np.add.reduce(dev**2) / r.size))
     return Candidate(
         model_kind=ModelKind.EXP_CONST,
         linearization=LinearizationKind.R_VS_T,
@@ -134,6 +135,7 @@ _RATE_TESTS = (
     LinearizationKind.RECIP_R_VS_T,
     LinearizationKind.LN_R_VS_T,
 )
+_LOG_TESTS = (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S)
 
 
 def identify(
@@ -153,67 +155,64 @@ def identify(
     degenerate. Ties in r^2 (to 1e-10) are broken by fewer dropped
     points, then simplest family first.
 
-    Every line test is one row of a single :func:`fitting._fit_lines`
-    call on the uncompacted coordinates.
+    Every line test is one uncompacted row of one :func:`fitting._fit_lines`
+    block, filled from arrays: the rates of ln S get no record of their own.
     """
     rs = estimate_rates(ts, method, cfg)
 
     skipped: list[str] = []
-    tests = [(lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes)) for lin in _RATE_TESTS]
+    # (linearization, transform, times, rates, sizes) of each line test
+    tests = [(lin, None, rs.times, rs.rates, rs.sizes) for lin in _RATE_TESTS]
     # hyperbolic signature: reciprocal of the raw series affine in time
-    recip_s = LinearizationKind.RECIP_S_VS_T
-    tests.append((recip_s, None, _line_coords(recip_s, ts.times, None, ts.values)))
+    tests.append((LinearizationKind.RECIP_S_VS_T, None, ts.times, None, ts.values))
 
     # log-of-size families need a positive series
-    if np.all(ts.values > 0):
+    try:
+        log_values = _log_values(ts)
+    except DomainError:
+        skipped.append("log-of-size tests skipped (series has non-positive values)")
+    else:
         try:
-            rs_log = rate_of_transform(ts, TransformKind.LOG, method, cfg)
-            for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S):
-                coords = _line_coords(lin, rs_log.times, rs_log.rates, rs_log.sizes)
-                tests.append((lin, TransformKind.LOG, coords))
+            log_rates = _rate_arrays(ts.times, log_values, method, cfg)
+            tests += [(lin, TransformKind.LOG, *log_rates) for lin in _LOG_TESTS]
         except (NumericError, ValidationError):
             skipped.append("log-of-size tests skipped (log rates undefined on this series)")
-    else:
-        skipped.append("log-of-size tests skipped (series has non-positive values)")
 
     if aux_a is not None:
-        lin = LinearizationKind.SHIFTED_LN_VS_T
-        tests.append((lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes, aux_a)))
+        tests.append((LinearizationKind.SHIFTED_LN_VS_T, None, rs.times, rs.rates, rs.sizes))
     else:
         skipped.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
 
-    width = max(x.size for _, _, (x, _, _) in tests)
-    xs = np.zeros((len(tests), width))
-    ys = np.zeros((len(tests), width))
-    keep = np.zeros((len(tests), width), dtype=bool)
-    for i, (_, _, (x, y, k)) in enumerate(tests):
-        xs[i, : x.size] = x
-        ys[i, : x.size] = y
-        keep[i, : x.size] = k
+    # one row per test; the cells past a test's points stay dropped zeros
+    shape = (len(tests), len(ts))
+    xs, ys, keep = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for i, (lin, _, times, rates, sizes) in enumerate(tests):
+        m = times.size
+        xs[i, :m], ys[i, :m], keep[i, :m] = _line_coords(lin, times, rates, sizes, aux_a)
     lines = _fit_lines(xs, ys, keep)
 
     notes: list[str] = []
     too_few: list[str] = []
     candidates: list[Candidate] = [_constant_rate_candidate(rs)]
     rows = zip(
-        tests,
+        tests, ys, keep,
         lines.n_points.tolist(),
         (lines.distinct & lines.finite).tolist(),
         lines.intercept.tolist(),
         lines.r_squared.tolist(),
         lines.rms_residual.tolist(),
     )
-    for (lin, transform, (x, y, k)), kept, fits, intercept, r2, rms in rows:
+    for (lin, transform, times, _, _), y, k, kept, fits, intercept, r2, rms in rows:
         kind = model_kind_for(lin)
         name = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
         if kept < _MIN_TEST_POINTS:
             too_few.append(
-                f"{name.value} test not ranked: keeps {kept} of {x.size} point(s), "
+                f"{name.value} test not ranked: keeps {kept} of {times.size} point(s), "
                 f"fewer than {_MIN_TEST_POINTS}"
             )
             continue
         if not fits:
-            if lin is recip_s:
+            if lin is LinearizationKind.RECIP_S_VS_T:
                 notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
             continue
         note = ""
@@ -222,7 +221,7 @@ def identify(
             # a = 0 is outside this family (the law degenerates to R ~ S,
             # which is the hyperbolic family); demote when the intercept is
             # numerically zero.
-            scale = float(np.max(np.abs(y[k]))) or 1.0
+            scale = float(np.abs(y[k]).max()) or 1.0
             if abs(intercept) <= 1e-8 * scale:
                 valid = False
                 note = "intercept consistent with zero: law reduces to rate proportional to size"
@@ -232,21 +231,20 @@ def identify(
                 linearization=lin,
                 r_squared=r2,
                 rms_residual=rms,
-                dropped_points=x.size - kept,
+                dropped_points=times.size - kept,
                 transform=transform,
                 note=note,
                 valid=valid,
             )
         )
 
-    order = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
     ranked = sorted(
         candidates,
         key=lambda c: (
             -round(c.r_squared, _R2_TIE_DECIMALS),
             c.dropped_points,
             not c.valid,
-            order[c.model_kind],
+            _CATALOG_RANK[c.model_kind],
         ),
     )
     return IdentificationReport(

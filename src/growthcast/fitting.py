@@ -34,7 +34,7 @@ the exponential-rate convention R = a exp(b t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateFitError,
+    DomainError,
     EmptyLinearizationError,
     ValidationError,
 )
@@ -53,6 +54,8 @@ if TYPE_CHECKING:
     from .timeseries import TimeSeries
 
 _FLOAT_TINY = np.finfo(float).tiny
+#: What an unkept x becomes where ``_fit_lines`` takes the largest, and the smallest, kept x.
+_UNKEPT_X = np.array([-np.inf, np.inf])[:, None, None]
 
 
 class LinearizationKind(Enum):
@@ -196,10 +199,9 @@ def _fit_lines(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
             ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
         )
         rms = np.sqrt(ss_res / n)
-    top = np.maximum.reduce(x, axis=1, where=keep, initial=-np.inf)
-    distinct = top > np.minimum.reduce(x, axis=1, where=keep, initial=np.inf)
-    finite = np.isfinite(sxx) & np.isfinite(slope) & np.isfinite(intercept)
-    finite &= np.isfinite(ss_res) & np.isfinite(ss_tot)
+    top, bottom = np.where(keep, x, _UNKEPT_X)
+    distinct = np.maximum.reduce(top, axis=1) > np.minimum.reduce(bottom, axis=1)
+    finite = np.isfinite((sxx, slope, intercept, ss_res, ss_tot)).all(axis=0)
     return _Lines(intercept, slope, rms, r2, n.astype(int), distinct, finite)
 
 
@@ -215,6 +217,11 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("xs and ys must be 1-d arrays of equal length")
+    return _line_fit(x, y)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
+    """:func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted."""
     lines = _fit_lines(x[None], y[None], np.ones((1, x.size), dtype=bool))
     if not lines.distinct[0]:
         raise DegenerateFitError(
@@ -222,13 +229,8 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
         )
     if not lines.finite[0]:
         raise DegenerateFitError("line fit sums are beyond the float range")
-    return LineFit(
-        intercept=float(lines.intercept[0]),
-        slope=float(lines.slope[0]),
-        rms_residual=float(lines.rms_residual[0]),
-        r_squared=float(lines.r_squared[0]),
-        n_points=x.size,
-    )
+    # intercept, slope, rms_residual and r_squared lead both records
+    return LineFit(*(v.item() for v in lines[:4]), n_points=x.size, dropped_points=dropped)
 
 
 def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> PolyFit:
@@ -237,7 +239,8 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
     The abscissa is internally mapped to [-1, 1] for conditioning, which
     matters for degree-6 fits on raw calendar years; the raw-basis
     coefficients are mapped back for reporting. The fit notes when it is
-    in the interpolation regime (as many coefficients as points).
+    in the interpolation regime (as many coefficients as points). A fit
+    whose coefficients or residuals leave the float range is a DomainError.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -254,10 +257,13 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
     notes = ()
     if n_distinct == degree + 1:
         notes = ("interpolation regime: polynomial degree equals point count minus one",)
-    series = np.polynomial.Polynomial.fit(x, y, degree)
-    resid = y - series(x)
-    rms = math.sqrt(float(np.add.reduce(resid * resid)) / x.size)
-    raw = series.convert().coef
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = np.polynomial.Polynomial.fit(x, y, degree)
+        resid = y - series(x)
+        rms = math.sqrt(float(np.add.reduce(resid * resid)) / x.size)
+        raw = series.convert().coef
+    if not (math.isfinite(rms) and np.isfinite(raw).all()):
+        raise DomainError("polynomial fit is beyond the float range")
     if raw.size < degree + 1:  # trailing exact zeros are trimmed by numpy
         raw = np.pad(raw, (0, degree + 1 - raw.size))
     return PolyFit(
@@ -423,7 +429,7 @@ def _fit(
     xs, ys, dropped = _compacted(kind, coords)
     if xs.size < 2:
         raise DegenerateFitError("fewer than 2 points survive the linearization")
-    line = replace(fit_line(xs, ys), dropped_points=dropped)
+    line = _line_fit(xs, ys, dropped)
     model_kind, _, _, params = _LINEARIZATIONS[kind]
     try:
         model = Model(model_kind, params(line.intercept, line.slope, aux_a), unit=unit)

@@ -549,7 +549,7 @@ def normalize(m: Model, t0: float, s0: float) -> Model:
             f"normalization constant for {m.kind.value} is not float-representable "
             f"({why}); re-express the model with t_ref near the anchor time"
         )
-    return replace(m, params=replace(p, C=c))
+    return Model(m.kind, Params(p.a, p.b, p.r, c), m.t_ref, m.unit)
 
 
 def _exp(x: float) -> float:

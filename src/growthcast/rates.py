@@ -16,10 +16,10 @@ are provided:
   one batched QR least-squares solve; see ``_local_poly_gradients`` for
   its rounding bound.
 
-Both run in one body, ``_rates``: it checks the series (refined rates
-need a full window; a zero value leaves either rate undefined), computes
-the chosen estimator's arrays and builds the ``RateSeries``. The public
-functions are calls of it.
+Both run in one body, ``_rate_arrays``: it checks the series (refined
+rates need a full window; a zero value leaves either rate undefined) and
+computes the chosen estimator's arrays. The public functions build their
+``RateSeries`` from them; ``diagnostics.identify`` takes them as arrays.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class RateSeries:
 
     ``sizes`` holds the series value at each time (the transformed value
     F(S) when the rates were computed on a transformed series), which
-    size-dependent fits regress against.
+    size-dependent fits regress against. The arrays are stored read-only,
+    a caller's own float64 array uncopied: pass a copy to keep writing to it.
     """
 
     times: np.ndarray
@@ -171,28 +172,35 @@ def estimate_rates(
 def _rates(
     ts: TimeSeries, method: RateMethod, cfg: Optional[SmoothingConfig], label: str
 ) -> RateSeries:
-    """The rates of ``ts`` by ``method``, labelled: the one estimator body."""
+    """The rates of ``ts`` by ``method``, labelled, as a record."""
+    return RateSeries(*_rate_arrays(ts.times, ts.values, method, cfg), label, method)
+
+
+def _rate_arrays(
+    times: np.ndarray, values: np.ndarray, method: RateMethod, cfg: Optional[SmoothingConfig]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked (times, rates, sizes) of a series' arrays by ``method``: the one estimator body."""
     if method is RateMethod.REFINED:
         if cfg is None:
             cfg = SmoothingConfig()
-        if len(ts) < cfg.window:
+        if values.size < cfg.window:
             raise ValidationError(
-                f"refined rates need at least window={cfg.window} points, series has {len(ts)}"
+                f"refined rates need at least window={cfg.window} points, series has {values.size}"
             )
-    if (ts.values == 0).any():
-        bad = int(np.argmax(ts.values == 0))
-        raise DomainError(f"{method.value} rates undefined: series value 0 at t={ts.times[bad]}")
+    if (values == 0).any():
+        bad = int(np.argmax(values == 0))
+        raise DomainError(f"{method.value} rates undefined: series value 0 at t={times[bad]}")
     with np.errstate(all="ignore"):
         if method is RateMethod.DIRECT:
-            times, sizes = ts.times[1:], ts.values[1:]
-            rates = np.diff(ts.values) / (ts.values[:-1] * np.diff(ts.times))
+            rates = np.diff(values) / (values[:-1] * np.diff(times))
+            times, sizes = times[1:], values[1:]
         else:
-            times, sizes = ts.times, ts.values
-            rates = _local_poly_gradients(ts.times, ts.values, cfg) / ts.values
+            rates = _local_poly_gradients(times, values, cfg) / values
+            sizes = values
     if not np.isfinite(rates).all():
         bad = int(np.argmax(~np.isfinite(rates)))
         raise DomainError(f"{method.value} rates are beyond the float range at t = {times[bad]}")
-    return RateSeries(times=times, rates=rates, sizes=sizes, source_label=label, method=method)
+    return times, rates, sizes
 
 
 def rate_of_transform(

@@ -38,7 +38,9 @@ class TimeSeries:
     """Ordered (time, value) observations of a growing entity.
 
     times are real-valued calendar years (fractional allowed), strictly
-    increasing, at least two of them; values must all be finite.
+    increasing, at least two of them; values must all be finite. Both are
+    stored read-only, a caller's own float64 array uncopied: pass a copy
+    to keep writing to it.
     """
 
     times: np.ndarray
@@ -237,13 +239,7 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     LOG requires every value > 0, RECIPROCAL every value != 0.
     """
     if kind is TransformKind.LOG:
-        if (ts.values <= 0).any():
-            bad = int(np.argmax(ts.values <= 0))
-            raise DomainError(
-                f"log transform requires positive values; value "
-                f"{ts.values[bad]} at t={ts.times[bad]}"
-            )
-        new_values = np.log(ts.values)
+        new_values = _log_values(ts)
     elif kind is TransformKind.RECIPROCAL:
         if (ts.values == 0).any():
             bad = int(np.argmax(ts.values == 0))
@@ -257,6 +253,16 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
         raise ConfigError(f"unknown transform {kind!r}")
     unit = transformed_unit(ts.unit, kind)
     return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
+
+
+def _log_values(ts: TimeSeries) -> np.ndarray:
+    """ln of every value of ``ts``; a DomainError names the first value that is not positive."""
+    if (ts.values <= 0).any():
+        bad = int(np.argmax(ts.values <= 0))
+        raise DomainError(
+            f"log transform requires positive values; value {ts.values[bad]} at t={ts.times[bad]}"
+        )
+    return np.log(ts.values)
 
 
 def transformed_unit(unit: str, kind: TransformKind) -> str:

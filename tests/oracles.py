@@ -30,7 +30,9 @@ from growthcast import (
 )
 from growthcast.diagnostics import (
     _CATALOG_ORDER,
+    _MIN_TEST_POINTS,
     _R2_TIE_DECIMALS,
+    _RATE_TESTS,
     Candidate,
     IdentificationReport,
     _constant_rate_candidate,
@@ -39,6 +41,8 @@ from growthcast.fileio import _CELL, _DECPT, _PAD
 from growthcast.fitting import (
     FitReport,
     LinearizationKind,
+    _line_coords,
+    _Lines,
     fit_line,
     fit_rate_model,
     linearize,
@@ -50,6 +54,7 @@ from growthcast.rates import (
     RateSeries,
     SmoothingConfig,
     direct_rates,
+    estimate_rates,
     rate_of_transform,
     refined_rates,
 )
@@ -561,4 +566,204 @@ def identify_per_test(
     )
     return IdentificationReport(
         candidates=tuple(ranked), winner=ranked[0], rates=rs, notes=tuple(notes)
+    )
+
+
+def fit_lines_separate(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
+    """``fitting._fit_lines`` with one call per sum, extreme and finiteness check.
+
+    Ordinary least-squares lines through many point sets at once.
+
+    Row i of the (k, n) arrays ``x`` and ``y`` holds one point set, and
+    the boolean ``keep`` marks the points it keeps; the others, padding
+    included, must hold finite values and are zeroed before any sum.
+    Every sum is an ``np.add.reduce`` along the rows, so no BLAS call is
+    made and the result does not depend on the BLAS thread count. A row
+    that keeps all its points gets the bits a one-row call on those
+    points gets; dropped or padded cells change the summation order, so
+    elsewhere the sums agree with the compacted points to rounding.
+
+    A row is ``distinct`` when its largest and smallest kept x differ,
+    an exact comparison: three copies of 0.1 are refused, although
+    their rounded mean is not 0.1 and their sxx is not 0. It is
+    ``finite`` when its moments, slope and intercept are inside the
+    float range. r_squared is 1 - SSres/SStot, defined as 1 when the
+    kept y are exactly constant (SStot = SSres = 0).
+    """
+    w = keep.astype(float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n = np.add.reduce(w, axis=1)
+        xw = x * w
+        yw = y * w
+        xm = np.add.reduce(xw, axis=1) / n
+        ym = np.add.reduce(yw, axis=1) / n
+        # kept cells get x - xm, y - ym exactly; dropped ones stay 0
+        dx = xw - xm[:, None] * w
+        dy = yw - ym[:, None] * w
+        sxx = np.add.reduce(dx * dx, axis=1)
+        slope = np.add.reduce(dx * dy, axis=1) / sxx
+        intercept = ym - slope * xm
+        resid = yw - (intercept[:, None] * w + slope[:, None] * xw)
+        ss_res = np.add.reduce(resid * resid, axis=1)
+        ss_tot = np.add.reduce(dy * dy, axis=1)
+        r2 = np.where(
+            ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
+        )
+        rms = np.sqrt(ss_res / n)
+    top = np.maximum.reduce(x, axis=1, where=keep, initial=-np.inf)
+    distinct = top > np.minimum.reduce(x, axis=1, where=keep, initial=np.inf)
+    finite = np.isfinite(sxx) & np.isfinite(slope) & np.isfinite(intercept)
+    finite &= np.isfinite(ss_res) & np.isfinite(ss_tot)
+    return _Lines(intercept, slope, rms, r2, n.astype(int), distinct, finite)
+
+
+def constant_rate_candidate_mean(rs: RateSeries) -> Candidate:
+    """``diagnostics._constant_rate_candidate`` through ``mean`` and ``np.max``.
+
+    The constant-rate hypothesis, judged as a zero-slope fit.
+
+    r^2 is 1 when the rates are constant to rounding and 0 otherwise: a
+    flat line either is the data or explains none of its variation.
+    """
+    r = rs.rates
+    mean = float(r.mean())
+    scale = max(abs(mean), 1e-300)
+    spread = float(np.max(np.abs(r - mean)))
+    constant = spread <= 1e-9 * scale
+    rms = math.sqrt(float(np.mean((r - mean) ** 2)))
+    return Candidate(
+        model_kind=ModelKind.EXP_CONST,
+        linearization=LinearizationKind.R_VS_T,
+        r_squared=1.0 if constant else 0.0,
+        rms_residual=rms,
+        dropped_points=0,
+        note="constant-rate test (zero-slope fit)",
+    )
+
+
+def identify_stacked(
+    ts: TimeSeries,
+    method: RateMethod = RateMethod.DIRECT,
+    cfg: Optional[SmoothingConfig] = None,
+    aux_a: Optional[float] = None,
+) -> IdentificationReport:
+    """``diagnostics.identify`` as it was before its block was filled from arrays.
+
+    Its ln S tests build a ``RateSeries`` through ``rate_of_transform``,
+    and it fits with :func:`fit_lines_separate` and scores the constant
+    rate with :func:`constant_rate_candidate_mean`: the reference for
+    the bits of the report.
+
+    Rank every catalog family by how well its linearity test fits.
+
+    Rates are computed from the series with the requested method; the
+    log-of-size families are tested on the rates of ln S, and the
+    hyperbolic reciprocal test runs on the raw series values. The
+    shifted-exponential family needs its displacement parameter a and is
+    skipped (with a note) when none is supplied. A test that keeps fewer
+    than 3 points is not ranked, with a note; nor is one whose line is
+    degenerate. Ties in r^2 (to 1e-10) are broken by fewer dropped
+    points, then simplest family first.
+
+    Every line test is one row of a single :func:`fit_lines_separate`
+    call on the uncompacted coordinates.
+    """
+    rs = estimate_rates(ts, method, cfg)
+
+    skipped: list[str] = []
+    tests = [(lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes)) for lin in _RATE_TESTS]
+    # hyperbolic signature: reciprocal of the raw series affine in time
+    recip_s = LinearizationKind.RECIP_S_VS_T
+    tests.append((recip_s, None, _line_coords(recip_s, ts.times, None, ts.values)))
+
+    # log-of-size families need a positive series
+    if np.all(ts.values > 0):
+        try:
+            rs_log = rate_of_transform(ts, TransformKind.LOG, method, cfg)
+            for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S):
+                coords = _line_coords(lin, rs_log.times, rs_log.rates, rs_log.sizes)
+                tests.append((lin, TransformKind.LOG, coords))
+        except (NumericError, ValidationError):
+            skipped.append("log-of-size tests skipped (log rates undefined on this series)")
+    else:
+        skipped.append("log-of-size tests skipped (series has non-positive values)")
+
+    if aux_a is not None:
+        lin = LinearizationKind.SHIFTED_LN_VS_T
+        tests.append((lin, None, _line_coords(lin, rs.times, rs.rates, rs.sizes, aux_a)))
+    else:
+        skipped.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+
+    width = max(x.size for _, _, (x, _, _) in tests)
+    xs = np.zeros((len(tests), width))
+    ys = np.zeros((len(tests), width))
+    keep = np.zeros((len(tests), width), dtype=bool)
+    for i, (_, _, (x, y, k)) in enumerate(tests):
+        xs[i, : x.size] = x
+        ys[i, : x.size] = y
+        keep[i, : x.size] = k
+    lines = fit_lines_separate(xs, ys, keep)
+
+    notes: list[str] = []
+    too_few: list[str] = []
+    candidates: list[Candidate] = [constant_rate_candidate_mean(rs)]
+    rows = zip(
+        tests,
+        lines.n_points.tolist(),
+        (lines.distinct & lines.finite).tolist(),
+        lines.intercept.tolist(),
+        lines.r_squared.tolist(),
+        lines.rms_residual.tolist(),
+    )
+    for (lin, transform, (x, y, k)), kept, fits, intercept, r2, rms in rows:
+        kind = model_kind_for(lin)
+        name = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
+        if kept < _MIN_TEST_POINTS:
+            too_few.append(
+                f"{name.value} test not ranked: keeps {kept} of {x.size} point(s), "
+                f"fewer than {_MIN_TEST_POINTS}"
+            )
+            continue
+        if not fits:
+            if lin is recip_s:
+                notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
+            continue
+        note = ""
+        valid = True
+        if kind is ModelKind.LINEAR_S:
+            # a = 0 is outside this family (the law degenerates to R ~ S,
+            # which is the hyperbolic family); demote when the intercept is
+            # numerically zero.
+            scale = float(np.max(np.abs(y[k]))) or 1.0
+            if abs(intercept) <= 1e-8 * scale:
+                valid = False
+                note = "intercept consistent with zero: law reduces to rate proportional to size"
+        candidates.append(
+            Candidate(
+                model_kind=name,
+                linearization=lin,
+                r_squared=r2,
+                rms_residual=rms,
+                dropped_points=x.size - kept,
+                transform=transform,
+                note=note,
+                valid=valid,
+            )
+        )
+
+    order = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
+    ranked = sorted(
+        candidates,
+        key=lambda c: (
+            -round(c.r_squared, _R2_TIE_DECIMALS),
+            c.dropped_points,
+            not c.valid,
+            order[c.model_kind],
+        ),
+    )
+    return IdentificationReport(
+        candidates=tuple(ranked),
+        winner=ranked[0],
+        rates=rs,
+        notes=tuple(notes + skipped + too_few),
     )

@@ -678,6 +678,20 @@ class TestIntegrateCommand:
         assert err == "error: rate-law integral is beyond the float range at t = 3.0\n"
         assert not out.exists()
 
+    def test_polynomial_fit_beyond_float_range_is_exit_3(self, tmp_path, capsys):
+        # the squared residuals of rates near 1e306 overflow; under the
+        # suite's error::RuntimeWarning filter a raw warning would raise here
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,1e306,1\n500,1e306,1\n1000,1e306,1\n")
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "0:1", "--poly-degree", "1",
+            "--grid", "0:1000:250", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: polynomial fit is beyond the float range\n"
+        assert not out.exists()
+
     def test_polynomial_route_needs_grid(self, tmp_path, capsys):
         rates = tmp_path / "r.csv"
         assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0

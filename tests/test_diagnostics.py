@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from growthcast import (
     stability_flag,
     trajectory_at,
 )
+from growthcast import diagnostics
 from growthcast.fitting import model_kind_for
 from growthcast.models import LOG_LIFT
 from growthcast.timeseries import TransformKind
@@ -304,6 +307,17 @@ def _assert_matches_reference(ts, method=RateMethod.DIRECT, aux_a=None):
     np.testing.assert_array_equal(new.rates.rates, old.rates.rates)
 
 
+DEGENERATE_VALUES = [
+    np.full(12, 7.0),  # constant: zero rates, equal sizes
+    np.array([1.0, 2.0, 3.0]),  # 2 direct rates: no line test keeps 3 points
+    np.array([1.0, 0.5, 2.0, 1.0, 3.0]),  # ln-r keeps 2 of 4
+    np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]),  # equal sizes after a step
+    np.linspace(-2.5, 9.0, 12),  # non-positive values
+    np.array([5.0, 4.0, 4.0, 3.0, 3.5, 2.0, 2.0, 1.0]),  # zero and negative rates
+    1e-310 * (1.0 + 0.01 * np.arange(10.0)),  # reciprocals of the sizes overflow
+]
+
+
 class TestIdentifyMatchesPerTestReference:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
@@ -314,18 +328,7 @@ class TestIdentifyMatchesPerTestReference:
             aux_a = None if case % 3 == 0 else float(rng.uniform(0.5, 100.0))
             _assert_matches_reference(ts, method, aux_a)
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            np.full(12, 7.0),  # constant: zero rates, equal sizes
-            np.array([1.0, 2.0, 3.0]),  # 2 direct rates: no line test keeps 3 points
-            np.array([1.0, 0.5, 2.0, 1.0, 3.0]),  # ln-r keeps 2 of 4
-            np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]),  # equal sizes after a step
-            np.linspace(-2.5, 9.0, 12),  # non-positive values
-            np.array([5.0, 4.0, 4.0, 3.0, 3.5, 2.0, 2.0, 1.0]),  # zero and negative rates
-            1e-310 * (1.0 + 0.01 * np.arange(10.0)),  # reciprocals of the sizes overflow
-        ],
-    )
+    @pytest.mark.parametrize("values", DEGENERATE_VALUES)
     @pytest.mark.parametrize("aux_a", [None, 3.0])
     def test_degenerate_series(self, values, aux_a):
         ts = TimeSeries(np.arange(float(values.size)), values)
@@ -344,3 +347,53 @@ class TestIdentifyMatchesPerTestReference:
         assert ModelKind.RATE_LN_LINEAR not in {c.model_kind for c in report.candidates}
         assert report.winner.model_kind is ModelKind.LINEAR_S
         assert "rate_ln_linear test not ranked: keeps 2 of 4 point(s), fewer than 3" in report.notes
+
+
+def _assert_matches_stacked(ts, method=RateMethod.DIRECT, aux_a=None):
+    """identify gives the bits of the stacked reference: every field of the report."""
+    new = identify(ts, method=method, aux_a=aux_a)
+    old = oracles.identify_stacked(ts, method=method, aux_a=aux_a)
+    assert replace(new, rates=None) == replace(old, rates=None)
+    for name in ("times", "rates", "sizes"):
+        assert np.array_equal(getattr(new.rates, name), getattr(old.rates, name))
+    assert (new.rates.source_label, new.rates.method) == (old.rates.source_label, old.rates.method)
+
+
+class TestIdentifyMatchesStackedReference:
+    """The block filled from arrays changes no bit of the report."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    def test_random_series(self, family, method):
+        rng = np.random.default_rng([FAMILIES.index(family), method is RateMethod.REFINED])
+        for case in range(12):
+            ts = _random_series(rng, family, calendar=case % 2 == 1)
+            aux_a = None if case % 3 == 0 else float(rng.uniform(0.5, 100.0))
+            _assert_matches_stacked(ts, method, aux_a)
+
+    @pytest.mark.parametrize("values", DEGENERATE_VALUES)
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    @pytest.mark.parametrize("aux_a", [None, 3.0])
+    def test_degenerate_series(self, values, method, aux_a):
+        ts = TimeSeries(np.arange(float(values.size)), values)
+        if method is RateMethod.REFINED and values.size < SmoothingConfig().window:
+            with pytest.raises(ValidationError):
+                identify(ts, method=method, aux_a=aux_a)
+            return
+        _assert_matches_stacked(ts, method, aux_a)
+
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    def test_log_rates_undefined(self, method):
+        # ln S = 0 at t = 2: the rates of ln S are undefined there
+        ts = TimeSeries(np.arange(9.0), 2.0 ** np.arange(-2.0, 7.0))
+        report = identify(ts, method=method)
+        assert "log-of-size tests skipped (log rates undefined on this series)" in report.notes
+        _assert_matches_stacked(ts, method)
+
+    def test_constant_rate_candidate_matches_mean(self):
+        rng = np.random.default_rng(5)
+        for rates in (rng.normal(0.02, 0.01, 40), np.full(9, 0.03), np.full(3, -1e-300),
+                      np.array([1e100, -1e100, 1e-300])):
+            rs = rate_series(np.arange(float(rates.size)), rates)
+            want = oracles.constant_rate_candidate_mean(rs)
+            assert diagnostics._constant_rate_candidate(rs) == want

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import oracles
 from growthcast import (
     ConfigError,
     DegenerateFitError,
+    DomainError,
     EmptyLinearizationError,
     GrowthcastError,
     LinearizationKind,
@@ -150,6 +152,29 @@ class TestFitLines:
         lines = fitting._fit_lines(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
         assert lines.n_points[0] == 0 and not lines.distinct[0]
 
+    def test_bits_of_one_call_per_sum(self):
+        # every field, bit for bit, of the reference that makes one numpy
+        # call per sum, extreme and finiteness check: rows of every size,
+        # drops and padding, repeated x, constant y, sums beyond the float range
+        rng = np.random.default_rng(23)
+        with np.errstate(over="ignore"):
+            for case in range(400):
+                k, n = int(rng.integers(1, 9)), int(rng.integers(1, 300))
+                scale = 10.0 ** rng.integers(-300, 300, size=2) if case % 3 == 0 else (1.0, 1.0)
+                x = rng.normal(size=(k, n)) * scale[0]
+                y = rng.normal(size=(k, n)) * scale[1]
+                if case % 5 == 0:
+                    x = np.round(x, 1)
+                if case % 7 == 0:
+                    y[:] = 3.0
+                keep = rng.random((k, n)) < rng.random()
+                x[~keep & (rng.random((k, n)) < 0.5)] = 0.0
+                y[~keep] = 0.0
+                got = fitting._fit_lines(x, y, keep)
+                want = oracles.fit_lines_separate(x, y, keep)
+                for name, a, b in zip(got._fields, got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, name)
+
 
 class TestFitPolynomial:
     def test_exact_parabola(self):
@@ -226,6 +251,19 @@ class TestFitPolynomial:
         with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
             PolyFit(**fields)
 
+    @pytest.mark.parametrize(
+        "t, rates",
+        [
+            ([0.0, 500.0, 1000.0], [1e306, 1e306, 1e306]),  # residual squares overflow
+            ([0.0, 1.0, 2.0, 3.0], [1e307, 1e308, 1.5e308, 1.7e308]),  # coefficients overflow
+        ],
+    )
+    def test_fit_beyond_float_range_is_domain_error(self, t, rates):
+        # run under the suite's error::RuntimeWarning filter: an overflow
+        # warning would raise a RuntimeWarning here instead
+        with pytest.raises(DomainError, match="^polynomial fit is beyond the float range$"):
+            fit_polynomial(t, rates, 1)
+
     def test_noisy_line_degree_six_fits_but_refuses_extrapolation(self):
         # a high-degree fit is allowed as a description; using it beyond
         # the data range is refused downstream
@@ -292,6 +330,46 @@ class TestLinearize:
         xs, ys, dropped = linearize_series(ts)
         np.testing.assert_allclose(ys, [0.5, 0.25])
         assert dropped == 0
+
+
+RATE_LINEARIZATIONS = [k for k in LinearizationKind if k is not LinearizationKind.RECIP_S_VS_T]
+
+
+class TestFitBuildsOneLineFit:
+    """``_fit``'s line is ``fit_line``'s with the drop count, errors included."""
+
+    @pytest.mark.parametrize("kind", RATE_LINEARIZATIONS)
+    def test_rate_fits(self, kind):
+        rng = np.random.default_rng(list(LinearizationKind).index(kind))
+        for _ in range(20):
+            t = np.sort(rng.uniform(1900.0, 2000.0, 30))
+            rs = rate_series(t, rng.normal(0.02, 0.03, 30), rng.uniform(1.0, 9.0, 30))
+            aux = 60.0 if kind is LinearizationKind.SHIFTED_LN_VS_T else None
+            xs, ys, dropped = linearize(rs, kind, aux_a=aux)
+            assert fit_rate_model(rs, kind, aux_a=aux).line == replace(
+                fit_line(xs, ys), dropped_points=dropped
+            )
+
+    def test_reciprocal_series_fit(self):
+        ts = TimeSeries(np.arange(12.0), 1.0 / (20.0 - np.arange(12.0) ** 1.1))
+        xs, ys, dropped = linearize_series(ts)
+        line = fit_reciprocal_series(ts).line
+        assert line == replace(fit_line(xs, ys), dropped_points=dropped)
+
+    @pytest.mark.parametrize(
+        "rates, sizes",
+        [
+            ([0.1, 0.2, 0.3], [2.0, 2.0, 2.0]),  # one distinct size
+            ([1e200, -1e200, 3e200], [0.0, 1.0, 2.0]),  # sums beyond the float range
+        ],
+    )
+    def test_errors_are_fit_line_errors(self, rates, sizes):
+        rs = rate_series([0.0, 1.0, 2.0], rates, sizes)
+        with pytest.raises(DegenerateFitError) as want:
+            fit_line(sizes, rates)
+        with pytest.raises(DegenerateFitError) as got:
+            fit_rate_model(rs, LinearizationKind.R_VS_S)
+        assert str(got.value) == str(want.value)
 
 
 class TestFitRateModel:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -398,6 +399,17 @@ class TestNormalize:
         m, t0, s0, _ = draw_case(kind, rng)
         normalized = normalize(m, t0, s0)
         assert trajectory_at(normalized, t0) == pytest.approx(s0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_equals_two_replaces(self, kind):
+        # one Model built from a new Params: the record dataclasses.replace
+        # gives when it swaps in C, with t_ref and the unit kept
+        rng = np.random.default_rng(2000 + list(ModelKind).index(kind))
+        m, t0, s0, _ = draw_case(kind, rng)
+        m = replace(m, t_ref=-3.5, unit="persons")
+        normalized = normalize(m, t0, s0)
+        assert normalized == replace(m, params=replace(m.params, C=normalized.params.C))
+        assert type(normalized.params.C) is float
 
     def test_non_positive_anchor_rejected(self):
         with pytest.raises(DomainError):

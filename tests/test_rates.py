@@ -237,6 +237,20 @@ class TestRateSeriesInvariants:
         with pytest.raises(ValidationError, match=f"{field} contain non-finite"):
             RateSeries(**arrays)
 
+    def test_caller_float64_arrays_are_kept_read_only(self):
+        # documented: the record keeps a caller's float64 arrays uncopied
+        # and makes them read-only; copies passed in leave the originals writable
+        arrays = {"times": np.arange(3.0), "rates": np.full(3, 0.1), "sizes": np.ones(3)}
+        rs = RateSeries(**arrays)
+        for name, arr in arrays.items():
+            assert getattr(rs, name) is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+        mine = np.full(3, 0.1)
+        RateSeries(np.arange(3.0), mine.copy(), np.ones(3))
+        mine[0] = 0.5
+        assert mine[0] == 0.5
+
     _SHAPE = "times, rates and sizes must be 1-d arrays of equal length"
 
     # (times, rates, sizes, message): most cases also fail a later check, which

@@ -78,6 +78,19 @@ class TestTimeSeriesInvariants:
             TimeSeries(times, values)
         assert times.flags.writeable and values.flags.writeable
 
+    def test_caller_float64_arrays_are_kept_read_only(self):
+        # documented: the record keeps a caller's float64 array uncopied
+        # and makes it read-only; a copy passed in leaves the original writable
+        times, values = np.arange(3.0), np.ones(3)
+        ts = TimeSeries(times, values)
+        assert ts.times is times and ts.values is values
+        with pytest.raises(ValueError, match="read-only"):
+            times[0] = -1.0
+        mine = np.arange(3.0)
+        TimeSeries(mine.copy(), values)
+        mine[0] = -1.0
+        assert mine[0] == -1.0
+
 
 class TestLoadSeries:
     def test_two_rows(self):

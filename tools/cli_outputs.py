@@ -16,7 +16,10 @@ one normalized ``linear_s`` whose a*C underflows), and a few invalid
 inputs: edge series (constant, zero values, a duplicate time), each
 through ``fit --linearization recip-s-vs-t`` and both rate methods, a
 ``--poly-degree`` integral beyond the float range, and invalid flag
-values; 334 runs in all. Every
+values. Appended after those: ``diagnose`` by both rate methods on
+every edge series and on three more (one through S = 1, one with a
+non-positive value, one whose ln-r test keeps 2 points), and a
+``--poly-degree`` fit beyond the float range; 349 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -57,6 +60,14 @@ EDGE_SERIES = {
     "zero_value_7": "t,value\n0,1\n1,2\n2,3\n3,0\n4,5\n5,6\n6,7\n",
     "duplicate_time": "t,value\n0,1\n1,2\n1,3\n2,4\n",
 }
+# more edge series for identification, run only through diagnose: name -> series file text
+IDENTIFY_EDGE_SERIES = {
+    # ln S = 0 at t = 1: the rates of ln S are undefined
+    "through_one": "t,value\n0,0.5\n1,1\n2,2\n3,4\n4,8\n5,16\n6,32\n7,64\n",
+    "non_positive": "t,value\n0,-2\n1,1\n2,3\n3,4\n4,6\n5,7\n6,9\n",
+    # the ln-r test keeps 2 of its 4 direct rates
+    "ln_r_keeps_two": "t,value\n0,1\n1,0.5\n2,2\n3,1\n4,3\n",
+}
 # a model forecast on more grid points than one write chunk holds
 # (fileio._CHUNK_ROWS = 8192 rows)
 LONG_MODEL = "kind = linear_t\na = 0.252\nb = -0.0001197\nunit = persons\n"
@@ -76,6 +87,8 @@ FLOAT_RANGE_MODELS = {
 }
 # a rates file whose degree-1 integral leaves the float range at t = 3
 OVERFLOW_RATES = "t,rate,size\n0,100,1\n1,200,1\n2,300,1\n3,400,1\n"
+# a rates file whose degree-1 fit itself leaves the float range
+POLY_FIT_OVERFLOW_RATES = "t,rate,size\n0,1e306,1\n500,1e306,1\n1000,1e306,1\n"
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -117,12 +130,13 @@ def run_pipeline(out: Path) -> int:
     inputs.mkdir(parents=True)
     for stem in FIXTURES:
         shutil.copy(ROOT / "tests" / "data" / f"{stem}.csv", inputs / f"{stem}.csv")
-    for stem, text in EDGE_SERIES.items():
+    for stem, text in {**EDGE_SERIES, **IDENTIFY_EDGE_SERIES}.items():
         (inputs / f"{stem}.csv").write_text(text, encoding="utf-8")
     (inputs / "long_model.txt").write_text(LONG_MODEL, encoding="utf-8")
     for name, (text, _, _) in FLOAT_RANGE_MODELS.items():
         (inputs / f"{name}.txt").write_text(text, encoding="utf-8")
     (inputs / "overflow_rates.csv").write_text(OVERFLOW_RATES, encoding="utf-8")
+    (inputs / "poly_fit_overflow_rates.csv").write_text(POLY_FIT_OVERFLOW_RATES, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -209,6 +223,17 @@ def run_pipeline(out: Path) -> int:
     series = f"../../inputs/{next(iter(FIXTURES))}.csv"
     for name, (command, *flags) in INVALID_FLAGS.items():
         rec.run(name, command, series, *flags)
+    # appended after the runs above, so their directories keep their numbers
+    for stem in [*EDGE_SERIES, *IDENTIFY_EDGE_SERIES]:
+        for method in ("direct", "refined"):
+            rec.run(
+                f"{stem}-diagnose-{method}", "diagnose", f"../../inputs/{stem}.csv",
+                "--method", method, "--out", "report.txt",
+            )
+    rec.run(
+        "integrate-poly-fit-overflow", "integrate", "../../inputs/poly_fit_overflow_rates.csv",
+        "--anchor", "0:1", "--poly-degree", "1", "--grid", "0:1000:250", "--out", "series.csv",
+    )
     return rec.count
 
 
