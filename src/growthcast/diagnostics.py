@@ -95,26 +95,36 @@ class IdentificationReport:
 
 
 def stability_flag(rs: RateSeries, threshold: float = LOW_RATE_THRESHOLD) -> StabilityFlag:
-    """Flag a series whose recent growth rate has fallen below threshold."""
+    """Flag a series whose recent growth rate has fallen below threshold.
+
+    A recent rate (mean) beyond the float range is a NumericError.
+    """
     n = min(RECENT_WINDOW, len(rs))
-    recent = float(np.mean(rs.rates[-n:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        recent = float(np.mean(rs.rates[-n:]))
+    if not math.isfinite(recent):
+        raise NumericError(f"recent rate (mean of the last {n}) is beyond the float range")
     status = (
         StabilityStatus.LOW_RATE_UNSTABLE if recent < threshold else StabilityStatus.OK
     )
     return StabilityFlag(status=status, threshold=threshold, recent_rate=recent)
 
 
-def _constant_rate_candidate(rs: RateSeries) -> Candidate:
+def _constant_rate_candidate(rs: RateSeries) -> Optional[Candidate]:
     """The constant-rate hypothesis, judged as a zero-slope fit.
 
     r^2 is 1 when the rates are constant to rounding and 0 otherwise: a
-    flat line either is the data or explains none of its variation.
+    flat line either is the data or explains none of its variation. None
+    when the rates' mean or rms is beyond the float range.
     """
     r = rs.rates
-    mean = float(np.add.reduce(r) / r.size)
-    dev = r - mean
-    constant = float(np.abs(dev).max()) <= 1e-9 * max(abs(mean), 1e-300)
-    rms = math.sqrt(float(np.add.reduce(dev**2) / r.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.add.reduce(r) / r.size)
+        dev = r - mean
+        constant = float(np.abs(dev).max()) <= 1e-9 * max(abs(mean), 1e-300)
+        rms = math.sqrt(float(np.add.reduce(dev**2) / r.size))
+    if not (math.isfinite(mean) and math.isfinite(rms)):
+        return None
     return Candidate(
         model_kind=ModelKind.EXP_CONST,
         linearization=LinearizationKind.R_VS_T,
@@ -152,8 +162,10 @@ def identify(
     shifted-exponential family needs its displacement parameter a and is
     skipped (with a note) when none is supplied. A test that keeps fewer
     than 3 points is not ranked, with a note; nor is one whose line is
-    degenerate. Ties in r^2 (to 1e-10) are broken by fewer dropped
-    points, then simplest family first.
+    degenerate, nor the constant-rate test where its mean or rms is beyond
+    the float range; when nothing is left to rank, a NumericError. Ties in
+    r^2 (to 1e-10) are broken by fewer dropped points, then simplest
+    family first.
 
     Every line test is one uncompacted row of one :func:`fitting._fit_lines`
     block, filled from arrays: the rates of ln S get no record of their own.
@@ -193,7 +205,12 @@ def identify(
 
     notes: list[str] = []
     too_few: list[str] = []
-    candidates: list[Candidate] = [_constant_rate_candidate(rs)]
+    candidates: list[Candidate] = []
+    constant = _constant_rate_candidate(rs)
+    if constant is None:
+        too_few.append("exp_const test not ranked: its rates' mean or rms is beyond the float range")
+    else:
+        candidates.append(constant)
     rows = zip(
         tests, ys, keep,
         lines.n_points.tolist(),
@@ -238,6 +255,11 @@ def identify(
             )
         )
 
+    if not candidates:
+        raise NumericError(
+            "no identification test can be ranked on this series: the rates' mean or rms "
+            "is beyond the float range and no line test fits"
+        )
     ranked = sorted(
         candidates,
         key=lambda c: (

@@ -213,11 +213,16 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     Fewer than 2 distinct x values, or sums beyond the float range, are a
     DegenerateFitError.
     """
+    return _line_fit(*_pair(xs, ys))
+
+
+def _pair(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as float arrays; a ValidationError unless 1-d of equal length."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("xs and ys must be 1-d arrays of equal length")
-    return _line_fit(x, y)
+    return x, y
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
@@ -242,10 +247,7 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
     in the interpolation regime (as many coefficients as points). A fit
     whose coefficients or residuals leave the float range is a DomainError.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("xs and ys must be 1-d arrays of equal length")
+    x, y = _pair(xs, ys)
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     n_distinct = np.unique(x).size

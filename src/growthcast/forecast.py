@@ -11,6 +11,10 @@ Three routes to a trajectory:
   meaningless, so leaving it is refused, not warned about);
 * closed form: normalize a catalog model at an anchor and evaluate it
   over a grid, attaching its critical feature.
+
+Each route names the first offending point by ``timeseries._first_at``,
+the one rule, and ends in ``_trajectory``, which refuses the first size
+beyond the float range (walking out from a discrete anchor).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .models import (
     trajectory_at,
 )
 from .models import SINGULARITY_GUARD_YEARS
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, _first_at
 
 if TYPE_CHECKING:
     from .fitting import PolyFit
@@ -69,7 +73,6 @@ class ScenarioRow:
     label: str
     values: tuple[Optional[float], ...]
     features: Features
-    anchor: Anchor
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,9 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
         raise DomainError(f"anchor size must be positive, got {s0}")
 
     times = rs.times
-    matches = np.nonzero(np.abs(times - t0) <= _ANCHOR_ALIGN_YEARS)[0]
-    if matches.size:
+    anchor_idx = _first_at(np.abs(times - t0) <= _ANCHOR_ALIGN_YEARS)
+    if anchor_idx is not None:
         grid = times
-        anchor_idx = int(matches[0])
         step_rates = rs.rates[1:]  # rate 0 has no left neighbor
     elif t0 < times[0] - _ANCHOR_ALIGN_YEARS:
         grid = np.concatenate(([t0], times))
@@ -119,40 +121,23 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
     # factors[i] = 1 + R dt of the step between grid[i] and grid[i + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         factors = 1.0 + step_rates * np.diff(grid)
-    forward = factors[anchor_idx:]
-    backward = factors[:anchor_idx][::-1]
-    bad = np.flatnonzero(forward <= 0)
-    if bad.size:
-        i = anchor_idx + 1 + int(bad[0])
+    # the first collapsing step forward, else the backward one nearest the anchor
+    i = _first_at(factors <= 0, anchor_idx)
+    if i is not None:
+        forward = i >= anchor_idx
         raise CollapseError(
-            f"step into t = {grid[i]} would drive the size non-positive "
-            f"(1 + R*dt = {factors[i - 1]})"
-        )
-    bad = np.flatnonzero(backward <= 0)
-    if bad.size:
-        i = anchor_idx - 1 - int(bad[0])
-        raise CollapseError(
-            f"backward step into t = {grid[i]} would drive the size non-positive "
-            f"(1 + R*dt = {factors[i]})"
+            f"{'step' if forward else 'backward step'} into t = {grid[i + forward]} "
+            f"would drive the size non-positive (1 + R*dt = {factors[i]})"
         )
     # accumulate is strictly sequential, so each value is the running
     # product (quotient) the step rule defines, rounded step by step; a
-    # size beyond the float range becomes inf or nan and is reported below
+    # size beyond the float range becomes inf or nan and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.concatenate((
-            np.divide.accumulate(np.concatenate(([s0], backward)))[:0:-1],
-            np.multiply.accumulate(np.concatenate(([s0], forward))),
+            np.divide.accumulate(np.concatenate(([s0], factors[:anchor_idx][::-1])))[:0:-1],
+            np.multiply.accumulate(np.concatenate(([s0], factors[anchor_idx:]))),
         ))
-    beyond = ~np.isfinite(values)
-    if beyond.any():
-        # name the first step, walking out from the anchor, that leaves the range
-        ahead = np.flatnonzero(beyond[anchor_idx:])
-        i = anchor_idx + int(ahead[0]) if ahead.size else int(np.flatnonzero(beyond)[-1])
-        raise NumericError(
-            f"discretely integrated size is beyond the float range at t = {grid[i]}"
-        )
-
-    return TimeSeries(times=grid, values=values, label=rs.source_label, unit="")
+    return _trajectory(grid, values, "discretely integrated size", rs.source_label, anchor_idx)
 
 
 def integrate_rate_function(
@@ -169,18 +154,15 @@ def integrate_rate_function(
         raise DomainError(f"anchor size must be positive, got {s0}")
     g = np.asarray(grid, dtype=float)
     points = np.concatenate(([t0], g))
-    outside = np.flatnonzero((points < p.t_min) | (points > p.t_max))
-    if outside.size:
+    i = _first_at((points < p.t_min) | (points > p.t_max))
+    if i is not None:
         raise RangeRefusalError(
-            f"t = {points[outside[0]]} lies outside the fitted range [{p.t_min}, {p.t_max}]; "
+            f"t = {points[i]} lies outside the fitted range [{p.t_min}, {p.t_max}]; "
             "polynomial rate laws are not extrapolated"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(math.log(s0) + p.antiderivative_at(g) - p.antiderivative_at(t0))
-    beyond = np.flatnonzero(~np.isfinite(values))
-    if beyond.size:
-        raise NumericError(f"rate-law integral is beyond the float range at t = {g[beyond[0]]}")
-    return TimeSeries(times=g, values=values, label="rate-law integral")
+    return _trajectory(g, values, "rate-law integral", "rate-law integral")
 
 
 def project(
@@ -201,8 +183,6 @@ def project(
 
 def project_normalized(m: Model, grid: Sequence[float], label: str = "") -> Projection:
     """Project an already-normalized model; the anchor is implicit in C."""
-    if not m.is_normalized:
-        raise DomainError(f"{m.kind.value} model is not normalized (C unset)")
     g = np.asarray(grid, dtype=float)
     t0 = float(g[0])
     s0 = float(trajectory_at(m, t0))
@@ -229,17 +209,19 @@ def _project_evaluated(
             "fewer than 2 grid points remain before the singularity; nothing to project"
         )
     values = trajectory_at(m, g)
-    beyond = np.flatnonzero(~np.isfinite(values))
-    if beyond.size:
-        raise NumericError(
-            f"{m.kind.value} size is beyond the float range at t = {g[beyond[0]]}"
-        )
-    series = TimeSeries(
-        times=g, values=values, label=label or m.kind.value, unit=m.unit
-    )
-    return Projection(
-        series=series, model=m, features=feat, anchor=anchor, warnings=tuple(notes)
-    )
+    series = _trajectory(g, values, f"{m.kind.value} size", label or m.kind.value, unit=m.unit)
+    return Projection(series=series, model=m, features=feat, anchor=anchor, warnings=tuple(notes))
+
+
+def _trajectory(
+    times: np.ndarray, values: np.ndarray, what: str, label: str, start: int = 0, unit: str = ""
+) -> TimeSeries:
+    """The sizes as a series; a NumericError names the first size beyond the
+    float range, walking out from index ``start`` (see ``_first_at``)."""
+    i = _first_at(~np.isfinite(values), start)
+    if i is not None:
+        raise NumericError(f"{what} is beyond the float range at t = {times[i]}")
+    return TimeSeries(times=times, values=values, label=label, unit=unit)
 
 
 def compare_scenarios(
@@ -274,7 +256,7 @@ def compare_scenarios(
             vals = [_value_or_nan(p.model, y) for y in years]
         values = tuple(v if math.isfinite(v) else None for v in vals)
         rows.append(
-            ScenarioRow(label=p.series.label, values=values, features=p.features, anchor=p.anchor)
+            ScenarioRow(label=p.series.label, values=values, features=p.features)
         )
 
     flags: list[Optional[bool]] = []

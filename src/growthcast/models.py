@@ -328,7 +328,7 @@ def _log_trajectory(m: Model, t: ArrayLike) -> ArrayLike:
     elif kind is ModelKind.RATE_LN_LINEAR:
         c = _require_c(m, positive=True)
         out = math.log(c) + (p.a / p.b) * np.exp(p.b * tp)
-    elif kind is ModelKind.RATE_SHIFTED_EXP:
+    else:  # RATE_SHIFTED_EXP
         c = _require_c(m, positive=True)
         if p.b != 0 and p.a / p.b > 0:
             _guard_singularity(tp, -math.log(p.a / p.b) / p.r, m)
@@ -338,8 +338,6 @@ def _log_trajectory(m: Model, t: ArrayLike) -> ArrayLike:
                 "rate_shifted_exp trajectory undefined where a - b*exp(-r*t') <= 0"
             )
         out = math.log(c) + tp / p.a + np.log(shifted) / (p.r * p.a)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValidationError(f"unknown model kind {kind!r}")
 
     return float(out) if scalar else np.asarray(out, dtype=float)
 
@@ -399,13 +397,11 @@ def _rate(m: Model, t: ArrayLike, s: Optional[ArrayLike]) -> ArrayLike:
         out = 1.0 / lin
     elif kind is ModelKind.RATE_LN_LINEAR:
         out = p.a * np.exp(p.b * tp)
-    elif kind is ModelKind.RATE_SHIFTED_EXP:
+    else:  # RATE_SHIFTED_EXP
         shifted = p.a - p.b * np.exp(-p.r * tp)
         if (shifted == 0).any():
             raise SingularityError("rate singular where a - b*exp(-r*t') = 0")
         out = 1.0 / shifted
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValidationError(f"unknown model kind {kind!r}")
 
     if kind is not m.kind:
         out = s_arr * out  # R_S = F * R_F
@@ -479,13 +475,11 @@ def _critical_point(m: Model) -> Features:
             return Features(FeatureKind.ASYMPTOTE, s_star=_require_c(m))
         return Features(FeatureKind.NONE, note="b > 0: super-exponential but finite at all times")
 
-    if kind is ModelKind.RATE_SHIFTED_EXP:
-        return Features(
-            FeatureKind.NONE,
-            note=f"asymptotically exponential with rate {1.0 / p.a:.6g} per year",
-        )
-
-    raise ValidationError(f"unknown model kind {kind!r}")  # pragma: no cover
+    # RATE_SHIFTED_EXP
+    return Features(
+        FeatureKind.NONE,
+        note=f"asymptotically exponential with rate {1.0 / p.a:.6g} per year",
+    )
 
 
 def normalize(m: Model, t0: float, s0: float) -> Model:
@@ -531,13 +525,11 @@ def normalize(m: Model, t0: float, s0: float) -> Model:
             g = math.log(lin) / p.b
         elif kind is ModelKind.RATE_LN_LINEAR:
             g = (p.a / p.b) * math.exp(p.b * tp)
-        elif kind is ModelKind.RATE_SHIFTED_EXP:
+        else:  # RATE_SHIFTED_EXP
             shifted = p.a - p.b * math.exp(-p.r * tp)
             if shifted <= 0:
                 raise DomainError(f"anchor time outside domain: a - b*exp(-r*t') = {shifted} <= 0")
             g = tp / p.a + math.log(shifted) / (p.r * p.a)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError(f"unknown model kind {kind!r}")
         if kind is not ModelKind.HYPERBOLIC:
             log_c = math.log(abs(k)) - g if k else 0.0  # a NaN ln C fails the bound below
             c = k and math.copysign(_exp(log_c), k) if abs(log_c) <= _LOG_FLOAT_LIMIT else math.nan

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .timeseries import TimeSeries, TransformKind, _set_checked_fields, transform_series
+from .timeseries import TimeSeries, TransformKind, _first_at, _set_checked_fields, transform_series
 
 
 class RateMethod(Enum):
@@ -187,9 +187,9 @@ def _rate_arrays(
             raise ValidationError(
                 f"refined rates need at least window={cfg.window} points, series has {values.size}"
             )
-    if (values == 0).any():
-        bad = int(np.argmax(values == 0))
-        raise DomainError(f"{method.value} rates undefined: series value 0 at t={times[bad]}")
+    i = _first_at(values == 0)
+    if i is not None:
+        raise DomainError(f"{method.value} rates undefined: series value 0 at t={times[i]}")
     with np.errstate(all="ignore"):
         if method is RateMethod.DIRECT:
             rates = np.diff(values) / (values[:-1] * np.diff(times))
@@ -197,9 +197,9 @@ def _rate_arrays(
         else:
             rates = _local_poly_gradients(times, values, cfg) / values
             sizes = values
-    if not np.isfinite(rates).all():
-        bad = int(np.argmax(~np.isfinite(rates)))
-        raise DomainError(f"{method.value} rates are beyond the float range at t = {times[bad]}")
+    i = _first_at(~np.isfinite(rates))
+    if i is not None:
+        raise DomainError(f"{method.value} rates are beyond the float range at t = {times[i]}")
     return times, rates, sizes
 
 

@@ -10,6 +10,9 @@ shares these checks, and the library builds both through them.
 (:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
 the stream once and converts each needed column in bulk, and looks for
 the offending cell only when a conversion fails.
+
+An error about a point names the first offending one: ``_first_at`` is
+the one rule, shared with ``rates`` and ``forecast``.
 """
 
 from __future__ import annotations
@@ -88,24 +91,22 @@ def _set_checked_fields(
         if np.count_nonzero(np.isfinite(arr)) != n:
             raise ValidationError(f"{name} contain non-finite entries")
     times = arrays[0]
-    i = _first_non_increasing(times)
+    i = _first_at(times[1:] <= times[:-1])
     if i is not None:
-        raise ValidationError(not_increasing.format(prev=times[i - 1], now=times[i]))
+        raise ValidationError(not_increasing.format(prev=times[i], now=times[i + 1]))
     for name, arr in zip(names, arrays):
         arr.setflags(write=False)
         object.__setattr__(record, name, arr)
 
 
-def _first_non_increasing(times: np.ndarray) -> Optional[int]:
-    """The first i with times[i] <= times[i - 1], or None; one comparison when there is none.
-
-    A NaN compares neither way and is never the answer: finiteness is a separate check.
-    """
-    up = times[1:] > times[:-1]
-    if np.count_nonzero(up) == up.size:
+def _first_at(bad: np.ndarray, start: int = 0) -> Optional[int]:
+    """The first True index of ``bad`` at or after ``start``, else the last one before it,
+    else None: the one rule naming an offending point. One ``np.count_nonzero`` if none."""
+    if not np.count_nonzero(bad):
         return None
-    bad = np.flatnonzero(times[1:] <= times[:-1])
-    return int(bad[0]) + 1 if bad.size else None
+    if np.count_nonzero(bad[start:]):
+        return start + int(np.argmax(bad[start:]))
+    return start - 1 - int(np.argmax(bad[start - 1 :: -1]))
 
 
 def read_table(
@@ -176,11 +177,11 @@ def read_table(
         _raise_first_bad_cell(where, header, rows, wanted)
 
     times = out[time_column]
-    i = _first_non_increasing(times)
+    i = _first_at(times[1:] <= times[:-1])
     if i is not None:
-        prev, now = float(times[i - 1]), float(times[i])
+        prev, now = float(times[i]), float(times[i + 1])
         kind = "duplicated" if now == prev else "non-increasing"
-        raise ValidationError(f"{where}row {i + 2}: {kind} time {now} (previous {prev})")
+        raise ValidationError(f"{where}row {i + 3}: {kind} time {now} (previous {prev})")
     return meta, out
 
 
@@ -240,27 +241,25 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     """
     if kind is TransformKind.LOG:
         new_values = _log_values(ts)
-    elif kind is TransformKind.RECIPROCAL:
-        if (ts.values == 0).any():
-            bad = int(np.argmax(ts.values == 0))
-            raise DomainError(f"reciprocal transform hit a zero value at t={ts.times[bad]}")
+    else:  # RECIPROCAL
+        i = _first_at(ts.values == 0)
+        if i is not None:
+            raise DomainError(f"reciprocal transform hit a zero value at t={ts.times[i]}")
         with np.errstate(over="ignore"):
             new_values = 1.0 / ts.values
-        if not np.isfinite(new_values).all():
-            bad = int(np.argmax(~np.isfinite(new_values)))
-            raise DomainError(f"reciprocal transform leaves the float range at t={ts.times[bad]}")
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unknown transform {kind!r}")
+        i = _first_at(~np.isfinite(new_values))
+        if i is not None:
+            raise DomainError(f"reciprocal transform leaves the float range at t={ts.times[i]}")
     unit = transformed_unit(ts.unit, kind)
     return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
 
 
 def _log_values(ts: TimeSeries) -> np.ndarray:
     """ln of every value of ``ts``; a DomainError names the first value that is not positive."""
-    if (ts.values <= 0).any():
-        bad = int(np.argmax(ts.values <= 0))
+    i = _first_at(ts.values <= 0)
+    if i is not None:
         raise DomainError(
-            f"log transform requires positive values; value {ts.values[bad]} at t={ts.times[bad]}"
+            f"log transform requires positive values; value {ts.values[i]} at t={ts.times[i]}"
         )
     return np.log(ts.values)
 

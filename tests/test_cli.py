@@ -770,6 +770,35 @@ class TestDiagnoseCommand:
         assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
         assert captured.out == ""
 
+    def test_constant_rate_beyond_float_range_is_a_note(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("t,value\n0,1\n1,1e170\n2,1e300\n3,1e301\n", encoding="utf-8")
+        code = main(["diagnose", str(series)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "exp_const" not in captured.out.split("winner:")[0]
+        assert (
+            "note: exp_const test not ranked: its rates' mean or rms is beyond the float range\n"
+            in captured.out
+        )
+        assert "winner: rate_ln_linear\n" in captured.out
+
+    def test_nothing_left_to_rank_is_exit_3(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text(
+            "t,value\n0,1\n1e-308,2\n2e-308,3\n3e-308,4\n4e-308,5\n", encoding="utf-8"
+        )
+        code = main(["diagnose", str(series), "--out", str(tmp_path / "report.txt")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: no identification test can be ranked on this series: the rates' mean or "
+            "rms is beyond the float range and no line test fits\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "report.txt").exists()
+
 
 class TestLineBreaksInMetadata:
     """A label or unit holding a line break would end its metadata line
@@ -849,6 +878,13 @@ class TestReproduceCommand:
         err = capsys.readouterr().err
         for name in ("uk-gdpcap", "world-pop", "japan-gdp"):
             assert name in err
+
+    def test_unknown_check_type_in_case_data(self):
+        from growthcast import ConfigError, cases
+
+        with pytest.raises(ConfigError) as exc:
+            cases._run_check({"type": "bogus", "scenario": "x"}, {}, {})
+        assert str(exc.value) == "unknown check type 'bogus' in case data"
 
     def test_world_pop_table_contents(self, tmp_path, capsys):
         code = main(["reproduce", "world-pop", "--out", str(tmp_path / "rep")])

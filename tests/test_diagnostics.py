@@ -9,6 +9,7 @@ from growthcast import (
     LinearizationKind,
     Model,
     ModelKind,
+    NumericError,
     Params,
     RateMethod,
     RateSeries,
@@ -63,8 +64,39 @@ class TestStabilityFlag:
         flag = stability_flag(rate_series([0.0, 1.0], [0.02, 0.04]))
         assert flag.recent_rate == pytest.approx(0.03)
 
+    def test_recent_rate_beyond_float_range_is_numeric_error(self):
+        with pytest.raises(NumericError) as exc:
+            stability_flag(rate_series([0.0, 1.0], [1e308, 1e308]))
+        assert str(exc.value) == "recent rate (mean of the last 2) is beyond the float range"
+
 
 class TestIdentify:
+    # direct rates whose squared deviations overflow, and whose sum does
+    SQUARE_OVERFLOW = TimeSeries(np.arange(4.0), np.array([1.0, 1e170, 1e300, 1e301]))
+    MEAN_OVERFLOW = TimeSeries(
+        np.array([0.0, 1e-308, 2e-308, 3e-308, 4e-308]), np.arange(1.0, 6.0)
+    )
+
+    @pytest.mark.parametrize("ts", [SQUARE_OVERFLOW, MEAN_OVERFLOW])
+    def test_constant_rate_beyond_float_range_is_none(self, ts):
+        assert diagnostics._constant_rate_candidate(direct_rates(ts)) is None
+
+    def test_constant_rate_beyond_float_range_is_not_ranked(self):
+        report = identify(self.SQUARE_OVERFLOW)
+        assert ModelKind.EXP_CONST not in {c.model_kind for c in report.candidates}
+        assert report.notes[-1] == (
+            "exp_const test not ranked: its rates' mean or rms is beyond the float range"
+        )
+        assert report.winner.model_kind is ModelKind.RATE_LN_LINEAR
+
+    def test_nothing_left_to_rank_is_numeric_error(self):
+        with pytest.raises(NumericError) as exc:
+            identify(self.MEAN_OVERFLOW)
+        assert str(exc.value) == (
+            "no identification test can be ranked on this series: the rates' mean or rms "
+            "is beyond the float range and no line test fits"
+        )
+
     def test_hyperbolic_series_wins(self):
         t = np.linspace(0.0, 9.0, 181)
         ts = TimeSeries(t, 1.0 / (10.0 - t))

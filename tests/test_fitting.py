@@ -58,6 +58,14 @@ class TestFitLine:
         assert fit.slope == 0.0
         assert fit.r_squared == 1.0  # SStot = SSres = 0
 
+    @pytest.mark.parametrize(
+        "xs, ys", [([0.0, 1.0, 2.0], [1.0, 2.0]), ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 3.0]])]
+    )
+    def test_not_a_1d_pair_rejected(self, xs, ys):
+        with pytest.raises(ValidationError) as exc:
+            fit_line(xs, ys)
+        assert str(exc.value) == "xs and ys must be 1-d arrays of equal length"
+
     def test_sums_beyond_float_range_degenerate(self):
         with pytest.raises(DegenerateFitError, match="beyond the float range"):
             fit_line([0.0, 1.0, 2.0], [1e200, -1e200, 3e200])
@@ -250,6 +258,27 @@ class TestFitPolynomial:
         fields[field] = value
         with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
             PolyFit(**fields)
+
+    @pytest.mark.parametrize(
+        "coefficients, degree, t_max, message",
+        [
+            ([0.01, 1e-4], 2, 10.0, "expected 3 coefficients for degree 2, got 2"),
+            ([], -1, 10.0, "degree must be non-negative"),
+            ([0.01, 1e-4], 1, 0.0, "t_min must be below t_max"),
+        ],
+    )
+    def test_invalid_direct_construction_rejected(self, coefficients, degree, t_max, message):
+        with pytest.raises(ValidationError) as exc:
+            PolyFit(np.array(coefficients, dtype=float), degree, 0.0, t_min=0.0, t_max=t_max)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "xs, ys", [([0.0, 1.0, 2.0], [1.0, 2.0]), ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 3.0]])]
+    )
+    def test_not_a_1d_pair_rejected(self, xs, ys):
+        with pytest.raises(ValidationError) as exc:
+            fit_polynomial(xs, ys, 1)
+        assert str(exc.value) == "xs and ys must be 1-d arrays of equal length"
 
     @pytest.mark.parametrize(
         "t, rates",
@@ -540,6 +569,13 @@ class TestScanShiftedAux:
             fit_rate_model(rs, LinearizationKind.LN_R_VS_T)
         with pytest.raises(EmptyLinearizationError, match="no scan value of a admits a fit"):
             scan_shifted_aux(rs, 25.0, 60.0)
+
+    @pytest.mark.parametrize("a_min, a_max", [(15.0, 15.0), (15.0, 5.0)])
+    def test_empty_scan_interval_rejected(self, a_min, a_max):
+        rs = rate_series(np.arange(6.0), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        with pytest.raises(ConfigError) as exc:
+            scan_shifted_aux(rs, a_min, a_max)
+        assert str(exc.value) == "scan needs a_min < a_max and at least 2 steps"
 
 
 def _scan_case(rng):

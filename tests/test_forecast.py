@@ -136,6 +136,13 @@ class TestIntegrateDiscrete:
 
 
 class TestIntegrateRateFunction:
+    @pytest.mark.parametrize("s0", [0.0, -1.0])
+    def test_non_positive_anchor_size_rejected(self, s0):
+        p = PolyFit(np.array([0.02]), 0, 0.0, t_min=-1.0, t_max=5.0)
+        with pytest.raises(DomainError) as exc:
+            integrate_rate_function(p, (0.0, s0), [0.0, 1.0])
+        assert str(exc.value) == f"anchor size must be positive, got {s0}"
+
     def test_constant_rate_polynomial(self):
         p = PolyFit(np.array([0.02]), 0, 0.0, t_min=-1.0, t_max=5.0)
         out = integrate_rate_function(p, (0.0, 1.0), [0.0, 1.0, 2.0])
@@ -194,6 +201,12 @@ class TestIntegrateRateFunction:
 
 
 class TestProject:
+    def test_unnormalized_model_rejected_by_project_normalized(self):
+        m = Model(ModelKind.LINEAR_T, Params(a=0.25, b=-1e-4))
+        with pytest.raises(DomainError) as exc:
+            project_normalized(m, [0.0, 1.0, 2.0])
+        assert str(exc.value) == "linear_t model is not normalized (C unset)"
+
     def test_world_population_linear_trajectory(self):
         m = Model(ModelKind.LINEAR_T, Params(a=2.520e-1, b=-1.197e-4), unit="persons")
         proj = project(m, (2030.0, 8.4e9), np.array([2030.0, 2050.0, 2100.0, 2105.26]))
@@ -316,6 +329,11 @@ class TestAnalyticNumericAgreement:
 
 
 class TestCompareScenarios:
+    def test_no_projection_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            compare_scenarios([], [2030.0])
+        assert str(exc.value) == "compare_scenarios needs at least one projection"
+
     def world_projections(self):
         exp_m = Model(
             ModelKind.RATE_LN_LINEAR,

@@ -164,6 +164,25 @@ class TestRateAt:
 
 
 class TestTrajectoryAt:
+    @pytest.mark.parametrize(
+        "m, t, message",
+        [
+            (
+                model(ModelKind.RATE_RECIP_LINEAR, a=1.0, b=-0.5, C=1.0), 3.0,
+                "rate_recip_linear trajectory undefined where a + b*t' <= 0 "
+                "(boundary at t = 2.0)",
+            ),
+            (
+                model(ModelKind.LINEAR_S, a=1.0, b=0.5, C=0.0), 1.0,
+                "linear_s trajectory undefined where its denominator <= 0",
+            ),
+        ],
+    )
+    def test_outside_the_domain_is_named(self, m, t, message):
+        with pytest.raises(DomainError) as exc:
+            trajectory_at(m, t)
+        assert str(exc.value) == message
+
     def test_unit_logistic(self):
         m = model(ModelKind.LINEAR_S, a=1.0, b=-1.0, C=1.0)
         assert trajectory_at(m, 0.0) == pytest.approx(0.5, rel=1e-15)
@@ -599,6 +618,10 @@ class TestIntegrateRational:
 
     def test_empty_interval_is_zero(self):
         assert integrate_rational(1.0, 1.0, 0.0, 1.0, 1.5, 1.5) == 0.0
+
+    def test_constant_factor(self):
+        # 1 / (1 (1 + x)) over [0, 1] = ln 2; the constant factor has no root
+        assert integrate_rational(1.0, 0.0, 1.0, 1.0, 0.0, 1.0) == math.log(2.0)
 
     def test_root_inside_interval(self):
         with pytest.raises(SingularIntegrandError):

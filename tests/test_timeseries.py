@@ -270,6 +270,12 @@ class TestReaderMatchesLoop:
 
 
 class TestReadTable:
+    def test_oversized_cell_names_its_row(self):
+        src = io.StringIO("t,v\n1,2\n2," + "9" * 200_000 + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_table(src, "t", ("v",))
+        assert str(exc.value) == "row 3: field larger than field limit (131072)"
+
     def test_comment_and_blank_lines_skipped_anywhere(self):
         src = io.StringIO("# unit: m\nt,v\n1,2\n\n# a note: not metadata\n   \n2,3\n")
         meta, cols = read_table(src, "t", ("v",))

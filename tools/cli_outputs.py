@@ -19,7 +19,12 @@ through ``fit --linearization recip-s-vs-t`` and both rate methods, a
 values. Appended after those: ``diagnose`` by both rate methods on
 every edge series and on three more (one through S = 1, one with a
 non-positive value, one whose ln-r test keeps 2 points), and a
-``--poly-degree`` fit beyond the float range; 349 runs in all. Every
+``--poly-degree`` fit beyond the float range. Appended after those:
+discrete integrals that collapse (forward, backward, both ways) or
+leave the float range on a backward step, ``rates`` of a reciprocal
+beyond the float range and of the log of a non-positive value, and
+``diagnose`` on two series whose rates' mean or rms is beyond the float
+range; 357 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -89,6 +94,25 @@ FLOAT_RANGE_MODELS = {
 OVERFLOW_RATES = "t,rate,size\n0,100,1\n1,200,1\n2,300,1\n3,400,1\n"
 # a rates file whose degree-1 fit itself leaves the float range
 POLY_FIT_OVERFLOW_RATES = "t,rate,size\n0,1e306,1\n500,1e306,1\n1000,1e306,1\n"
+# discrete integrals refused: name -> (rates file text, --anchor)
+DISCRETE_REFUSALS = {
+    "collapse-forward": ("t,rate,size\n0,0.1,1\n1,-2,1\n2,-3,1\n3,0.1,1\n", "0:1"),
+    # two backward steps collapse; the one nearest the anchor is named
+    "collapse-backward": ("t,rate,size\n0,0.1,1\n1,-2,1\n2,-3,1\n3,0.1,1\n", "3:1"),
+    # steps collapse on both sides of the anchor; the forward one is named
+    "collapse-both": ("t,rate,size\n0,0.1,1\n1,-2,1\n2,0.1,1\n3,-2,1\n", "2:1"),
+    # each backward step divides by 1e-6: beyond the float range at t = 1
+    "overflow-backward": (
+        "t,rate,size\n0,0.1,1\n1,-0.999999,1\n2,-0.999999,1\n3,-0.999999,1\n", "3:1e300"
+    ),
+}
+# 1/S of 1e-310 is beyond the float range
+RECIPROCAL_OVERFLOW = "t,value\n0,1\n1,1e-310\n2,3\n"
+# series whose direct rates' squared deviations (first) or sum (second) overflow
+RATE_MOMENT_OVERFLOW = {
+    "square": "t,value\n0,1\n1,1e170\n2,1e300\n3,1e301\n",
+    "mean": "t,value\n0,1\n1e-308,2\n2e-308,3\n3e-308,4\n4e-308,5\n",
+}
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -137,6 +161,11 @@ def run_pipeline(out: Path) -> int:
         (inputs / f"{name}.txt").write_text(text, encoding="utf-8")
     (inputs / "overflow_rates.csv").write_text(OVERFLOW_RATES, encoding="utf-8")
     (inputs / "poly_fit_overflow_rates.csv").write_text(POLY_FIT_OVERFLOW_RATES, encoding="utf-8")
+    for name, (text, _) in DISCRETE_REFUSALS.items():
+        (inputs / f"{name}.csv").write_text(text, encoding="utf-8")
+    (inputs / "reciprocal_overflow.csv").write_text(RECIPROCAL_OVERFLOW, encoding="utf-8")
+    for name, text in RATE_MOMENT_OVERFLOW.items():
+        (inputs / f"rate_{name}_overflow.csv").write_text(text, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -234,6 +263,21 @@ def run_pipeline(out: Path) -> int:
         "integrate-poly-fit-overflow", "integrate", "../../inputs/poly_fit_overflow_rates.csv",
         "--anchor", "0:1", "--poly-degree", "1", "--grid", "0:1000:250", "--out", "series.csv",
     )
+    for name, (_, anchor) in DISCRETE_REFUSALS.items():
+        rec.run(
+            f"integrate-{name}", "integrate", f"../../inputs/{name}.csv",
+            "--anchor", anchor, "--out", "series.csv",
+        )
+    for stem, transform in (("reciprocal_overflow", "reciprocal"), ("non_positive", "log")):
+        rec.run(
+            f"{stem}-rates-{transform}", "rates", f"../../inputs/{stem}.csv",
+            "--transform", transform, "--out", "rates.csv",
+        )
+    for name in RATE_MOMENT_OVERFLOW:
+        rec.run(
+            f"diagnose-rate-{name}-overflow", "diagnose", f"../../inputs/rate_{name}_overflow.csv",
+            "--out", "report.txt",
+        )
     return rec.count
 
 
