@@ -57,9 +57,12 @@ def _parse_grid(text: str) -> np.ndarray:
     if step <= 0 or stop <= start:
         raise ConfigError("--grid needs stop > start and step > 0")
     try:
-        return np.arange(start, stop + step / 2.0, step)
+        grid = np.arange(start, stop + step / 2.0, step)
     except (MemoryError, ValueError):
         raise ConfigError(f"--grid {text!r} has more points than can be allocated") from None
+    if grid.size < 2:
+        raise ConfigError(f"--grid {text!r} gives {grid.size} point(s); a grid needs at least 2")
+    return grid
 
 
 def _smoothing(args: argparse.Namespace) -> Optional[SmoothingConfig]:
@@ -226,12 +229,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     else:
         if args.grid is None:
             raise ConfigError("--grid is required with --poly-degree")
+        grid = _parse_grid(args.grid)
         from .fitting import fit_polynomial
 
         poly = fit_polynomial(rs.times, rs.rates, args.poly_degree)
         for w in poly.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        out_series = integrate_rate_function(poly, anchor, _parse_grid(args.grid))
+        out_series = integrate_rate_function(poly, anchor, grid)
     out_series = replace(out_series, label=meta.get("label", out_series.label))
     write_series(args.out, out_series)
     write_sidecar(

@@ -2,11 +2,11 @@
 
 Identification runs every candidate family's linearity test over the
 same data and ranks them by r^2: whichever transform straightens the
-data best names the law. Ties (several transforms exactly linear, which
-happens on clean synthetic data) go to the simplest family. All the
-line tests are fitted together in one batched least-squares pass that
-makes no BLAS call, over one block filled from arrays, and a test
-keeping fewer than 3 points is not ranked.
+data best names the law. The tests are stated once, in ``_LINE_TESTS``,
+whose simplest-first order breaks ties (several transforms exactly
+linear, as on clean synthetic data), and fitted together in one batched
+least-squares pass that makes no BLAS call. Each test is either ranked
+or named in a note that says why it is not.
 
 The stability flag encodes an empirical observation about economies
 whose growth rate decays toward zero: once the recent rate drops below
@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError
-from .fitting import LinearizationKind, _fit_lines, _line_coords, model_kind_for
-from .models import LOG_LIFT, ModelKind
+from .fitting import LinearizationKind, _fit_lines, _line_coords
+from .models import ModelKind
 from .rates import RateMethod, RateSeries, SmoothingConfig, _rate_arrays, estimate_rates
 from .timeseries import TimeSeries, TransformKind, _log_values
 
@@ -35,21 +35,6 @@ LOW_RATE_THRESHOLD = 0.014
 
 #: Points averaged for the "recent" rate.
 RECENT_WINDOW = 5
-
-#: Simplest-first order used to break r^2 ties.
-_CATALOG_ORDER = (
-    ModelKind.EXP_CONST,
-    ModelKind.LINEAR_T,
-    ModelKind.LINEAR_S,
-    ModelKind.HYPERBOLIC,
-    ModelKind.LOGLOG_T,
-    ModelKind.LOGLOG_S,
-    ModelKind.RATE_RECIP_LINEAR,
-    ModelKind.RATE_LN_LINEAR,
-    ModelKind.RATE_SHIFTED_EXP,
-)
-
-_CATALOG_RANK = {kind: i for i, kind in enumerate(_CATALOG_ORDER)}
 
 _R2_TIE_DECIMALS = 10
 
@@ -139,13 +124,21 @@ def _constant_rate_candidate(rs: RateSeries) -> Optional[Candidate]:
 #: points has r^2 = 1 by construction (the aux scan's rule).
 _MIN_TEST_POINTS = 3
 
-_RATE_TESTS = (
-    LinearizationKind.R_VS_T,
-    LinearizationKind.R_VS_S,
-    LinearizationKind.RECIP_R_VS_T,
-    LinearizationKind.LN_R_VS_T,
+#: The line tests in simplest-first order, the order candidates are built
+#: in (after the constant-rate test) and so the order that breaks r^2 ties.
+#: Each names its family, its linearization and the points it reads: the
+#: rates of S ("rates"), the raw series ("series"), the rates of ln S
+#: ("log rates") or the rates of S with the auxiliary parameter a ("aux").
+_LINE_TESTS = (
+    (ModelKind.LINEAR_T, LinearizationKind.R_VS_T, "rates"),
+    (ModelKind.LINEAR_S, LinearizationKind.R_VS_S, "rates"),
+    (ModelKind.HYPERBOLIC, LinearizationKind.RECIP_S_VS_T, "series"),
+    (ModelKind.LOGLOG_T, LinearizationKind.R_VS_T, "log rates"),
+    (ModelKind.LOGLOG_S, LinearizationKind.R_VS_S, "log rates"),
+    (ModelKind.RATE_RECIP_LINEAR, LinearizationKind.RECIP_R_VS_T, "rates"),
+    (ModelKind.RATE_LN_LINEAR, LinearizationKind.LN_R_VS_T, "rates"),
+    (ModelKind.RATE_SHIFTED_EXP, LinearizationKind.SHIFTED_LN_VS_T, "aux"),
 )
-_LOG_TESTS = (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S)
 
 
 def identify(
@@ -158,57 +151,52 @@ def identify(
 
     Rates are computed from the series with the requested method; the
     log-of-size families are tested on the rates of ln S, and the
-    hyperbolic reciprocal test runs on the raw series values. The
-    shifted-exponential family needs its displacement parameter a and is
-    skipped (with a note) when none is supplied. A test that keeps fewer
-    than 3 points is not ranked, with a note; nor is one whose line is
-    degenerate, nor the constant-rate test where its mean or rms is beyond
-    the float range; when nothing is left to rank, a NumericError. Ties in
-    r^2 (to 1e-10) are broken by fewer dropped points, then simplest
-    family first.
+    hyperbolic reciprocal test runs on the raw series values. One note
+    skips the log-of-size tests when ln S or its rates are undefined,
+    and one the shifted-exponential test when its parameter a is not
+    supplied. Every other test is ranked or named in a note, ``<family>
+    test not ranked: <why>``: the constant-rate test when its mean or
+    rms is beyond the float range, a line test when it keeps fewer than
+    3 points or its line is degenerate; when nothing is left to rank, a
+    NumericError. Ties in r^2 (to 1e-10) are broken by fewer dropped
+    points, then by the order of ``_LINE_TESTS``.
 
     Every line test is one uncompacted row of one :func:`fitting._fit_lines`
     block, filled from arrays: the rates of ln S get no record of their own.
     """
     rs = estimate_rates(ts, method, cfg)
 
-    skipped: list[str] = []
-    # (linearization, transform, times, rates, sizes) of each line test
-    tests = [(lin, None, rs.times, rs.rates, rs.sizes) for lin in _RATE_TESTS]
-    # hyperbolic signature: reciprocal of the raw series affine in time
-    tests.append((LinearizationKind.RECIP_S_VS_T, None, ts.times, None, ts.values))
-
+    notes: list[str] = []
+    # (times, rates, sizes) of each source of points the tests read
+    points = {"rates": (rs.times, rs.rates, rs.sizes), "series": (ts.times, None, ts.values)}
     # log-of-size families need a positive series
     try:
         log_values = _log_values(ts)
     except DomainError:
-        skipped.append("log-of-size tests skipped (series has non-positive values)")
+        notes.append("log-of-size tests skipped (series has non-positive values)")
     else:
         try:
-            log_rates = _rate_arrays(ts.times, log_values, method, cfg)
-            tests += [(lin, TransformKind.LOG, *log_rates) for lin in _LOG_TESTS]
+            points["log rates"] = _rate_arrays(ts.times, log_values, method, cfg)
         except (NumericError, ValidationError):
-            skipped.append("log-of-size tests skipped (log rates undefined on this series)")
-
+            notes.append("log-of-size tests skipped (log rates undefined on this series)")
     if aux_a is not None:
-        tests.append((LinearizationKind.SHIFTED_LN_VS_T, None, rs.times, rs.rates, rs.sizes))
+        points["aux"] = points["rates"]
     else:
-        skipped.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+        notes.append("shifted-exponential test skipped (auxiliary parameter a not supplied)")
+    tests = [(kind, lin, src, *points[src]) for kind, lin, src in _LINE_TESTS if src in points]
 
     # one row per test; the cells past a test's points stay dropped zeros
     shape = (len(tests), len(ts))
     xs, ys, keep = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
-    for i, (lin, _, times, rates, sizes) in enumerate(tests):
+    for i, (_, lin, _, times, rates, sizes) in enumerate(tests):
         m = times.size
         xs[i, :m], ys[i, :m], keep[i, :m] = _line_coords(lin, times, rates, sizes, aux_a)
     lines = _fit_lines(xs, ys, keep)
 
-    notes: list[str] = []
-    too_few: list[str] = []
     candidates: list[Candidate] = []
     constant = _constant_rate_candidate(rs)
     if constant is None:
-        too_few.append("exp_const test not ranked: its rates' mean or rms is beyond the float range")
+        notes.append("exp_const test not ranked: its rates' mean or rms is beyond the float range")
     else:
         candidates.append(constant)
     rows = zip(
@@ -219,18 +207,13 @@ def identify(
         lines.r_squared.tolist(),
         lines.rms_residual.tolist(),
     )
-    for (lin, transform, times, _, _), y, k, kept, fits, intercept, r2, rms in rows:
-        kind = model_kind_for(lin)
-        name = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
-        if kept < _MIN_TEST_POINTS:
-            too_few.append(
-                f"{name.value} test not ranked: keeps {kept} of {times.size} point(s), "
-                f"fewer than {_MIN_TEST_POINTS}"
+    for (kind, lin, src, times, _, _), y, k, kept, fits, intercept, r2, rms in rows:
+        if kept < _MIN_TEST_POINTS or not fits:
+            why = (
+                f"keeps {kept} of {times.size} point(s), fewer than {_MIN_TEST_POINTS}"
+                if kept < _MIN_TEST_POINTS else "its line is degenerate"
             )
-            continue
-        if not fits:
-            if lin is LinearizationKind.RECIP_S_VS_T:
-                notes.append("hyperbolic reciprocal test skipped (degenerate on this series)")
+            notes.append(f"{kind.value} test not ranked: {why}")
             continue
         note = ""
         valid = True
@@ -244,12 +227,12 @@ def identify(
                 note = "intercept consistent with zero: law reduces to rate proportional to size"
         candidates.append(
             Candidate(
-                model_kind=name,
+                model_kind=kind,
                 linearization=lin,
                 r_squared=r2,
                 rms_residual=rms,
                 dropped_points=times.size - kept,
-                transform=transform,
+                transform=TransformKind.LOG if src == "log rates" else None,
                 note=note,
                 valid=valid,
             )
@@ -260,18 +243,11 @@ def identify(
             "no identification test can be ranked on this series: the rates' mean or rms "
             "is beyond the float range and no line test fits"
         )
+    # stable: equal keys keep the build order, constant rate then _LINE_TESTS
     ranked = sorted(
         candidates,
-        key=lambda c: (
-            -round(c.r_squared, _R2_TIE_DECIMALS),
-            c.dropped_points,
-            not c.valid,
-            _CATALOG_RANK[c.model_kind],
-        ),
+        key=lambda c: (-round(c.r_squared, _R2_TIE_DECIMALS), c.dropped_points, not c.valid),
     )
     return IdentificationReport(
-        candidates=tuple(ranked),
-        winner=ranked[0],
-        rates=rs,
-        notes=tuple(notes + skipped + too_few),
+        candidates=tuple(ranked), winner=ranked[0], rates=rs, notes=tuple(notes)
     )

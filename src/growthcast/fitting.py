@@ -343,10 +343,6 @@ _LINEARIZATIONS = {
 }
 
 
-def model_kind_for(linearization: LinearizationKind) -> ModelKind:
-    return _LINEARIZATIONS[linearization][0]
-
-
 def _line_coords(
     kind: LinearizationKind,
     times: np.ndarray,

@@ -173,26 +173,34 @@ def project(
 ) -> Projection:
     """Normalize a model at the anchor and evaluate it over the grid.
 
-    A grid crossing a finite-time singularity is truncated to the points
-    strictly before it, with a warning naming the singular time.
+    A grid of fewer than 2 points is a ValidationError. A grid crossing a
+    finite-time singularity is truncated to the points strictly before
+    it, with a warning naming the singular time.
     """
+    g = _grid(grid)
     t0, s0 = anchor
     normalized = normalize(m, t0, s0)
-    return _project_evaluated(normalized, anchor, grid, label)
+    return _project_evaluated(normalized, anchor, g, label)
 
 
 def project_normalized(m: Model, grid: Sequence[float], label: str = "") -> Projection:
-    """Project an already-normalized model; the anchor is implicit in C."""
-    g = np.asarray(grid, dtype=float)
+    """Project an already-normalized model; the anchor is implicit in C,
+    the grid is as for :func:`project`."""
+    g = _grid(grid)
     t0 = float(g[0])
     s0 = float(trajectory_at(m, t0))
-    return _project_evaluated(m, (t0, s0), grid, label)
+    return _project_evaluated(m, (t0, s0), g, label)
 
 
-def _project_evaluated(
-    m: Model, anchor: Anchor, grid: Sequence[float], label: str
-) -> Projection:
+def _grid(grid: Sequence[float]) -> np.ndarray:
+    """``grid`` as a float array; a ValidationError when it has fewer than 2 points."""
     g = np.asarray(grid, dtype=float)
+    if g.size < 2:
+        raise ValidationError(f"a projection grid needs at least 2 points, got {g.size}")
+    return g
+
+
+def _project_evaluated(m: Model, anchor: Anchor, g: np.ndarray, label: str) -> Projection:
     feat = model_features(m)
     notes: list[str] = []
     if feat.kind is FeatureKind.SINGULARITY:

@@ -215,5 +215,7 @@ def rate_of_transform(
     size field of the result carries F(S), not S, so size-dependent fits
     on the transformed quantity work unchanged.
     """
+    # first, so that a kind that is not a TransformKind is refused by name
+    transformed = transform_series(ts, kind)
     label = f"{ts.label} [{kind.value}]" if ts.label else f"[{kind.value}]"
-    return _rates(transform_series(ts, kind), method, cfg, label)
+    return _rates(transformed, method, cfg, label)

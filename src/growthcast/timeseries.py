@@ -237,8 +237,11 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     """Replace values elementwise by ln(value) or 1/value.
 
     Times are unchanged; the unit becomes :func:`transformed_unit`.
-    LOG requires every value > 0, RECIPROCAL every value != 0.
+    LOG requires every value > 0, RECIPROCAL every value != 0; a
+    ``kind`` that is not a TransformKind is a ConfigError.
     """
+    if not isinstance(kind, TransformKind):
+        raise ConfigError(f"unknown transform {kind!r}")
     if kind is TransformKind.LOG:
         new_values = _log_values(ts)
     else:  # RECIPROCAL

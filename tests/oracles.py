@@ -29,16 +29,15 @@ from growthcast import (
     ValidationError,
 )
 from growthcast.diagnostics import (
-    _CATALOG_ORDER,
     _MIN_TEST_POINTS,
     _R2_TIE_DECIMALS,
-    _RATE_TESTS,
     Candidate,
     IdentificationReport,
     _constant_rate_candidate,
 )
 from growthcast.fileio import _CELL, _DECPT, _PAD
 from growthcast.fitting import (
+    _LINEARIZATIONS,
     FitReport,
     LinearizationKind,
     _line_coords,
@@ -47,7 +46,6 @@ from growthcast.fitting import (
     fit_rate_model,
     linearize,
     linearize_series,
-    model_kind_for,
 )
 from growthcast.models import LOG_LIFT, ModelKind
 from growthcast.rates import (
@@ -59,6 +57,31 @@ from growthcast.rates import (
     refined_rates,
 )
 from growthcast.timeseries import TransformKind
+
+#: Simplest-first order used to break r^2 ties (``diagnostics`` before
+#: its tests were stated in one table).
+_CATALOG_ORDER = (
+    ModelKind.EXP_CONST,
+    ModelKind.LINEAR_T,
+    ModelKind.LINEAR_S,
+    ModelKind.HYPERBOLIC,
+    ModelKind.LOGLOG_T,
+    ModelKind.LOGLOG_S,
+    ModelKind.RATE_RECIP_LINEAR,
+    ModelKind.RATE_LN_LINEAR,
+    ModelKind.RATE_SHIFTED_EXP,
+)
+
+_RATE_TESTS = (
+    LinearizationKind.R_VS_T,
+    LinearizationKind.R_VS_S,
+    LinearizationKind.RECIP_R_VS_T,
+    LinearizationKind.LN_R_VS_T,
+)
+
+
+def model_kind_for(linearization: LinearizationKind) -> ModelKind:
+    return _LINEARIZATIONS[linearization][0]
 
 
 def rk4_log_integrate(

@@ -629,6 +629,8 @@ class TestForecastCommand:
             (["--anchor", "0:abc", "--grid", "0:5:1"], "--anchor must be numeric, got '0:abc'"),
             (["--anchor", "0:1", "--grid", "0:5"],
              "--grid must look like start:stop:step, got '0:5'"),
+            (["--anchor", "0:1", "--grid", "0:1:5"],
+             "--grid '0:1:5' gives 1 point(s); a grid needs at least 2"),
         ],
     )
     def test_bad_anchor_or_grid_names_its_flag(self, tmp_path, capsys, flags, message):
@@ -690,6 +692,20 @@ class TestIntegrateCommand:
         ])
         assert code == 3
         assert capsys.readouterr().err == "error: polynomial fit is beyond the float range\n"
+        assert not out.exists()
+
+    def test_polynomial_route_refuses_a_one_point_grid(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "1960:7000", "--poly-degree", "1",
+            "--grid", "1960:1961:5", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --grid '1960:1961:5' gives 1 point(s); a grid needs at least 2\n"
+        )
         assert not out.exists()
 
     def test_polynomial_route_needs_grid(self, tmp_path, capsys):

@@ -28,7 +28,6 @@ from growthcast import (
     trajectory_at,
 )
 from growthcast import diagnostics
-from growthcast.fitting import model_kind_for
 from growthcast.models import LOG_LIFT
 from growthcast.timeseries import TransformKind
 
@@ -84,8 +83,12 @@ class TestIdentify:
     def test_constant_rate_beyond_float_range_is_not_ranked(self):
         report = identify(self.SQUARE_OVERFLOW)
         assert ModelKind.EXP_CONST not in {c.model_kind for c in report.candidates}
-        assert report.notes[-1] == (
-            "exp_const test not ranked: its rates' mean or rms is beyond the float range"
+        assert report.notes == (
+            "log-of-size tests skipped (log rates undefined on this series)",
+            "shifted-exponential test skipped (auxiliary parameter a not supplied)",
+            "exp_const test not ranked: its rates' mean or rms is beyond the float range",
+            "linear_t test not ranked: its line is degenerate",
+            "linear_s test not ranked: its line is degenerate",
         )
         assert report.winner.model_kind is ModelKind.RATE_LN_LINEAR
 
@@ -282,29 +285,60 @@ def _random_series(rng, family, calendar):
     return TimeSeries(tp + (1950.0 if calendar else 0.0), values)
 
 
+#: identify's line tests in its table order: family, linearization, and
+#: the transform whose rates the test reads
+LINE_TESTS = [
+    (ModelKind.LINEAR_T, LinearizationKind.R_VS_T, None),
+    (ModelKind.LINEAR_S, LinearizationKind.R_VS_S, None),
+    (ModelKind.HYPERBOLIC, LinearizationKind.RECIP_S_VS_T, None),
+    (ModelKind.LOGLOG_T, LinearizationKind.R_VS_T, TransformKind.LOG),
+    (ModelKind.LOGLOG_S, LinearizationKind.R_VS_S, TransformKind.LOG),
+    (ModelKind.RATE_RECIP_LINEAR, LinearizationKind.RECIP_R_VS_T, None),
+    (ModelKind.RATE_LN_LINEAR, LinearizationKind.LN_R_VS_T, None),
+    (ModelKind.RATE_SHIFTED_EXP, LinearizationKind.SHIFTED_LN_VS_T, None),
+]
+
+
+def _ran(old, aux_a):
+    """The LINE_TESTS entries run on a reference report's series: the log
+    tests unless a note skips them, the shifted test when a is given."""
+    log_ran = not any(n.startswith("log-of-size") for n in old.notes)
+    return [(kind, lin, transform) for kind, lin, transform in LINE_TESTS
+            if (log_ran or transform is None)
+            and (aux_a is not None or kind is not ModelKind.RATE_SHIFTED_EXP)]
+
+
+def _notes_under_one_rule(old, aux_a, short):
+    """The notes identify gives for a reference report ``old``: its group
+    skip notes, then one note per test that is not ranked, in table order,
+    ``short[kind]`` for a test keeping fewer than 3 points and the
+    degenerate-line note for any other that ``old`` does not rank."""
+    notes = [n for n in old.notes if n.startswith(("log-of-size", "shifted-exponential"))]
+    ranked = {c.model_kind for c in old.candidates}
+    for kind, _, _ in _ran(old, aux_a):
+        if kind in short:
+            notes.append(short[kind])
+        elif kind not in ranked:
+            notes.append(f"{kind.value} test not ranked: its line is degenerate")
+    return notes
+
+
 def _expected_after_min_points(old, ts, method, aux_a):
-    """The reference report with the 3-point rule applied to it.
+    """The per-test reference report under identify's rules.
 
     The reference ranks every test whatever it keeps; identify does not
-    rank a test that keeps fewer than 3 points and notes it, after the
-    other notes, in test order.
+    rank a test that keeps fewer than 3 points, and notes every test it
+    does not rank (see :func:`_notes_under_one_rule`).
     """
-    rs = old.rates
-    tests = [(lin, None, rs) for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S,
-                                         LinearizationKind.RECIP_R_VS_T, LinearizationKind.LN_R_VS_T)]
-    tests.append((LinearizationKind.RECIP_S_VS_T, None, ts))
-    if not any(n.startswith("log-of-size") for n in old.notes):
-        rs_log = rate_of_transform(ts, TransformKind.LOG, method)
-        tests += [(lin, TransformKind.LOG, rs_log)
-                  for lin in (LinearizationKind.R_VS_T, LinearizationKind.R_VS_S)]
-    if aux_a is not None:
-        tests.append((LinearizationKind.SHIFTED_LN_VS_T, None, rs))
+    ran = _ran(old, aux_a)
+    rates = {None: old.rates}
+    if any(transform is not None for _, _, transform in ran):
+        rates[TransformKind.LOG] = rate_of_transform(ts, TransformKind.LOG, method)
     short = {}
-    for lin, transform, src in tests:
-        kind = model_kind_for(lin)
-        kind = LOG_LIFT[kind] if transform is TransformKind.LOG else kind
+    for kind, lin, transform in ran:
+        src = ts if lin is LinearizationKind.RECIP_S_VS_T else rates[transform]
         try:
-            if lin is LinearizationKind.RECIP_S_VS_T:
+            if src is ts:
                 kept = linearize_series(src)[0].size
             else:
                 kept = linearize(src, lin, aux_a=aux_a)[0].size
@@ -313,9 +347,7 @@ def _expected_after_min_points(old, ts, method, aux_a):
         if kept < 3:
             short[kind] = f"{kind.value} test not ranked: keeps {kept} of {len(src)} point(s), fewer than 3"
     candidates = [c for c in old.candidates if c.model_kind not in short]
-    notes = [n for n in old.notes
-             if not (n.startswith("hyperbolic reciprocal") and ModelKind.HYPERBOLIC in short)]
-    return candidates, notes + list(short.values())
+    return candidates, _notes_under_one_rule(old, aux_a, short)
 
 
 #: r^2 and rms agree with the per-test reference to rounding: the batched
@@ -382,10 +414,14 @@ class TestIdentifyMatchesPerTestReference:
 
 
 def _assert_matches_stacked(ts, method=RateMethod.DIRECT, aux_a=None):
-    """identify gives the bits of the stacked reference: every field of the report."""
+    """identify gives the bits of the stacked reference: every field of the
+    report, and its notes under the one note rule."""
     new = identify(ts, method=method, aux_a=aux_a)
     old = oracles.identify_stacked(ts, method=method, aux_a=aux_a)
-    assert replace(new, rates=None) == replace(old, rates=None)
+    assert replace(new, rates=None, notes=()) == replace(old, rates=None, notes=())
+    short = {ModelKind(n.partition(" test not ranked: ")[0]): n
+             for n in old.notes if " test not ranked: keeps " in n}
+    assert list(new.notes) == _notes_under_one_rule(old, aux_a, short)
     for name in ("times", "rates", "sizes"):
         assert np.array_equal(getattr(new.rates, name), getattr(old.rates, name))
     assert (new.rates.source_label, new.rates.method) == (old.rates.source_label, old.rates.method)
@@ -429,3 +465,75 @@ class TestIdentifyMatchesStackedReference:
             rs = rate_series(np.arange(float(rates.size)), rates)
             want = oracles.constant_rate_candidate_mean(rs)
             assert diagnostics._constant_rate_candidate(rs) == want
+
+
+def _accounted_families(report):
+    """The families a report accounts for: each ranked candidate, each
+    not-ranked note, two for the log-of-size skip note and one for the
+    shifted skip note."""
+    families = [c.model_kind.value for c in report.candidates]
+    for note in report.notes:
+        if note.startswith("log-of-size tests skipped"):
+            families += [ModelKind.LOGLOG_T.value, ModelKind.LOGLOG_S.value]
+        elif note.startswith("shifted-exponential test skipped"):
+            families.append(ModelKind.RATE_SHIFTED_EXP.value)
+        else:
+            family, rule, _ = note.partition(" test not ranked: ")
+            assert rule, note
+            families.append(family)
+    return sorted(families)
+
+
+class TestEveryTestAccountedFor:
+    """Each of the nine tests is ranked, named in a not-ranked note, or
+    skipped by a group note: exactly once."""
+
+    # hyperbolic and linear_s lines are degenerate: 1/S near 1e300 and
+    # S near 1e-300 leave the float range when squared
+    TINY = TimeSeries(np.arange(9.0), 1e-300 + 1.5e-300 * np.arange(9.0))
+
+    def test_table_is_the_catalog_order(self):
+        assert [kind for kind, _, _ in diagnostics._LINE_TESTS] == list(oracles._CATALOG_ORDER[1:])
+        assert [(kind, lin) for kind, lin, _ in diagnostics._LINE_TESTS] == [
+            (kind, lin) for kind, lin, _ in LINE_TESTS]
+
+    def test_table_names_each_linearizations_family(self):
+        for kind, lin, src in diagnostics._LINE_TESTS:
+            family = oracles.model_kind_for(lin)
+            assert kind is (LOG_LIFT[family] if src == "log rates" else family)
+
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    @pytest.mark.parametrize("aux_a", [None, 3.0])
+    def test_degenerate_series(self, method, aux_a):
+        for values in [*DEGENERATE_VALUES, self.TINY.values, TestIdentify.SQUARE_OVERFLOW.values]:
+            ts = TimeSeries(np.arange(float(values.size)), values)
+            if method is RateMethod.REFINED and values.size < SmoothingConfig().window:
+                continue
+            report = identify(ts, method=method, aux_a=aux_a)
+            assert _accounted_families(report) == sorted(FAMILIES)
+
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    def test_random_series(self, method):
+        rng = np.random.default_rng([17, method is RateMethod.REFINED])
+        for case in range(4 * len(FAMILIES)):
+            ts = _random_series(rng, FAMILIES[case % len(FAMILIES)], calendar=case % 2 == 1)
+            for aux_a in (None, float(rng.uniform(0.5, 100.0))):
+                report = identify(ts, method=method, aux_a=aux_a)
+                assert _accounted_families(report) == sorted(FAMILIES)
+
+    @pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+    def test_degenerate_line_is_named(self, method):
+        report = identify(self.TINY, method=method)
+        assert report.notes == (
+            "shifted-exponential test skipped (auxiliary parameter a not supplied)",
+            "linear_s test not ranked: its line is degenerate",
+            "hyperbolic test not ranked: its line is degenerate",
+        )
+        _assert_matches_stacked(self.TINY, method)
+
+    def test_ties_keep_the_table_order(self):
+        # a constant series: every test that fits has r^2 = 1 and keeps all points
+        report = identify(TimeSeries(np.arange(12.0), np.full(12, 7.0)), aux_a=3.0)
+        order = [ModelKind.EXP_CONST, *(kind for kind, _, _ in diagnostics._LINE_TESTS)]
+        ranked = [c.model_kind for c in report.candidates if c.r_squared == 1.0]
+        assert ranked == sorted(ranked, key=order.index)

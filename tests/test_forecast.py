@@ -243,6 +243,26 @@ class TestProject:
         assert proj.series.times[-1] < 10.0
         assert any("truncated" in w for w in proj.warnings)
 
+    def test_truncation_leaving_one_point_names_the_singularity(self):
+        m = Model(ModelKind.HYPERBOLIC, Params(b=1.0))
+        with pytest.raises(DomainError) as exc:
+            project(m, (0.0, 0.1), np.array([0.0, 11.0, 12.0]))
+        assert str(exc.value) == (
+            "fewer than 2 grid points remain before the singularity; nothing to project"
+        )
+
+    @pytest.mark.parametrize("grid", [[], [0.0], 5.0])
+    def test_grid_of_fewer_than_2_points_is_refused(self, grid):
+        # refused before any truncation, for a model with no singularity
+        m = Model(ModelKind.EXP_CONST, Params(a=0.03))
+        want = f"a projection grid needs at least 2 points, got {np.size(grid)}"
+        with pytest.raises(ValidationError) as exc:
+            project(m, (0.0, 1.0), grid)
+        assert str(exc.value) == want
+        with pytest.raises(ValidationError) as exc:
+            project_normalized(Model(ModelKind.EXP_CONST, Params(a=0.03, C=1.0)), grid)
+        assert str(exc.value) == want
+
     def test_anchor_on_grid_matches_s0(self):
         m = Model(ModelKind.EXP_CONST, Params(a=0.03))
         proj = project(m, (5.0, 2.0), np.array([0.0, 5.0, 10.0]))

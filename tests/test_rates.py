@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcast import (
+    ConfigError,
     DomainError,
     RateMethod,
     SmoothingConfig,
@@ -345,6 +346,12 @@ class TestRateOfTransform:
         ts = series([0, 1, 2], [7.0, 7.0, 7.0])
         rs = rate_of_transform(ts, TransformKind.LOG, RateMethod.DIRECT)
         np.testing.assert_array_equal(rs.rates, [0.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["log", "reciprocal", None])
+    def test_kind_that_is_not_a_transform_kind_is_config_error(self, kind):
+        ts = series([0, 1, 2], [1.0, 2.0, 3.0], label="gdp")
+        with pytest.raises(ConfigError, match=f"^unknown transform {kind!r}$"):
+            rate_of_transform(ts, kind)
 
     def test_reciprocal_with_zero_is_domain_error(self):
         ts = series([0, 1, 2], [1.0, 0.0, 3.0])

@@ -177,6 +177,14 @@ class TestTransformSeries:
         out = transform_series(ts, TransformKind.LOG)
         np.testing.assert_array_equal(out.times, ts.times)
 
+    @pytest.mark.parametrize("kind", ["log", "reciprocal", None, 0])
+    def test_kind_that_is_not_a_transform_kind_is_refused(self, kind):
+        # a value of the enum is not the enum: "log" must not become 1/S
+        ts = make_series([0, 1], [1.0, 2.0], unit="persons")
+        with pytest.raises(ConfigError) as exc:
+            transform_series(ts, kind)
+        assert str(exc.value) == f"unknown transform {kind!r}"
+
 
 def _cell(rng, x):
     """One well-formed text for the float x, in one of several spellings."""

@@ -24,7 +24,10 @@ discrete integrals that collapse (forward, backward, both ways) or
 leave the float range on a backward step, ``rates`` of a reciprocal
 beyond the float range and of the log of a non-positive value, and
 ``diagnose`` on two series whose rates' mean or rms is beyond the float
-range; 357 runs in all. Every
+range. Appended after those: ``diagnose`` on a series of values near
+1e-300, whose hyperbolic and ``linear_s`` lines are degenerate, and
+``forecast`` and ``integrate --poly-degree 1`` on a one-point grid;
+360 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -113,6 +116,15 @@ RATE_MOMENT_OVERFLOW = {
     "square": "t,value\n0,1\n1,1e170\n2,1e300\n3,1e301\n",
     "mean": "t,value\n0,1\n1e-308,2\n2e-308,3\n3e-308,4\n4e-308,5\n",
 }
+# values from 1e-300 to 1.3e-299: 1/S near 1e300 and S near 1e-300
+# leave the float range when squared, so the hyperbolic and linear_s
+# lines are degenerate
+TINY_VALUES = (
+    "t,value\n0,1e-300\n1,2.5e-300\n2,4e-300\n3,5.5e-300\n4,7e-300\n5,8.5e-300\n"
+    "6,1e-299\n7,1.15e-299\n8,1.3e-299\n"
+)
+# a --grid that gives one point
+ONE_POINT_GRID = "0:1:5"
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -166,6 +178,7 @@ def run_pipeline(out: Path) -> int:
     (inputs / "reciprocal_overflow.csv").write_text(RECIPROCAL_OVERFLOW, encoding="utf-8")
     for name, text in RATE_MOMENT_OVERFLOW.items():
         (inputs / f"rate_{name}_overflow.csv").write_text(text, encoding="utf-8")
+    (inputs / "tiny_values.csv").write_text(TINY_VALUES, encoding="utf-8")
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -278,6 +291,17 @@ def run_pipeline(out: Path) -> int:
             f"diagnose-rate-{name}-overflow", "diagnose", f"../../inputs/rate_{name}_overflow.csv",
             "--out", "report.txt",
         )
+    rec.run(
+        "tiny_values-diagnose", "diagnose", "../../inputs/tiny_values.csv", "--out", "report.txt"
+    )
+    rec.run(
+        "forecast-one-point-grid", "forecast", "../../inputs/long_model.txt",
+        "--anchor", "0:1", "--grid", ONE_POINT_GRID, "--out", "projection.csv",
+    )
+    rec.run(
+        "integrate-poly-one-point-grid", "integrate", "../../inputs/overflow_rates.csv",
+        "--anchor", "0:1", "--poly-degree", "1", "--grid", ONE_POINT_GRID, "--out", "series.csv",
+    )
     return rec.count
 
 
