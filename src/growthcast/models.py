@@ -73,6 +73,9 @@ _LOG_FLOAT_LIMIT = 700.0
 #: The smallest positive normal float; below it a float has lost precision.
 _NORMAL_MIN = float.fromhex("0x1p-1022")
 
+#: Trajectories of longer arrays are evaluated in slices of about this many points.
+_BLOCK_POINTS = 1 << 14
+
 
 class ModelKind(Enum):
     EXP_CONST = "exp_const"
@@ -275,10 +278,13 @@ def log_trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
     singularity and DomainError where the closed form is undefined
     (e.g. past the singular time of a pseudo-hyperbolic trajectory).
     Quiet: a value beyond the float range is inf or nan, with no numpy
-    warning.
+    warning. Evaluated in blocks as :func:`trajectory_at` is.
     """
     with np.errstate(all="ignore"):
-        return _log_trajectory(m, t)
+        tt = np.asarray(t, dtype=float)
+        if tt.size > _BLOCK_POINTS:
+            return _in_blocks(m, tt, exp=False)
+        return _log_trajectory(m, tt)
 
 
 def _log_trajectory(m: Model, t: ArrayLike) -> ArrayLike:
@@ -344,10 +350,45 @@ def _log_trajectory(m: Model, t: ArrayLike) -> ArrayLike:
 
 def trajectory_at(m: Model, t: ArrayLike) -> ArrayLike:
     """S(t) of a normalized model, exp of the log-space evaluation. Quiet:
-    a size beyond the float range is inf or nan, for the caller to name."""
+    a size beyond the float range is inf or nan, for the caller to name.
+
+    An array of more than ``_BLOCK_POINTS`` points is evaluated in slices
+    of about that many, so each slice's temporaries stay in cache; every
+    step is elementwise, so the bits are those of one whole-array pass.
+    The errors are those of the whole grid, too.
+    """
     with np.errstate(all="ignore"):
-        out = np.exp(_log_trajectory(m, t))
+        tt = np.asarray(t, dtype=float)
+        if tt.size > _BLOCK_POINTS:
+            return _in_blocks(m, tt, exp=True)
+        out = np.exp(_log_trajectory(m, tt))
     return float(out) if out.ndim == 0 else out
+
+
+def _in_blocks(m: Model, tt: np.ndarray, exp: bool) -> np.ndarray:
+    """ln S, or S when ``exp``, of ``tt`` in slices into one output of its shape.
+
+    Each slice runs the checks of ``_log_trajectory`` on its own points,
+    so a slice may refuse with another error than the whole grid (whose
+    singularity guard runs before its domain test). When one refuses,
+    the whole grid is evaluated once more, and raises its own error.
+    """
+    flat = tt.ravel()
+    n = flat.size
+    out = np.empty(n)
+    k = -(-n // _BLOCK_POINTS)
+    try:
+        for i in range(k):
+            lo, hi = n * i // k, n * (i + 1) // k
+            part = _log_trajectory(m, flat[lo:hi])
+            if exp:
+                np.exp(part, out=out[lo:hi])
+            else:
+                out[lo:hi] = part
+    except (DomainError, SingularityError):
+        _log_trajectory(m, tt)
+        raise
+    return out.reshape(tt.shape)
 
 
 def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:

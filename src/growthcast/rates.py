@@ -34,6 +34,10 @@ from .errors import DomainError, ValidationError
 from .timeseries import TimeSeries, TransformKind, _first_at, _set_checked_fields, transform_series
 
 
+#: Refined-rate windows are solved in blocks of about this many.
+_BLOCK_WINDOWS = 1 << 12
+
+
 class RateMethod(Enum):
     DIRECT = "direct"
     REFINED = "refined"
@@ -107,7 +111,10 @@ def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingC
     spacing; the fit abscissa is shifted to the evaluation point and
     scaled to unit range for conditioning.
 
-    All n windows are solved at once. The Vandermonde columns, with the
+    The windows are placed over the whole series, then solved in blocks
+    of about ``_BLOCK_WINDOWS``, so each block's work arrays stay in
+    cache; each window's arithmetic is its own, so the blocks do not
+    change its bits. Within a block the Vandermonde columns, with the
     values appended as a last column, are orthogonalised one at a time by
     modified Gram-Schmidt with one re-orthogonalisation pass, vectorised
     over the windows; back-substitution in the triangular factor then
@@ -121,10 +128,21 @@ def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingC
     """
     n = times.size
     w = cfg.window
-    p = cfg.degree + 1
     lo = np.clip(np.arange(n) - w // 2, 0, n - w)
     idx = lo + np.arange(w)[:, None]  # (w, n): window offsets along axis 0
-    x = times[idx] - times
+    grads = np.empty(n)
+    k = -(-n // _BLOCK_WINDOWS)
+    for i in range(k):
+        a, b = n * i // k, n * (i + 1) // k
+        block = idx[:, a:b]
+        grads[a:b] = _window_gradients(times[block] - times[a:b], values[block], cfg.degree + 1)
+    return grads
+
+
+def _window_gradients(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """The slope at x = 0 of each window's least-squares polynomial of degree
+    p - 1: the windows are the columns of the (w, n) arrays ``x`` and ``y``."""
+    w, n = x.shape
     scale = np.max(np.abs(x), axis=0)
     xs = x / scale
     # columns 1, xs, ..., xs^degree, then the values: (p + 1, w, n); the
@@ -133,7 +151,7 @@ def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingC
     cols[0] = 1.0
     for j in range(1, p):
         cols[j] = cols[j - 1] * xs
-    cols[p] = values[idx]
+    cols[p] = y
     r = np.zeros((p, p + 1, n))
     for j in range(p + 1):
         v = cols[j]

@@ -8,8 +8,10 @@ shares these checks, and the library builds both through them.
 
 :func:`read_table` is the one reader of delimited data files, series
 (:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
-the stream once and converts each needed column in bulk, and looks for
-the offending cell only when a conversion fails.
+the stream once and converts the needed columns in bulk, by numpy's C
+text parser where it gives the bits of ``float`` and by ``csv.reader``
+and ``float`` otherwise, and looks for the offending cell only when a
+conversion fails.
 
 An error about a point names the first offending one: ``_first_at`` is
 the one rule, shared with ``rates`` and ``forecast``.
@@ -121,14 +123,18 @@ def read_table(
 
     The stream is read once. Blank lines and lines starting with '#' are
     skipped wherever they are; those above the header row that read
-    ``# key: value`` are the metadata. Rows are split by ``csv.reader``,
-    so quoted cells work, and header names are stripped of surrounding
-    blanks. The time column and ``columns`` must be present,
-    ``optional`` columns are read when they are. Every cell is converted
-    by ``float``; the first empty, missing or unparseable cell is a
-    ``ParseError`` naming its row (the header is row 1, skipped lines
-    are not counted). Times must strictly increase: a duplicated or
-    non-increasing time is a ``ValidationError`` naming its row.
+    ``# key: value`` are the metadata. The header row is split by
+    ``csv.reader`` and its names are stripped of surrounding blanks. The
+    time column and ``columns`` must be present, ``optional`` columns are
+    read when they are. The body is read by ``np.loadtxt``, whose C
+    parser converts each cell as ``float`` does, where
+    ``_numpy_may_read`` finds that it splits the rows as ``csv.reader``
+    does; otherwise, or when it refuses a cell, the rows are split by
+    ``csv.reader`` and every cell is converted by ``float``. Quoted
+    cells work either way. The first empty, missing or unparseable cell
+    is a ``ParseError`` naming its row (the header is row 1, skipped
+    lines are not counted). Times must strictly increase: a duplicated
+    or non-increasing time is a ``ValidationError`` naming its row.
     Returns the metadata and one array per column read, keyed by name.
     """
     if isinstance(source, (str, Path)):
@@ -154,8 +160,9 @@ def read_table(
     if header_at is None:
         raise ParseError(f"{where}no header row found")
     body = [ln for ln in lines[header_at + 1 :] if (s := ln.strip()) and s[0] != "#"]
+    fast = _numpy_may_read(text, body, delimiter)
     try:
-        reader = csv.reader([lines[header_at]] + body, delimiter=delimiter)
+        reader = csv.reader([lines[header_at]] + ([] if fast else body), delimiter=delimiter)
         header = [name.strip() for name in next(reader)]
         rows = list(reader)
     except (TypeError, ValueError):
@@ -168,13 +175,20 @@ def read_table(
         if col not in header:
             raise ConfigError(f"{where}column {col!r} not found; available columns: {header}")
     wanted += [col for col in optional if col in header]
-    out: dict[str, np.ndarray] = {}
-    try:
-        for col in wanted:
-            cells = map(itemgetter(header.index(col)), rows)
-            out[col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
-    except (IndexError, ValueError):
-        _raise_first_bad_cell(where, header, rows, wanted)
+    usecols = [header.index(col) for col in wanted]
+    table = _numpy_table(body, delimiter, usecols) if fast else None
+    if table is not None:
+        out = {col: table[:, k].copy() for k, col in enumerate(wanted)}  # contiguous, as before
+    else:
+        if fast:
+            rows = list(csv.reader(body, delimiter=delimiter))
+        out = {}
+        try:
+            for col, j in zip(wanted, usecols):
+                cells = map(itemgetter(j), rows)
+                out[col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+        except (IndexError, ValueError):
+            _raise_first_bad_cell(where, header, rows, wanted)
 
     times = out[time_column]
     i = _first_at(times[1:] <= times[:-1])
@@ -183,6 +197,36 @@ def read_table(
         kind = "duplicated" if now == prev else "non-increasing"
         raise ValidationError(f"{where}row {i + 3}: {kind} time {now} (previous {prev})")
     return meta, out
+
+
+def _numpy_may_read(text: str, body: list[str], delimiter: str) -> bool:
+    """Whether numpy's parser reads ``body`` into the cells of ``csv.reader``
+    wherever it reads it at all. Not when the body is empty (``loadtxt``
+    warns), the delimiter is not one character, the text holds NUL (a csv
+    error before Python 3.11) or \\x1c-\\x1f (``loadtxt`` strips them as
+    blanks, ``float`` does not), or a cell may outgrow csv's field limit."""
+    limit = csv.field_size_limit()
+    return (
+        bool(body)
+        and isinstance(delimiter, str)
+        and len(delimiter) == 1
+        and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
+        and (len(text) <= limit or ('"' not in text and max(map(len, body)) <= limit))
+    )
+
+
+def _numpy_table(body: list[str], delimiter: str, usecols: list[int]) -> Optional[np.ndarray]:
+    """Columns ``usecols`` of ``body`` by numpy's C parser, which converts each cell
+    with CPython's ``PyOS_string_to_double``, the bits of ``float``. None where
+    it refuses a cell (``float`` also takes ``1_0`` and non-ASCII digits) or
+    finds other rows than the lines (a quoted cell spans lines)."""
+    try:
+        table = np.loadtxt(
+            body, delimiter=delimiter, quotechar='"', comments=None, usecols=usecols, ndmin=2
+        )
+    except Exception:  # any refusal: csv.reader and float name the offending cell
+        return None
+    return table if len(table) == len(body) else None
 
 
 def _raise_first_bad_cell(
@@ -240,8 +284,7 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
     LOG requires every value > 0, RECIPROCAL every value != 0; a
     ``kind`` that is not a TransformKind is a ConfigError.
     """
-    if not isinstance(kind, TransformKind):
-        raise ConfigError(f"unknown transform {kind!r}")
+    unit = transformed_unit(ts.unit, kind)
     if kind is TransformKind.LOG:
         new_values = _log_values(ts)
     else:  # RECIPROCAL
@@ -253,7 +296,6 @@ def transform_series(ts: TimeSeries, kind: TransformKind) -> TimeSeries:
         i = _first_at(~np.isfinite(new_values))
         if i is not None:
             raise DomainError(f"reciprocal transform leaves the float range at t={ts.times[i]}")
-    unit = transformed_unit(ts.unit, kind)
     return TimeSeries(times=ts.times, values=new_values, label=ts.label, unit=unit)
 
 
@@ -268,6 +310,11 @@ def _log_values(ts: TimeSeries) -> np.ndarray:
 
 
 def transformed_unit(unit: str, kind: TransformKind) -> str:
-    """The unit of transformed values: ``ln(unit)`` or ``1/(unit)``, "ln" or "1/" when unitless."""
+    """The unit of transformed values: ``ln(unit)`` or ``1/(unit)``, "ln" or "1/" when unitless.
+
+    A ``kind`` that is not a TransformKind is a ConfigError.
+    """
+    if not isinstance(kind, TransformKind):
+        raise ConfigError(f"unknown transform {kind!r}")
     name = "ln" if kind is TransformKind.LOG else "1/"
     return f"{name}({unit})" if unit else name

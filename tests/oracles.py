@@ -12,8 +12,9 @@ import csv
 import io
 import math
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, NoReturn, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from growthcast.fitting import (
     linearize,
     linearize_series,
 )
-from growthcast.models import LOG_LIFT, ModelKind
+from growthcast.models import LOG_LIFT, ArrayLike, Model, ModelKind, _log_trajectory
 from growthcast.rates import (
     RateSeries,
     SmoothingConfig,
@@ -56,7 +57,7 @@ from growthcast.rates import (
     rate_of_transform,
     refined_rates,
 )
-from growthcast.timeseries import TransformKind
+from growthcast.timeseries import TransformKind, _first_at
 
 #: Simplest-first order used to break r^2 ties (``diagnostics`` before
 #: its tests were stated in one table).
@@ -790,3 +791,192 @@ def identify_stacked(
         rates=rs,
         notes=tuple(notes + skipped + too_few),
     )
+
+
+def local_poly_gradients_whole(
+    times: np.ndarray, values: np.ndarray, cfg: SmoothingConfig
+) -> np.ndarray:
+    """``rates._local_poly_gradients`` as it was before its windows were solved in
+    blocks: every window in one batched solve, the reference for its bits.
+
+    Derivative of a windowed least-squares polynomial at every point.
+
+    The window is centered where possible and slides one-sidedly at the
+    boundaries (it keeps its full length, anchored at the series edge),
+    so the output spans the whole data range. Handles non-uniform
+    spacing; the fit abscissa is shifted to the evaluation point and
+    scaled to unit range for conditioning.
+
+    All n windows are solved at once. The Vandermonde columns, with the
+    values appended as a last column, are orthogonalised one at a time by
+    modified Gram-Schmidt with one re-orthogonalisation pass, vectorised
+    over the windows; back-substitution in the triangular factor then
+    stops at the degree-1 coefficient. Like a per-window SVD solve this
+    is backward stable, and the two agree to rounding: within
+    1e-10*|g| + 1e-13*max|g| on smooth series for every window 3..11 and
+    degree below it. Near-square windows of high degree (degree 7 and
+    up on windows 9 and 11) on noisy data are ill-conditioned enough
+    that any two stable solvers, the per-window SVD included, differ
+    from the exact least-squares derivative by up to about 2e-9*max|g|.
+    """
+    n = times.size
+    w = cfg.window
+    p = cfg.degree + 1
+    lo = np.clip(np.arange(n) - w // 2, 0, n - w)
+    idx = lo + np.arange(w)[:, None]  # (w, n): window offsets along axis 0
+    x = times[idx] - times
+    scale = np.max(np.abs(x), axis=0)
+    xs = x / scale
+    # columns 1, xs, ..., xs^degree, then the values: (p + 1, w, n); the
+    # first p become Q in place, r[:, :p] is R and r[:, p] is Q^T y
+    cols = np.empty((p + 1, w, n))
+    cols[0] = 1.0
+    for j in range(1, p):
+        cols[j] = cols[j - 1] * xs
+    cols[p] = values[idx]
+    r = np.zeros((p, p + 1, n))
+    for j in range(p + 1):
+        v = cols[j]
+        for _ in range(2):
+            for k in range(j):
+                c = np.einsum("wn,wn->n", cols[k], v)
+                r[k, j] += c
+                v -= c * cols[k]
+        if j < p:
+            r[j, j] = np.sqrt(np.einsum("wn,wn->n", v, v))
+            v /= r[j, j]
+    # back-substitution of R c = Q^T y, from the top coefficient down to c[1]
+    coef = np.empty((p, n))
+    for j in range(p - 1, 0, -1):
+        coef[j] = (r[j, p] - np.einsum("kn,kn->n", r[j, j + 1 : p], coef[j + 1 : p])) / r[j, j]
+    return coef[1] / scale
+
+
+def log_trajectory_whole(m: Model, t: ArrayLike) -> ArrayLike:
+    """``models.log_trajectory_at`` as it was before long arrays were evaluated
+    in blocks: one ``_log_trajectory`` call on the whole array, the
+    reference for its bits and its errors.
+
+    ln S(t) of a normalized model; scalar in, scalar out.
+
+    Raises SingularityError within 1e-9 years of a finite-time
+    singularity and DomainError where the closed form is undefined
+    (e.g. past the singular time of a pseudo-hyperbolic trajectory).
+    Quiet: a value beyond the float range is inf or nan, with no numpy
+    warning.
+    """
+    with np.errstate(all="ignore"):
+        return _log_trajectory(m, t)
+
+
+def trajectory_whole(m: Model, t: ArrayLike) -> ArrayLike:
+    """``models.trajectory_at`` as it was before long arrays were evaluated in
+    blocks, the reference for its bits and its errors.
+
+    S(t) of a normalized model, exp of the log-space evaluation. Quiet:
+    a size beyond the float range is inf or nan, for the caller to name."""
+    with np.errstate(all="ignore"):
+        out = np.exp(_log_trajectory(m, t))
+    return float(out) if out.ndim == 0 else out
+
+
+
+def read_table_csv(
+    source: Union[str, Path, TextIO],
+    time_column: str,
+    columns: Sequence[str],
+    *,
+    optional: Sequence[str] = (),
+    delimiter: str = ",",
+) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """``timeseries.read_table`` as it was before numpy's text parser read the
+    body: every row through ``csv.reader`` and every cell through ``float``,
+    the reference for its columns and its errors.
+
+    Read named float columns of a delimited text table, and its metadata.
+
+    The stream is read once. Blank lines and lines starting with '#' are
+    skipped wherever they are; those above the header row that read
+    ``# key: value`` are the metadata. Rows are split by ``csv.reader``,
+    so quoted cells work, and header names are stripped of surrounding
+    blanks. The time column and ``columns`` must be present,
+    ``optional`` columns are read when they are. Every cell is converted
+    by ``float``; the first empty, missing or unparseable cell is a
+    ``ParseError`` naming its row (the header is row 1, skipped lines
+    are not counted). Times must strictly increase: a duplicated or
+    non-increasing time is a ``ValidationError`` naming its row.
+    Returns the metadata and one array per column read, keyed by name.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        where = f"{source}: "
+    else:
+        text, where = source.read(), ""
+    # line breaks as universal newlines read them: \n, \r\n and \r only
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    meta: dict[str, str] = {}
+    header_at = None
+    for i, raw in enumerate(lines):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if not stripped.startswith("#"):
+            header_at = i
+            break
+        key, colon, val = stripped.lstrip("#").partition(":")
+        if colon:
+            meta[key.strip()] = val.strip()
+    if header_at is None:
+        raise ParseError(f"{where}no header row found")
+    body = [ln for ln in lines[header_at + 1 :] if (s := ln.strip()) and s[0] != "#"]
+    try:
+        reader = csv.reader([lines[header_at]] + body, delimiter=delimiter)
+        header = [name.strip() for name in next(reader)]
+        rows = list(reader)
+    except (TypeError, ValueError):
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{where}row {reader.line_num}: {exc}") from None
+
+    wanted = [time_column, *columns]
+    for col in wanted:
+        if col not in header:
+            raise ConfigError(f"{where}column {col!r} not found; available columns: {header}")
+    wanted += [col for col in optional if col in header]
+    out: dict[str, np.ndarray] = {}
+    try:
+        for col in wanted:
+            cells = map(itemgetter(header.index(col)), rows)
+            out[col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
+    except (IndexError, ValueError):
+        _raise_first_bad_cell_csv(where, header, rows, wanted)
+
+    times = out[time_column]
+    i = _first_at(times[1:] <= times[:-1])
+    if i is not None:
+        prev, now = float(times[i]), float(times[i + 1])
+        kind = "duplicated" if now == prev else "non-increasing"
+        raise ValidationError(f"{where}row {i + 3}: {kind} time {now} (previous {prev})")
+    return meta, out
+
+
+def _raise_first_bad_cell_csv(
+    where: str, header: list[str], rows: list[list[str]], wanted: list[str]
+) -> NoReturn:
+    """``timeseries._raise_first_bad_cell``, for :func:`read_table_csv`.
+
+    Raise the ParseError of the first cell ``float`` cannot read, row by row."""
+    for n, row in enumerate(rows, start=2):  # header is row 1
+        for col in wanted:
+            j = header.index(col)
+            cell = row[j] if j < len(row) else ""
+            if not cell.strip():
+                raise ParseError(f"{where}row {n}: empty cell in column {col!r}")
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{where}row {n}: cannot parse {cell!r} in column {col!r} as a number"
+                ) from None
+    raise AssertionError("no bad cell found")  # pragma: no cover

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from growthcast import (
     DegenerateFactorError,
     DomainError,
@@ -21,7 +22,7 @@ from growthcast import (
     rate_at,
     trajectory_at,
 )
-from growthcast.models import LOG_LIFT
+from growthcast.models import _BLOCK_POINTS, LOG_LIFT
 
 
 def model(kind, t_ref=0.0, unit="", **params):
@@ -243,6 +244,83 @@ class TestTrajectoryAt:
         expected = -(math.log(m.params.C) - m.params.a * t)
         assert log_trajectory_at(m, t) == pytest.approx(expected, rel=1e-13)
         assert trajectory_at(m, t) == 0.0  # genuine underflow of S itself
+
+
+def blocked_cases():
+    """(model, lo, hi): each kind, normalized, over a span its closed form
+    covers; two grids beyond the float range; and the logistic kinds across
+    the w > 600 branch of their denominator (w = ln C - a t' passes 600
+    near t' = -1200)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for kind in ModelKind:
+        m, t0, s0, times = draw_case(kind, rng)
+        m = normalize(m, t0, s0) if m.params.C is None else m
+        cases.append(pytest.param(m, times[0], times[-1], id=kind.value))
+    cases.append(pytest.param(model(ModelKind.EXP_CONST, a=1.0, C=1.0), -800.0, 800.0, id="exp-0-inf"))
+    cases.append(pytest.param(model(ModelKind.LOGLOG_T, a=1.0, b=1.0, C=1.0), -50.0, 50.0, id="loglog_t-inf"))
+    for kind in (ModelKind.LINEAR_S, ModelKind.LOGLOG_S):
+        m = normalize(model(kind, a=0.5, b=-0.1), 0.0, 2.0)
+        cases.append(pytest.param(m, -4000.0, 5.0, id=f"{kind.value}-w600"))
+    return cases
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBlockedEvaluation:
+    """Arrays longer than one block give the bits and errors of one whole-array pass."""
+
+    @pytest.mark.parametrize("m, lo, hi", blocked_cases())
+    @pytest.mark.parametrize(
+        "n", [_BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1, 3 * _BLOCK_POINTS + 7]
+    )
+    def test_same_bits_as_one_pass(self, m, lo, hi, n):
+        t = np.linspace(lo, hi, n)
+        assert_same_bits(trajectory_at(m, t), oracles.trajectory_whole(m, t))
+        assert_same_bits(log_trajectory_at(m, t), oracles.log_trajectory_whole(m, t))
+
+    @pytest.mark.parametrize("m, lo, hi", blocked_cases())
+    def test_two_dimensional_and_strided_grids(self, m, lo, hi):
+        t = np.linspace(lo, hi, 2 * _BLOCK_POINTS + 2)
+        for grid in (t.reshape(2, -1), t.reshape(-1, 2).T, t[::2], t.reshape(-1, 2)[::-1]):
+            assert_same_bits(trajectory_at(m, grid), oracles.trajectory_whole(m, grid))
+            assert_same_bits(log_trajectory_at(m, grid), oracles.log_trajectory_whole(m, grid))
+
+    @pytest.mark.parametrize(
+        "m, fine, guard_t, domain_t",
+        [
+            (model(ModelKind.HYPERBOLIC, b=1.0, C=10.0), 0.0, 10.0, 11.0),
+            (model(ModelKind.LINEAR_S, a=1.0, b=1.0, C=2.0), 0.0, math.log(2.0), 1.0),
+            (model(ModelKind.LOGLOG_S, a=1.0, b=1.0, C=2.0), 0.0, math.log(2.0), 1.0),
+            (model(ModelKind.RATE_RECIP_LINEAR, a=1.0, b=-0.5, C=1.0), 0.0, 2.0, 3.0),
+            (model(ModelKind.RATE_SHIFTED_EXP, a=1.0, b=2.0, r=1.0, C=1.0), 5.0, math.log(2.0), 0.0),
+        ],
+        ids=lambda v: v.kind.value if isinstance(v, Model) else None,
+    )
+    def test_errors_are_those_of_the_whole_grid(self, m, fine, guard_t, domain_t):
+        # the first block is outside the domain, the last one within the
+        # guard band: the whole grid names the singularity, its guard first
+        t = np.full(3 * _BLOCK_POINTS + 7, fine)
+        t[5] = domain_t
+        t[-3] = guard_t
+        for evaluate, whole in (
+            (trajectory_at, oracles.trajectory_whole),
+            (log_trajectory_at, oracles.log_trajectory_whole),
+        ):
+            with pytest.raises(SingularityError) as want:
+                whole(m, t)
+            with pytest.raises(SingularityError) as got:
+                evaluate(m, t)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(DomainError) as want:
+                whole(m, t[:-3])
+            with pytest.raises(DomainError) as got:
+                evaluate(m, t[:-3])
+            assert str(got.value) == str(want.value)
 
 
 class TestQuietEvaluation:

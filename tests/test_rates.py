@@ -21,9 +21,14 @@ from growthcast import (
     transform_series,
 )
 
-from growthcast.rates import RateSeries, _local_poly_gradients, estimate_rates
+from growthcast.rates import _BLOCK_WINDOWS, RateSeries, _local_poly_gradients, estimate_rates
 
-from oracles import exact_local_poly_gradients, local_poly_gradients, poly_derivative_over_value
+from oracles import (
+    exact_local_poly_gradients,
+    local_poly_gradients,
+    local_poly_gradients_whole,
+    poly_derivative_over_value,
+)
 
 
 def series(times, values, **kw):
@@ -191,6 +196,24 @@ class TestBatchedGradients:
         exact = exact_local_poly_gradients(t, v, cfg)
         grads = _local_poly_gradients(t, v, cfg)
         assert np.max(np.abs(grads - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+class TestBlockedGradients:
+    """Windows solved in blocks give the bits of one solve over all windows."""
+
+    @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+    @pytest.mark.parametrize("n", [_BLOCK_WINDOWS - 1, _BLOCK_WINDOWS + 1, 2 * _BLOCK_WINDOWS + 3])
+    def test_same_bits_as_one_solve(self, spacing, n):
+        t = spaced_times(spacing, n)
+        noise = 1.0 + 0.01 * np.random.default_rng(n).standard_normal(n)
+        v = 100.0 * np.exp(0.003 * t) * noise
+        for window in (3, 5, 7, 9, 11):
+            for degree in range(1, window):
+                cfg = SmoothingConfig(window=window, degree=degree)
+                got = _local_poly_gradients(t, v, cfg)
+                want = local_poly_gradients_whole(t, v, cfg)
+                # the first and last windows are anchored at the series edges
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (window, degree)
 
 
 @st.composite

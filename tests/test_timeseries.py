@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from growthcast import (
@@ -16,7 +18,7 @@ from growthcast import (
     load_series,
     transform_series,
 )
-from growthcast.timeseries import read_table
+from growthcast.timeseries import _numpy_table, read_table, transformed_unit
 
 
 def make_series(times, values, **kw):
@@ -185,6 +187,19 @@ class TestTransformSeries:
             transform_series(ts, kind)
         assert str(exc.value) == f"unknown transform {kind!r}"
 
+    @pytest.mark.parametrize("kind", ["log", "reciprocal", None, 0])
+    def test_unit_of_a_kind_that_is_not_a_transform_kind_is_refused(self, kind):
+        # "log" must not name the reciprocal unit 1/(u)
+        with pytest.raises(ConfigError) as exc:
+            transformed_unit("u", kind)
+        assert str(exc.value) == f"unknown transform {kind!r}"
+
+    def test_units(self):
+        assert transformed_unit("u", TransformKind.LOG) == "ln(u)"
+        assert transformed_unit("u", TransformKind.RECIPROCAL) == "1/(u)"
+        assert transformed_unit("", TransformKind.LOG) == "ln"
+        assert transformed_unit("", TransformKind.RECIPROCAL) == "1/"
+
 
 def _cell(rng, x):
     """One well-formed text for the float x, in one of several spellings."""
@@ -326,3 +341,104 @@ class TestReadTable:
     def test_non_increasing_time_names_row(self):
         with pytest.raises(ValidationError, match=r"row 4: non-increasing time 1.5 \(previous 2.0\)"):
             read_table(io.StringIO("t,v\n1,0\n2,0\n1.5,0\n"), "t", ("v",))
+
+
+def read_outcome(reader, text, delimiter):
+    """What ``reader`` makes of ``text``: its metadata and each column's
+    bits, or its error as (type, message)."""
+    try:
+        meta, cols = reader(io.StringIO(text), "t", ("v",), optional=("x",), delimiter=delimiter)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return meta, {name: (col.shape, col.tobytes()) for name, col in cols.items()}
+
+
+#: Cells that one reader or the other may read otherwise: spellings that
+#: ``float`` accepts and numpy's parser does not, blanks that only one of
+#: them strips, quotes, NUL, and a cell over csv's field limit.
+ODD_CELLS = [
+    "1_0", "\u0661\u0662", "\u00a01.5", "1.5\u2003", "\x0b1", " 2.5 ", '"3.5"', '" 4"',
+    '"1,5"', '"1', "inf", "-Infinity", "nan", "NaN", "", " ", "abc", "\x1c1", "1\x1f",
+    "1\x00", "0x10", "1e400", "-0.0", "+.5", "#1", "9" * 131_073,
+]
+
+CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.25e}"),
+    st.sampled_from(ODD_CELLS),
+    st.text(max_size=3),
+)
+
+DELIMITERS = st.one_of(
+    st.sampled_from([",", ";", " ", "\t", "|", '"', "\x1c", "\u00a0", ".", "e", "1", "#"]),
+    st.characters(exclude_categories=("Cs",)),
+)
+
+
+@st.composite
+def tables(draw):
+    """A header naming t, v and maybe x in any order, then rows: well-formed
+    ones (increasing times, blanks around some cells) or rows of any cells,
+    of any length, with comment and blank lines between them."""
+    d = draw(DELIMITERS)
+    names = draw(st.permutations(["t", "v", "x"]))[: draw(st.integers(2, 3))]
+    lines = [d.join(names)]
+    t = 0.0
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["good", "good", "odd", "skip"]))
+        if kind == "skip":
+            lines.append(draw(st.sampled_from(["", "  ", "# note", " # x: y"])))
+            continue
+        if kind == "good":
+            t += draw(st.floats(0.5, 10.0))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            cells = [f"{pad}{t!r}" if n == "t" else repr(draw(st.floats())) for n in names]
+        else:
+            cells = draw(st.lists(CELLS, min_size=len(names) - 1, max_size=len(names) + 1))
+        lines.append(d.join(cells))
+    return "\n".join(lines) + "\n", d
+
+
+class TestReaderMatchesCsv:
+    """numpy's parser and its fallback read every table as csv.reader and float did."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tables())
+    def test_same_columns_or_same_error(self, table):
+        text, delimiter = table
+        assert read_outcome(read_table, text, delimiter) == read_outcome(
+            oracles.read_table_csv, text, delimiter
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("t,v\n1,1_0\n", id="underscore"),  # float accepts it, numpy does not
+            pytest.param("t,v\n1,\u0661\n", id="arabic-digit"),
+            pytest.param("t,v\n1,\u00a02\u2003\n", id="unicode-blanks"),
+            pytest.param("t,v\n1,2\x1c\n", id="x1c"),  # numpy strips it as a blank, float does not
+            pytest.param("t,v\n1,2,\x00\n", id="nul"),
+            pytest.param('x,t,v\n"a\nb",1,2\n', id="quote-over-two-lines"),
+            pytest.param(
+                'y,t,v\n"' + "a" * 70_000 + "\n" + "a" * 70_000 + '",1,2\n',
+                id="quote-over-the-field-limit",
+            ),
+            pytest.param("t,v\n1,2\n2\n", id="short-row"),
+            pytest.param("t,v\n1,2,3\n2,3\n", id="long-row"),
+            pytest.param("t,v\n", id="header-only"),
+            pytest.param("t,v\n1,2\n2," + "9" * 131_073 + "\n", id="cell-over-the-limit"),
+            pytest.param("t,v,x\n1,2," + "9" * 131_073 + "\n", id="optional-over-the-limit"),
+        ],
+    )
+    @pytest.mark.parametrize("delimiter", [",", " "])
+    def test_inputs_numpy_must_leave_to_csv(self, text, delimiter):
+        text = text.replace(",", delimiter)
+        assert read_outcome(read_table, text, delimiter) == read_outcome(
+            oracles.read_table_csv, text, delimiter
+        )
+
+    def test_numpy_reads_a_plain_table(self):
+        body = ["1.5,2.5e-3,-7", "2,inf,nan"]
+        table = _numpy_table(body, ",", [0, 2])
+        assert table is not None
+        assert table.tolist()[0] == [1.5, -7.0]
