@@ -25,16 +25,28 @@ arithmetic and one table lookup, padding the shorter cells with a byte
 that is then deleted from the chunk. A 10^6-row projection is never
 held in memory as text.
 
+Both open their file through :func:`_rewrite`: an existing file is
+rewritten in place, not truncated on opening, and then cut to the new
+length, so its bytes are those of a write to a fresh path; only a
+regular file is cut, so a device or a pipe can be written to. When the
+writer raises, the file ends after the bytes written so far, as a
+truncating open left it. A killed process is another matter: it can
+leave the new head over the old file's tail, where a truncating write
+left a short file.
+
 The readers import the records they build when first called, so
 writing a file loads no model or rate code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import os
+import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -66,9 +78,31 @@ def format_features(feat: Features) -> str:
     return ", ".join([feat.kind.value] + [f"{k} = {format_float(v)}" for k, v in stars if v is not None])
 
 
+@contextlib.contextmanager
+def _rewrite(path: PathLike) -> Iterator[BinaryIO]:
+    """``path`` opened to write bytes from its start, cut where the writing ended.
+
+    Not truncating on opening lets a rewrite reuse the old file's pages.
+    Only a regular file is cut: ``truncate`` refuses ``/dev/null``
+    (EINVAL) and a pipe (ESPIPE).
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def write_text(path: PathLike, text: str) -> None:
-    """Write ``text`` as UTF-8 bytes, so its lines end in LF on every platform."""
-    with open(path, "wb") as fh:
+    """Write ``text`` as UTF-8 bytes, so its lines end in LF on every platform.
+
+    The file is rewritten in place and cut to the new length (a device
+    or a pipe is written, not cut), by the opener every output file
+    goes through. The bytes equal those of a write to a fresh path.
+    """
+    with _rewrite(path) as fh:
         fh.write(text.encode("utf-8"))
 
 
@@ -344,20 +378,23 @@ def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
     it when several are that short (Schubfach, :func:`_shortest`), laid
     out by ``repr``'s rules (:func:`_repr_cells`). All cells of a chunk
     are formatted in one pass, then joined with commas and newlines.
-    The file is written as bytes, as by :func:`write_text`, so its lines
-    end in LF on every platform.
+    The file is written as bytes and rewritten in place, as by
+    :func:`write_text`, so its lines end in LF on every platform.
     """
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(head.encode("utf-8"))
         seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
             cells = _repr_cells(chunk.ravel())
             width = cells.shape[1]
-            rows = np.empty(chunk.shape + (width + 1,), np.uint8)
+            # the rows are laid out in a bytearray through a numpy view of
+            # it, so the pad is deleted from it with no bytes copy
+            buf = bytearray(chunk.size * (width + 1))
+            rows = np.frombuffer(buf, np.uint8).reshape(chunk.shape + (width + 1,))
             rows[..., :width] = cells.reshape(chunk.shape + (width,))
             rows[..., width] = seps
-            fh.write(rows.tobytes().translate(None, _PAD))
+            fh.write(buf.translate(None, _PAD))
 
 
 def write_series(path: PathLike, ts: TimeSeries) -> None:

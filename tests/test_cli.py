@@ -643,6 +643,25 @@ class TestForecastCommand:
         assert not out.exists()
 
 
+    def test_rewriting_a_longer_projection(self, tmp_path):
+        """A forecast over an existing, longer output gives the bytes of one
+        run into a fresh directory, projection and sidecar alike."""
+        model_file = tmp_path / "m.txt"
+        model_file.write_text("kind = exp_const\na = 0.02\n", encoding="utf-8")
+        for out_dir in ("again", "fresh"):
+            (tmp_path / out_dir).mkdir()
+        again = tmp_path / "again" / "p.csv"
+        fresh = tmp_path / "fresh" / "p.csv"
+        forecast = ["forecast", str(model_file), "--anchor", "0:100", "--out"]
+        assert main([*forecast, str(again), "--grid", "0:10000:1"]) == 0
+        long_size = again.stat().st_size
+        assert main([*forecast, str(again), "--grid", "0:100:1"]) == 0
+        assert main([*forecast, str(fresh), "--grid", "0:100:1"]) == 0
+        assert again.stat().st_size < long_size
+        for suffix in ("", ".meta"):
+            assert Path(f"{again}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+
+
 class TestIntegrateCommand:
     def test_discrete_reconstruction_round_trip(self, tmp_path):
         rates = tmp_path / "r.csv"

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -403,3 +406,152 @@ class TestWriterMatchesPercentR:
         oracles.write_table_percent_r(tmp_path / "old.csv", "x\n", ",", column)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+
+
+def _rewriters(n):
+    """Name -> (write to a path, the file that write makes there) for each output writer."""
+    times, values, sizes = _columns(n)
+    ts = TimeSeries(times, values, label="L", unit="U")
+    rs = RateSeries(times, values, sizes, source_label="L", method=RateMethod.REFINED)
+    proj = project(Model(ModelKind.EXP_CONST, Params(a=0.02)), (0.0, 1.0), [0.0, 1.0])
+    proj = dataclasses.replace(proj, series=ts)
+    model = Model(ModelKind.RATE_SHIFTED_EXP, Params(a=8.0, b=4.0, r=0.3), t_ref=1950.0, unit="U")
+    sidecar = [("input", "s" * n), ("grid", "0:1:1")]
+    return {
+        "series": (lambda p: write_series(p, ts), str),
+        "rates": (lambda p: write_rates(p, rs, unit="U", transform="log"), str),
+        "projection": (lambda p: write_projection(p, proj), str),
+        "model": (lambda p: write_model(p, model, comments=["c" * n]), str),
+        "sidecar": (lambda p: fileio.write_sidecar(p, "rates", sidecar), lambda p: f"{p}.meta"),
+    }
+
+
+_WRITERS = sorted(_rewriters(2))
+
+
+class TestRewrite:
+    """Writing over an existing file gives the bytes of a write to a fresh
+    path: each output file is rewritten in place and cut to its length."""
+
+    @staticmethod
+    def _fresh(tmp_path, name, n):
+        write, made = _rewriters(n)[name]
+        write(tmp_path / "fresh")
+        return (tmp_path / made("fresh")).read_bytes()
+
+    @pytest.mark.parametrize("before", ["longer", "shorter", "missing"])
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_same_bytes_as_a_fresh_write(self, tmp_path, name, before):
+        expected = self._fresh(tmp_path, name, 40)
+        write, made = _rewriters(40)[name]
+        target = tmp_path / made("out")
+        if before == "longer":
+            target.write_bytes(b"\xffold\n" * len(expected))
+        elif before == "shorter":
+            target.write_bytes(b"old\n")
+        write(tmp_path / "out")
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_a_longer_write_of_the_same_writer(self, tmp_path, name):
+        expected = self._fresh(tmp_path, name, 5)
+        long_write, made = _rewriters(3 * _CHUNK_ROWS // 2)[name]
+        long_write(tmp_path / "out")
+        _rewriters(5)[name][0](tmp_path / "out")
+        assert (tmp_path / made("out")).read_bytes() == expected
+
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_through_a_symlink(self, tmp_path, name):
+        expected = self._fresh(tmp_path, name, 40)
+        write, made = _rewriters(40)[name]
+        real = tmp_path / made("real")
+        real.write_bytes(b"old\n" * len(expected))
+        link = tmp_path / made("link")
+        try:
+            os.symlink(real, link)
+        except (OSError, NotImplementedError):
+            pytest.skip("no symlinks here")
+        write(tmp_path / "link")
+        assert link.is_symlink()
+        assert real.read_bytes() == expected
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX mode bits")
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, name):
+        write, made = _rewriters(40)[name]
+        target = tmp_path / made("out")
+        target.write_bytes(b"old\n")
+        os.chmod(target, 0o640)
+        write(tmp_path / "out")
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX mode bits")
+    def test_a_new_file_gets_the_mode_of_a_truncating_open(self, tmp_path):
+        with open(tmp_path / "ref", "wb"):
+            pass
+        write_series(tmp_path / "new", TimeSeries(*_columns(3)[:2]))
+        fileio.write_text(tmp_path / "new.txt", "x\n")
+        expected = stat.S_IMODE(os.stat(tmp_path / "ref").st_mode)
+        assert stat.S_IMODE(os.stat(tmp_path / "new").st_mode) == expected
+        assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == expected
+
+
+class TestNonRegularTargets:
+    """A device or a pipe is written to and never cut: truncate refuses
+    both (EINVAL on /dev/null, ESPIPE on a pipe)."""
+
+    def test_series_to_devnull(self):
+        write_series(os.devnull, TimeSeries(*_columns(3 * _CHUNK_ROWS // 2)[:2]))
+
+    def test_text_to_devnull(self):
+        fileio.write_text(os.devnull, "x\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+    def test_table_into_a_fifo(self, tmp_path):
+        times, values, _ = _columns(3 * _CHUNK_ROWS // 2)
+        ts = TimeSeries(times, values, label="L")
+        write_series(tmp_path / "fresh.csv", ts)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                read.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        write_series(fifo, ts)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert read == [(tmp_path / "fresh.csv").read_bytes()]
+
+
+class TestInterruptedWrite:
+    def test_file_ends_after_the_chunks_written(self, tmp_path, monkeypatch):
+        """The writer's exception comes out as raised, and the file holds
+        the head and the first chunk, none of the old file's bytes: what a
+        truncating open left."""
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", 4)
+        times, values, _ = _columns(12)
+        head = "# label: L\nt,value\n"
+        fileio._write_table(tmp_path / "first.csv", head, times[:4], values[:4])
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n" * 10_000)
+        real = fileio._repr_cells
+        calls = []
+        failure = RuntimeError("second chunk")
+
+        def fail_on_second_call(x):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise failure
+            return real(x)
+
+        monkeypatch.setattr(fileio, "_repr_cells", fail_on_second_call)
+        with pytest.raises(RuntimeError) as info:
+            fileio._write_table(target, head, times, values)
+        assert info.value is failure
+        assert info.value.__context__ is None
+        assert calls == [8, 8]
+        assert target.read_bytes() == (tmp_path / "first.csv").read_bytes()
