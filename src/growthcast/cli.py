@@ -96,8 +96,26 @@ def _add_series_io_flags(p: argparse.ArgumentParser, *overrides: str) -> None:
         p.add_argument(f"--{name}", default=None, help=f"series {name} override")
 
 
+def _add_smoothing_flags(p: argparse.ArgumentParser) -> None:
+    """The rate method, and the refined smoothing at ``SmoothingConfig()``'s defaults."""
+    p.add_argument("--method", choices=["direct", "refined"], default="direct")
+    p.add_argument("--window", type=int, default=7, help="refined: window point count (odd, >= 3)")
+    p.add_argument("--degree", type=int, default=3, help="refined: local polynomial degree")
+
+
+def _sidecar(args: argparse.Namespace) -> list[tuple[str, str]]:
+    """The ``.meta`` lines of an --out file (reproduce's is a directory, ``out_dir``): every
+    other parsed argument in the parser's order, None as empty; a line break is refused."""
+    from .fileio import _one_line
+
+    skip = ("command", "func", "out")
+    return [
+        (k, _one_line(k, "" if v is None else str(v))) for k, v in vars(args).items() if k not in skip
+    ]
+
+
 def cmd_rates(args: argparse.Namespace) -> int:
-    from .fileio import write_rates, write_sidecar
+    from .fileio import write_rates
     from .rates import RateMethod, estimate_rates, rate_of_transform
     from .timeseries import TransformKind, transformed_unit
 
@@ -111,18 +129,13 @@ def cmd_rates(args: argparse.Namespace) -> int:
         rs = rate_of_transform(ts, kind, method, _smoothing(args))
         unit, transform = transformed_unit(ts.unit, kind), args.transform
     write_rates(args.out, rs, unit=unit, transform=transform)
-    write_sidecar(
-        args.out,
-        "rates",
-        [("input", str(args.input)), ("method", args.method), ("transform", args.transform)],
-    )
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .fileio import fit_report_comments, format_float, read_rates, write_model, write_sidecar
+    from .fileio import fit_report_comments, format_float, read_rates, write_model
     from .fitting import LinearizationKind, fit_rate_model, fit_reciprocal_series, scan_shifted_aux
     from .models import LOG_LIFT
 
@@ -172,22 +185,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for w in report.warnings:
         print(f"warning: {lin.value}: {w}", file=sys.stderr)
     write_model(args.out, model, comments)
-    write_sidecar(
-        args.out,
-        "fit",
-        [
-            ("input", str(args.input)),
-            ("linearization", args.linearization),
-            ("range", args.range or ""),
-            ("aux_a", "" if aux_a is None else format_float(aux_a)),
-            ("scan_aux", args.scan_aux or ""),
-        ],
-    )
     return 0
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    from .fileio import read_model, write_projection, write_sidecar
+    from .fileio import read_model, write_projection
     from .forecast import project, project_normalized
 
     model = read_model(args.model)
@@ -204,22 +206,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     for w in proj.warnings:
         print(f"warning: {w}", file=sys.stderr)
     write_projection(args.out, proj)
-    write_sidecar(
-        args.out,
-        "forecast",
-        [
-            ("model", str(args.model)),
-            ("anchor", args.anchor or ""),
-            ("grid", args.grid),
-        ],
-    )
     return 0
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .fileio import read_rates, write_series, write_sidecar
+    from .fileio import read_rates, write_series
     from .forecast import integrate_discrete, integrate_rate_function
 
     rs, meta = read_rates(args.input, delimiter=args.delimiter)
@@ -238,22 +231,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         out_series = integrate_rate_function(poly, anchor, grid)
     out_series = replace(out_series, label=meta.get("label", out_series.label))
     write_series(args.out, out_series)
-    write_sidecar(
-        args.out,
-        "integrate",
-        [
-            ("input", str(args.input)),
-            ("anchor", args.anchor),
-            ("poly_degree", "" if args.poly_degree is None else str(args.poly_degree)),
-            ("grid", args.grid or ""),
-        ],
-    )
     return 0
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from .diagnostics import LOW_RATE_THRESHOLD, identify, stability_flag
-    from .fileio import _one_line, write_sidecar, write_text
+    from .fileio import _one_line, write_text
     from .rates import RateMethod
 
     aux_a = _parse_float(args.aux_a, "--aux-a")
@@ -285,7 +268,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         write_text(args.out, text)
-        write_sidecar(args.out, "diagnose", [("input", str(args.input))])
     print(text, end="")
     return 0
 
@@ -296,7 +278,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(CASE_NAMES) if args.case == "all" else [args.case]
     if any(n not in CASE_NAMES for n in names):
         raise ConfigError(f"unknown case {args.case!r}; valid names: {', '.join(CASE_NAMES)} or all")
-    out_dir = Path(args.out)
+    out_dir = Path(args.out_dir)
     all_pass = True
     for name in names:
         result = run_case(name, out_dir)
@@ -321,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="compute growth rates from a series file")
     p.add_argument("input", help="delimited series file")
-    p.add_argument("--method", choices=["direct", "refined"], default="direct")
-    p.add_argument("--window", type=int, default=7, help="refined: window point count (odd, >= 3)")
-    p.add_argument("--degree", type=int, default=3, help="refined: local polynomial degree")
+    _add_smoothing_flags(p)
     p.add_argument(
         "--transform", choices=["none", "log", "reciprocal"], default="none",
         help="compute rates of a transform of the series",
@@ -371,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="rank candidate models and flag low-rate instability")
     p.add_argument("input", help="delimited series file")
-    p.add_argument("--method", choices=["direct", "refined"], default="direct")
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--degree", type=int, default=3)
+    _add_smoothing_flags(p)
     p.add_argument("--aux-a", default=None)
     p.add_argument("--threshold", default=None)
     _add_series_io_flags(p, "label")
@@ -382,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute a bundled case study and check it")
     p.add_argument("case", help=f"one of: {', '.join(_CASE_NAMES)}, or all")
-    p.add_argument("--out", default="reproduce_out", help="output directory")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", default="reproduce_out", help="output directory"
+    )
     p.set_defaults(func=cmd_reproduce)
 
     return parser
@@ -395,7 +375,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        sidecar = None if getattr(args, "out", None) is None else _sidecar(args)
+        code = args.func(args)
+        if code == 0 and sidecar is not None:
+            from .fileio import write_sidecar
+
+            write_sidecar(args.out, args.command, sidecar)
+        return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

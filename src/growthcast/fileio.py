@@ -471,6 +471,8 @@ def read_model(path: PathLike) -> Model:
             key = key.strip()
             if key not in names:
                 raise ConfigError(f"{path}: unknown model field {key!r}; expected one of {names}")
+            if key in fields:
+                raise ParseError(f"{path}: line {n}: model field {key!r} is given twice")
             fields[key] = val.strip()
     if "kind" not in fields:
         raise ConfigError(f"{path}: model file is missing the 'kind' field")
@@ -553,7 +555,8 @@ def write_scenario_table(path: PathLike, report: ScenarioReport) -> None:
 
 
 def write_sidecar(path: PathLike, command: str, args: Iterable[tuple[str, str]]) -> None:
-    """Deterministic run-metadata sidecar (<output>.meta)."""
+    """The deterministic sidecar <output>.meta: the command, the version, then each argument;
+    the CLI passes all but --out, in its parser's order, and refuses a line break in any."""
     from . import __version__
 
     lines = [f"command: {command}\n", f"version: {__version__}\n"]

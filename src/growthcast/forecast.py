@@ -37,6 +37,7 @@ from .models import (
     FeatureKind,
     Features,
     Model,
+    _check_anchor,
     features as model_features,
     normalize,
     trajectory_at,
@@ -100,8 +101,7 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
     between rate times has no well-defined step to bridge.
     """
     t0, s0 = anchor
-    if s0 <= 0:
-        raise DomainError(f"anchor size must be positive, got {s0}")
+    _check_anchor(t0, s0)
 
     times = rs.times
     anchor_idx = _first_at(np.abs(times - t0) <= _ANCHOR_ALIGN_YEARS)
@@ -150,8 +150,7 @@ def integrate_rate_function(
     NumericError naming the first such grid time.
     """
     t0, s0 = anchor
-    if s0 <= 0:
-        raise DomainError(f"anchor size must be positive, got {s0}")
+    _check_anchor(t0, s0)
     g = np.asarray(grid, dtype=float)
     points = np.concatenate(([t0], g))
     i = _first_at((points < p.t_min) | (points > p.t_max))

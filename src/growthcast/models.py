@@ -159,6 +159,8 @@ class Model:
         for name, val in (*vars(self.params).items(), ("t_ref", self.t_ref)):
             if val is None and name in required:
                 raise ValidationError(f"{self.kind.value} requires parameter {name!r}")
+            if val is not None and name in ("a", "b", "r") and name not in required:
+                raise ValidationError(f"{self.kind.value} does not use parameter {name!r}")
             if val is not None and not math.isfinite(val):
                 raise ValidationError(f"{self.kind.value} parameter {name!r} must be finite, got {val}")
             if val == 0.0 and name in nonzero:
@@ -523,17 +525,25 @@ def _critical_point(m: Model) -> Features:
     )
 
 
+def _check_anchor(t0: float, s0: float) -> None:
+    """Refuse an anchor (t0, s0) that is not finite or whose size is not positive."""
+    if not (math.isfinite(t0) and math.isfinite(s0)):
+        raise ValidationError(f"anchor must be finite, got t0 = {t0}, s0 = {s0}")
+    if s0 <= 0:
+        raise DomainError(f"anchor size must be positive, got {s0}")
+
+
 def normalize(m: Model, t0: float, s0: float) -> Model:
     """Fix the normalization constant so the trajectory passes (t0, s0).
 
     Solves the closed form for C in log-space, so anchoring at calendar
-    years with large exponents stays exact. Raises DomainError when s0
-    violates the kind's positivity needs or when C falls outside float
-    range (re-express the model with t_ref near t0 in that case). A
-    lifted kind anchors its base law at F0 = ln s0.
+    years with large exponents stays exact. Raises ValidationError for a
+    non-finite anchor, DomainError when s0 violates the kind's positivity
+    needs or when C falls outside float range (re-express the model with
+    t_ref near t0 in that case). A lifted kind anchors its base law at
+    F0 = ln s0.
     """
-    if s0 <= 0:
-        raise DomainError(f"anchor size must be positive, got {s0}")
+    _check_anchor(t0, s0)
     tp = t0 - m.t_ref
     p = m.params
     kind = _LIFT_BASE.get(m.kind, m.kind)

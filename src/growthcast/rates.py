@@ -47,20 +47,21 @@ class RateMethod(Enum):
 class SmoothingConfig:
     """Window/degree of the local polynomial used for refined gradients.
 
-    window counts points (odd, >= 3); degree must be below the window so
-    the local fit is overdetermined at interior points.
+    Both are integers (an int or a numpy integer; 7.0 is refused). window
+    counts points (odd, >= 3); degree must be below the window so the local
+    fit is overdetermined at interior points.
     """
 
     window: int = 7
     degree: int = 3
 
     def __post_init__(self) -> None:
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValidationError(f"window must be an odd integer >= 3, got {self.window}")
-        if not (1 <= self.degree < self.window):
+        window, degree = self.window, self.degree
+        if not isinstance(window, (int, np.integer)) or window < 3 or window % 2 == 0:
+            raise ValidationError(f"window must be an odd integer >= 3, got {window}")
+        if not (isinstance(degree, (int, np.integer)) and 1 <= degree < window):
             raise ValidationError(
-                f"degree must satisfy 1 <= degree < window, got degree={self.degree} "
-                f"window={self.window}"
+                f"degree must satisfy 1 <= degree < window, got degree={degree} window={window}"
             )
 
 

@@ -596,8 +596,11 @@ class TestForecastCommand:
             ("kind = linear_t\na = 0.02\nb = fast\n", "cannot parse b = 'fast' as a number"),
             ("kind = linear_t\nA = 0.02\n", "unknown model field 'A'; expected one of "
              "('kind', 'a', 'b', 'r', 'C', 't_ref', 'unit')"),
+            ("kind = linear_t\na = 0.02\nb = -0.001\nr = 5\n", "linear_t does not use parameter 'r'"),
+            ("kind = exp_const\na = 0.02\n# a comment\na = 0.5\n",
+             "line 4: model field 'a' is given twice"),
         ],
-        ids=["no-equals", "no-kind", "not-a-number", "unknown-field"],
+        ids=["no-equals", "no-kind", "not-a-number", "unknown-field", "unused-field", "repeated-field"],
     )
     def test_malformed_model_file_is_exit_2(self, tmp_path, capsys, text, message):
         model_file = tmp_path / "m.txt"
@@ -883,6 +886,91 @@ class TestLineBreaksInMetadata:
         self.assert_refused(code, capsys, "unit", "a\nb", out)
 
 
+class TestSidecar:
+    """A ``.meta`` holds the command, the version and every parsed argument
+    but --out, in the parser's order, unset ones empty."""
+
+    @staticmethod
+    def meta(out):
+        return Path(f"{out}.meta").read_text(encoding="utf-8")
+
+    @staticmethod
+    def expected(command, **args):
+        lines = [f"command: {command}", f"version: {growthcast.__version__}"]
+        return "".join(f"{line}\n" for line in lines + [f"{k}: {v}" for k, v in args.items()])
+
+    def test_every_command_records_every_argument(self, tmp_path, capsys):
+        src = str(GDP_FIXTURE)
+        io_flags = dict(time_column="t", value_column="value", delimiter=",")
+        rates, model, proj, recon, report = (
+            str(tmp_path / n) for n in ("r.csv", "m.txt", "p.csv", "x.csv", "rep.txt")
+        )
+        assert main(["rates", src, "--method", "refined", "--window", "9", "--out", rates]) == 0
+        assert self.meta(rates) == self.expected(
+            "rates", input=src, method="refined", window=9, degree=3, transform="none",
+            **io_flags, label="", unit="",
+        )
+        assert main([
+            "fit", rates, "--linearization", "shifted-ln-vs-t", "--aux-a", "60", "--unit", "u",
+            "--out", model,
+        ]) == 0
+        assert self.meta(model) == self.expected(
+            "fit", input=rates, linearization="shifted-ln-vs-t", range="", aux_a="60",
+            scan_aux="", **io_flags, unit="u",
+        )
+        assert main([
+            "forecast", model, "--anchor", "2000:30000", "--grid", "2000:2010:5",
+            "--label", "proj", "--out", proj,
+        ]) == 0
+        assert self.meta(proj) == self.expected(
+            "forecast", model=model, anchor="2000:30000", grid="2000:2010:5", label="proj"
+        )
+        assert main(["integrate", rates, "--anchor", "1950:10000", "--out", recon]) == 0
+        assert self.meta(recon) == self.expected(
+            "integrate", input=rates, anchor="1950:10000", poly_degree="", grid="", delimiter=","
+        )
+        assert main([
+            "diagnose", src, "--method", "refined", "--window", "9", "--degree", "2",
+            "--aux-a", "60", "--threshold", "0.02", "--out", report,
+        ]) == 0
+        assert self.meta(report) == self.expected(
+            "diagnose", input=src, method="refined", window=9, degree=2, aux_a=60,
+            threshold=0.02, **io_flags, label="",
+        )
+
+    def test_diagnose_without_out_writes_no_sidecar(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", str(GDP_FIXTURE)]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_command_writes_no_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        code = main(["fit", str(GDP_FIXTURE), "--linearization", "shifted-ln-vs-t", "--out", str(out)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["gd\np.csv", "gd\rp.csv"])
+    def test_value_with_a_line_break_is_refused_before_any_write(self, tmp_path, capsys, value):
+        src = tmp_path / value
+        src.write_bytes(GDP_FIXTURE.read_bytes())
+        out = tmp_path / "r.csv"
+        assert main(["rates", str(src), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: input must not contain a line break, got {str(src)!r}\n"
+        assert sorted(tmp_path.iterdir()) == [src]
+
+    def test_diagnose_refuses_a_line_break_only_for_its_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "rep.txt"
+        argv = ["diagnose", str(GDP_FIXTURE), "--threshold", "0.02\n"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: threshold must not contain a line break, got '0.02\\n'\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv) == 0
+        assert "threshold 0.02)" in capsys.readouterr().out
+
+
 class TestSeriesFlags:
     """Each command takes only the series overrides it reads."""
 
@@ -906,6 +994,8 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+        # its --out is a directory, which has no sidecar, and neither has any file in it
+        assert list(tmp_path.rglob("*.meta")) == []
 
     def test_unknown_case_lists_names(self, tmp_path, capsys):
         code = main(["reproduce", "atlantis", "--out", str(tmp_path / "rep")])

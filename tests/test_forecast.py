@@ -135,14 +135,42 @@ class TestIntegrateDiscrete:
         assert min(outcomes.values()) >= 20
 
 
-class TestIntegrateRateFunction:
+#: The three projection routes, each from an anchor that it takes at (1.0, 2.0).
+_ROUTES = {
+    "discrete": lambda anchor: integrate_discrete(rate_series([1.0, 2.0], [0.1, 0.1]), anchor),
+    "polynomial": lambda anchor: integrate_rate_function(
+        PolyFit(np.array([0.02]), 0, 0.0, t_min=-1.0, t_max=5.0), anchor, [1.0, 2.0]
+    ),
+    "closed-form": lambda anchor: project(Model(ModelKind.EXP_CONST, Params(a=0.02)), anchor, [1.0, 2.0]),
+}
+
+
+class TestAnchorRule:
+    """Every route refuses a non-finite anchor, and a non-positive size, alike."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_a_finite_positive_anchor_is_taken(self, route):
+        _ROUTES[route]((1.0, 2.0))
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_anchor_rejected(self, route, bad, slot):
+        anchor = [1.0, 2.0]
+        anchor[slot] = bad
+        with pytest.raises(ValidationError) as exc:
+            _ROUTES[route](tuple(anchor))
+        assert str(exc.value) == f"anchor must be finite, got t0 = {anchor[0]}, s0 = {anchor[1]}"
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
     @pytest.mark.parametrize("s0", [0.0, -1.0])
-    def test_non_positive_anchor_size_rejected(self, s0):
-        p = PolyFit(np.array([0.02]), 0, 0.0, t_min=-1.0, t_max=5.0)
+    def test_non_positive_anchor_size_rejected(self, route, s0):
         with pytest.raises(DomainError) as exc:
-            integrate_rate_function(p, (0.0, s0), [0.0, 1.0])
+            _ROUTES[route]((1.0, s0))
         assert str(exc.value) == f"anchor size must be positive, got {s0}"
 
+
+class TestIntegrateRateFunction:
     def test_constant_rate_polynomial(self):
         p = PolyFit(np.array([0.02]), 0, 0.0, t_min=-1.0, t_max=5.0)
         out = integrate_rate_function(p, (0.0, 1.0), [0.0, 1.0, 2.0])

@@ -109,9 +109,19 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             model(ModelKind.LINEAR_S, a=0.0, b=-1.0)
 
-    def test_unused_fields_are_ignored(self):
-        m = model(ModelKind.EXP_CONST, a=0.02, r=0.5)
-        assert rate_at(m, 3.0) == 0.02
+    @pytest.mark.parametrize(
+        "kind, used, unused",
+        [
+            (ModelKind.EXP_CONST, dict(a=0.02), "r"),
+            (ModelKind.EXP_CONST, dict(a=0.02, C=1.0), "b"),
+            (ModelKind.LINEAR_T, dict(a=0.02, b=-0.001), "r"),
+            (ModelKind.HYPERBOLIC, dict(b=0.01, C=1.0), "a"),
+        ],
+    )
+    def test_unused_field_is_refused(self, kind, used, unused):
+        model(kind, **used)
+        with pytest.raises(ValidationError, match=f"^{kind.value} does not use parameter '{unused}'$"):
+            model(kind, **used, **{unused: 5.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["a", "b", "r", "C", "t_ref"])

@@ -12,6 +12,7 @@ import growthcast
 from growthcast import cases, cli
 from growthcast.diagnostics import LOW_RATE_THRESHOLD
 from growthcast.fitting import LinearizationKind
+from growthcast.rates import SmoothingConfig
 
 DATA = Path(__file__).parent / "data"
 GDP_FIXTURE = DATA / "gdp_per_capita.csv"
@@ -81,6 +82,11 @@ class TestParserStatesItsSources:
 
     def test_case_names(self):
         assert cli._CASE_NAMES == cases.CASE_NAMES
+
+    @pytest.mark.parametrize("argv", [["rates", "s.csv", "--out", "r.csv"], ["diagnose", "s.csv"]])
+    def test_smoothing_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.window, args.degree) == (SmoothingConfig().window, SmoothingConfig().degree)
 
     def test_threshold_default_is_the_diagnostics_constant(self, capsys):
         assert cli.main(["diagnose", str(GDP_FIXTURE)]) == 0

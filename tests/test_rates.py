@@ -50,6 +50,26 @@ class TestSmoothingConfig:
         with pytest.raises(ValidationError):
             SmoothingConfig(window=5, degree=degree)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(window=7.0), "window must be an odd integer >= 3, got 7.0"),
+            (dict(window="7"), "window must be an odd integer >= 3, got 7"),
+            (dict(degree=2.5), "degree must satisfy 1 <= degree < window, got degree=2.5 window=7"),
+            (dict(degree=2.0), "degree must satisfy 1 <= degree < window, got degree=2.0 window=7"),
+        ],
+        ids=["float-window", "str-window", "float-degree", "whole-float-degree"],
+    )
+    def test_rejects_a_non_integer(self, fields, message):
+        with pytest.raises(ValidationError) as exc:
+            SmoothingConfig(**fields)
+        assert str(exc.value) == message
+
+    def test_takes_numpy_integers(self):
+        cfg = SmoothingConfig(window=np.int64(5), degree=np.int32(2))
+        rs = refined_rates(series(np.arange(9.0), np.exp(0.03 * np.arange(9.0))), cfg)
+        assert rs.rates.size == 9
+
 
 class TestDirectRates:
     def test_single_step(self):
