@@ -98,7 +98,10 @@ def _add_series_io_flags(p: argparse.ArgumentParser, *overrides: str) -> None:
 
 def _add_smoothing_flags(p: argparse.ArgumentParser) -> None:
     """The rate method, and the refined smoothing at ``SmoothingConfig()``'s defaults."""
-    p.add_argument("--method", choices=["direct", "refined"], default="direct")
+    p.add_argument(
+        "--method", choices=["direct", "refined"], default="direct",
+        help="rate estimator (default: direct)",
+    )
     p.add_argument("--window", type=int, default=7, help="refined: window point count (odd, >= 3)")
     p.add_argument("--degree", type=int, default=3, help="refined: local polynomial degree")
 
@@ -138,6 +141,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     from .fileio import fit_report_comments, format_float, read_rates, write_model
     from .fitting import LinearizationKind, fit_rate_model, fit_reciprocal_series, scan_shifted_aux
     from .models import LOG_LIFT
+    from .timeseries import log_argument_unit
 
     lin = LinearizationKind(args.linearization)
     t_range = None if args.range is None else _parse_pair(args.range, "--range")
@@ -147,41 +151,42 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "the shifted-ln-vs-t linearization needs --aux-a (or --scan-aux lo:hi)"
         )
 
+    comments, lifted = [], False
     if lin is LinearizationKind.RECIP_S_VS_T:
-        ts = _load_input_series(args, None, args.unit)
-        report = fit_reciprocal_series(ts, t_range=t_range)
-        comments = fit_report_comments(report)
-        model = report.model
+        report = fit_reciprocal_series(_load_input_series(args, None, args.unit), t_range=t_range)
     else:
+        if args.time_column != "t" or args.value_column != "value":
+            flag = "--time-column" if args.time_column != "t" else "--value-column"
+            raise ConfigError(
+                f"{flag} applies only to recip-s-vs-t; a rates file's columns are t, rate and size"
+            )
         rs, meta = read_rates(args.input, delimiter=args.delimiter)
+        # the r-vs-t and r-vs-s fits of the rates of ln S are lifted to the
+        # log-of-size families, whose unit is that of S
+        lifted = meta.get("transform") == "log" and lin in (
+            LinearizationKind.R_VS_T, LinearizationKind.R_VS_S
+        )
         file_unit = meta.get("unit", "")
+        if lifted:
+            file_unit = log_argument_unit(file_unit)
         unit = args.unit if args.unit is not None else file_unit
         # size-dependent parameters are tied to the size unit; a silent
         # mismatch would make the fitted a, b meaningless
-        if (
-            lin is LinearizationKind.R_VS_S
-            and args.unit is not None
-            and file_unit
-            and args.unit != file_unit
-        ):
+        if lin is LinearizationKind.R_VS_S and file_unit and unit != file_unit:
             raise ConfigError(
-                f"size-dependent fit refused: --unit {args.unit!r} disagrees with "
+                f"size-dependent fit refused: --unit {unit!r} disagrees with "
                 f"the rates file unit {file_unit!r}"
             )
         if lin is LinearizationKind.SHIFTED_LN_VS_T and aux_a is None:
             lo, hi = _parse_pair(args.scan_aux, "--scan-aux")
-            best_a, report = scan_shifted_aux(rs, lo, hi, t_range=t_range)
-            comments = [f"aux a = {format_float(best_a)} selected by r^2 scan over [{lo}, {hi}]"]
-            comments += fit_report_comments(report)
-        else:
-            report = fit_rate_model(rs, lin, t_range=t_range, aux_a=aux_a, unit=unit)
-            comments = fit_report_comments(report)
-        model = report.model
-        if meta.get("transform") == "log" and model.kind in LOG_LIFT:
-            model = replace(model, kind=LOG_LIFT[model.kind])
-            comments.append(
-                "input rates were of ln(series); kind lifted to the log-of-size family"
-            )
+            aux_a = scan_shifted_aux(rs, lo, hi, t_range=t_range)[0]
+            comments.append(f"aux a = {format_float(aux_a)} selected by r^2 scan over [{lo}, {hi}]")
+        report = fit_rate_model(rs, lin, t_range=t_range, aux_a=aux_a, unit=unit)
+    comments += fit_report_comments(report)
+    model = report.model
+    if lifted:
+        model = replace(model, kind=LOG_LIFT[model.kind])
+        comments.append("input rates were of ln(series); kind lifted to the log-of-size family")
     for w in report.warnings:
         print(f"warning: {lin.value}: {w}", file=sys.stderr)
     write_model(args.out, model, comments)
@@ -229,7 +234,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         for w in poly.warnings:
             print(f"warning: {w}", file=sys.stderr)
         out_series = integrate_rate_function(poly, anchor, grid)
-    out_series = replace(out_series, label=meta.get("label", out_series.label))
+    # the series rebuilt is the rates file's size column: it keeps that file's label and unit
+    out_series = replace(out_series, **{k: meta[k] for k in ("label", "unit") if k in meta})
     write_series(args.out, out_series)
     return 0
 
@@ -315,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a rate-law model through a linearization")
     p.add_argument("input", help="rates file (series file for recip-s-vs-t)")
     p.add_argument(
-        "--linearization",
-        required=True,
-        choices=_LINEARIZATIONS,
+        "--linearization", required=True, choices=_LINEARIZATIONS,
+        help="line fitted; sets the model family",
     )
     p.add_argument("--range", default=None, help="restrict to times t1:t2 before fitting")
     p.add_argument("--aux-a", default=None, help="displacement a for shifted-ln-vs-t")
@@ -345,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit a polynomial rate law of this degree and integrate it analytically",
     )
     p.add_argument("--grid", default=None, help="start:stop:step (polynomial route only)")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
     p.add_argument("--out", required=True, help="output series file")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("diagnose", help="rank candidate models and flag low-rate instability")
     p.add_argument("input", help="delimited series file")
     _add_smoothing_flags(p)
-    p.add_argument("--aux-a", default=None)
-    p.add_argument("--threshold", default=None)
+    p.add_argument("--aux-a", default=None, help="displacement a for the shifted-ln-vs-t test")
+    p.add_argument("--threshold", default=None, help="flag growth unstable below this recent rate")
     _add_series_io_flags(p, "label")
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_diagnose)

@@ -100,7 +100,7 @@ def direct_rates(ts: TimeSeries) -> RateSeries:
     For each consecutive pair, R = (S[i+1] - S[i]) / (S[i] * (t[i+1]-t[i])),
     attributed to time t[i+1] with size S[i+1]; n points in, n-1 rates out.
     """
-    return _rates(ts, RateMethod.DIRECT, None, ts.label)
+    return estimate_rates(ts, RateMethod.DIRECT)
 
 
 def _local_poly_gradients(times: np.ndarray, values: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
@@ -177,7 +177,7 @@ def refined_rates(ts: TimeSeries, cfg: SmoothingConfig | None = None) -> RateSer
     R at each point is the local-polynomial derivative of S divided by
     the raw series value there; one rate per input point.
     """
-    return _rates(ts, RateMethod.REFINED, cfg, ts.label)
+    return estimate_rates(ts, RateMethod.REFINED, cfg)
 
 
 def estimate_rates(
@@ -185,14 +185,7 @@ def estimate_rates(
 ) -> RateSeries:
     """Growth rates of a series by ``method``: :func:`direct_rates`, or
     :func:`refined_rates` with ``cfg``."""
-    return _rates(ts, method, cfg, ts.label)
-
-
-def _rates(
-    ts: TimeSeries, method: RateMethod, cfg: Optional[SmoothingConfig], label: str
-) -> RateSeries:
-    """The rates of ``ts`` by ``method``, labelled, as a record."""
-    return RateSeries(*_rate_arrays(ts.times, ts.values, method, cfg), label, method)
+    return RateSeries(*_rate_arrays(ts.times, ts.values, method, cfg), ts.label, method)
 
 
 def _rate_arrays(
@@ -237,4 +230,4 @@ def rate_of_transform(
     # first, so that a kind that is not a TransformKind is refused by name
     transformed = transform_series(ts, kind)
     label = f"{ts.label} [{kind.value}]" if ts.label else f"[{kind.value}]"
-    return _rates(transformed, method, cfg, label)
+    return RateSeries(*_rate_arrays(transformed.times, transformed.values, method, cfg), label, method)

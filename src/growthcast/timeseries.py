@@ -8,10 +8,9 @@ shares these checks, and the library builds both through them.
 
 :func:`read_table` is the one reader of delimited data files, series
 (:func:`load_series`) and rates (``fileio.read_rates``) alike: it reads
-the stream once and converts the needed columns in bulk, by numpy's C
-text parser where it gives the bits of ``float`` and by ``csv.reader``
-and ``float`` otherwise, and looks for the offending cell only when a
-conversion fails.
+the stream once and converts the needed columns in bulk by numpy's C
+text parser where it gives the bits of ``float``, and otherwise cell by
+cell by ``csv.reader`` and ``float``, which stop at the offending cell.
 
 An error about a point names the first offending one: ``_first_at`` is
 the one rule, shared with ``rates`` and ``forecast``.
@@ -22,9 +21,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Optional, Sequence, TextIO, Union
+from typing import Any, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -130,8 +128,8 @@ def read_table(
     parser converts each cell as ``float`` does, where
     ``_numpy_may_read`` finds that it splits the rows as ``csv.reader``
     does; otherwise, or when it refuses a cell, the rows are split by
-    ``csv.reader`` and every cell is converted by ``float``. Quoted
-    cells work either way. The first empty, missing or unparseable cell
+    ``csv.reader`` and every cell is converted by ``float``, row by row.
+    Quoted cells work either way. The first empty, missing or unparseable cell
     is a ``ParseError`` naming its row (the header is row 1, skipped
     lines are not counted). Times must strictly increase: a duplicated
     or non-increasing time is a ``ValidationError`` naming its row.
@@ -160,7 +158,7 @@ def read_table(
     if header_at is None:
         raise ParseError(f"{where}no header row found")
     body = [ln for ln in lines[header_at + 1 :] if (s := ln.strip()) and s[0] != "#"]
-    fast = _numpy_may_read(text, body, delimiter)
+    fast = _numpy_may_read(text, lines[header_at], body, delimiter)
     try:
         reader = csv.reader([lines[header_at]] + ([] if fast else body), delimiter=delimiter)
         header = [name.strip() for name in next(reader)]
@@ -177,18 +175,22 @@ def read_table(
     wanted += [col for col in optional if col in header]
     usecols = [header.index(col) for col in wanted]
     table = _numpy_table(body, delimiter, usecols) if fast else None
-    if table is not None:
-        out = {col: table[:, k].copy() for k, col in enumerate(wanted)}  # contiguous, as before
-    else:
+    if table is None:
         if fast:
             rows = list(csv.reader(body, delimiter=delimiter))
-        out = {}
-        try:
+        cells = []  # row by row, so the first bad cell stops the pass
+        for n, row in enumerate(rows, start=2):  # header is row 1
             for col, j in zip(wanted, usecols):
-                cells = map(itemgetter(j), rows)
-                out[col] = np.fromiter(map(float, cells), dtype=float, count=len(rows))
-        except (IndexError, ValueError):
-            _raise_first_bad_cell(where, header, rows, wanted)
+                cell = row[j] if j < len(row) else ""
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    bad = f"cannot parse {cell!r} in column {col!r} as a number"
+                    if not cell.strip():
+                        bad = f"empty cell in column {col!r}"
+                    raise ParseError(f"{where}row {n}: {bad}") from None
+        table = np.array(cells).reshape(len(rows), len(wanted))
+    out = {col: table[:, k].copy() for k, col in enumerate(wanted)}  # contiguous
 
     times = out[time_column]
     i = _first_at(times[1:] <= times[:-1])
@@ -199,15 +201,17 @@ def read_table(
     return meta, out
 
 
-def _numpy_may_read(text: str, body: list[str], delimiter: str) -> bool:
+def _numpy_may_read(text: str, header: str, body: list[str], delimiter: str) -> bool:
     """Whether numpy's parser reads ``body`` into the cells of ``csv.reader``
     wherever it reads it at all. Not when the body is empty (``loadtxt``
-    warns), the delimiter is not one character, the text holds NUL (a csv
-    error before Python 3.11) or \\x1c-\\x1f (``loadtxt`` strips them as
-    blanks, ``float`` does not), or a cell may outgrow csv's field limit."""
+    warns), the header line holds a quote (``csv.reader`` may read on into
+    the body), the delimiter is not one character, the text holds NUL (a
+    csv error before Python 3.11) or \\x1c-\\x1f (``loadtxt`` strips them
+    as blanks, ``float`` does not), or a cell may outgrow csv's field limit."""
     limit = csv.field_size_limit()
     return (
         bool(body)
+        and '"' not in header
         and isinstance(delimiter, str)
         and len(delimiter) == 1
         and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
@@ -227,25 +231,6 @@ def _numpy_table(body: list[str], delimiter: str, usecols: list[int]) -> Optiona
     except Exception:  # any refusal: csv.reader and float name the offending cell
         return None
     return table if len(table) == len(body) else None
-
-
-def _raise_first_bad_cell(
-    where: str, header: list[str], rows: list[list[str]], wanted: list[str]
-) -> NoReturn:
-    """Raise the ParseError of the first cell ``float`` cannot read, row by row."""
-    for n, row in enumerate(rows, start=2):  # header is row 1
-        for col in wanted:
-            j = header.index(col)
-            cell = row[j] if j < len(row) else ""
-            if not cell.strip():
-                raise ParseError(f"{where}row {n}: empty cell in column {col!r}")
-            try:
-                float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{where}row {n}: cannot parse {cell!r} in column {col!r} as a number"
-                ) from None
-    raise AssertionError("no bad cell found")  # pragma: no cover
 
 
 def load_series(
@@ -318,3 +303,11 @@ def transformed_unit(unit: str, kind: TransformKind) -> str:
         raise ConfigError(f"unknown transform {kind!r}")
     name = "ln" if kind is TransformKind.LOG else "1/"
     return f"{name}({unit})" if unit else name
+
+
+def log_argument_unit(unit: str) -> str:
+    """The unit whose log :func:`transformed_unit` wrote as ``unit``: X of ``ln(X)``,
+    "" of "ln"; a unit of any other form is returned as it is."""
+    if unit == "ln":
+        return ""
+    return unit[3:-1] if unit.startswith("ln(") and unit.endswith(")") else unit

@@ -964,9 +964,8 @@ def read_table_csv(
 def _raise_first_bad_cell_csv(
     where: str, header: list[str], rows: list[list[str]], wanted: list[str]
 ) -> NoReturn:
-    """``timeseries._raise_first_bad_cell``, for :func:`read_table_csv`.
-
-    Raise the ParseError of the first cell ``float`` cannot read, row by row."""
+    """Raise the ParseError of the first cell ``float`` cannot read, row by row,
+    for :func:`read_table_csv`."""
     for n, row in enumerate(rows, start=2):  # header is row 1
         for col in wanted:
             j = header.index(col)

@@ -1104,3 +1104,124 @@ class TestDeterminism:
         assert main(["rates", str(src), "--out", str(out)]) == 0
         meta = Path(str(out) + ".meta").read_text()
         assert "command: rates" in meta
+
+
+GDP_UNIT = "1990 Int. GK$"
+
+
+def _unit_lines(path):
+    """The unit lines of a model file (``unit = ...``) or a table (``# unit: ...``)."""
+    return [ln for ln in Path(path).read_text().splitlines() if ln.startswith(("unit =", "# unit:"))]
+
+
+class TestUnitsCarried:
+    """A fitted, forecast or integrated file carries the unit of what it holds."""
+
+    @pytest.mark.parametrize("unit", [None, "foo"])
+    def test_scan_aux_fit_keeps_the_unit(self, tmp_path, unit):
+        rates, model_file = tmp_path / "r.csv", tmp_path / "m.txt"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        flags = [] if unit is None else ["--unit", unit]
+        code = main([
+            "fit", str(rates), "--linearization", "shifted-ln-vs-t", "--scan-aux", "40:160",
+            *flags, "--out", str(model_file),
+        ])
+        assert code == 0
+        assert _unit_lines(model_file) == [f"unit = {unit or GDP_UNIT}"]
+
+    def test_scan_aux_fit_is_the_aux_a_fit_at_the_chosen_a(self, tmp_path):
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        fit = ["fit", str(rates), "--linearization", "shifted-ln-vs-t"]
+        scanned, direct = tmp_path / "scan.txt", tmp_path / "direct.txt"
+        assert main([*fit, "--scan-aux", "40:160", "--out", str(scanned)]) == 0
+        a = read_model(scanned).params.a
+        assert main([*fit, "--aux-a", repr(a), "--out", str(direct)]) == 0
+        scan_lines = scanned.read_text().splitlines()
+        assert scan_lines[0].startswith("# aux a = ")
+        assert scan_lines[1:] == direct.read_text().splitlines()
+
+    @pytest.mark.parametrize("lin, kind", [("r-vs-t", "loglog_t"), ("r-vs-s", "loglog_s")])
+    @pytest.mark.parametrize("unit", [None, GDP_UNIT])
+    def test_lifted_fit_takes_the_unit_of_s(self, tmp_path, lin, kind, unit):
+        rates, model_file = tmp_path / "lr.csv", tmp_path / "m.txt"
+        assert main(["rates", str(GDP_FIXTURE), "--transform", "log", "--out", str(rates)]) == 0
+        assert read_rates(rates)[1]["unit"] == f"ln({GDP_UNIT})"
+        flags = [] if unit is None else ["--unit", unit]
+        code = main(["fit", str(rates), "--linearization", lin, *flags, "--out", str(model_file)])
+        assert code == 0
+        model = read_model(model_file)
+        assert (model.kind.value, model.unit) == (kind, GDP_UNIT)
+        proj = tmp_path / "p.csv"
+        code = main([
+            "forecast", str(model_file), "--anchor", "1950:6000", "--grid", "1950:2050:1",
+            "--out", str(proj),
+        ])
+        assert code == 0
+        assert _unit_lines(proj) == [f"# unit: {GDP_UNIT}"]
+
+    def test_lifted_size_fit_checks_the_unit_of_s(self, tmp_path, capsys):
+        rates, model_file = tmp_path / "lr.csv", tmp_path / "m.txt"
+        assert main(["rates", str(GDP_FIXTURE), "--transform", "log", "--out", str(rates)]) == 0
+        capsys.readouterr()
+        code = main([
+            "fit", str(rates), "--linearization", "r-vs-s", "--unit", f"ln({GDP_UNIT})",
+            "--out", str(model_file),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: size-dependent fit refused: --unit 'ln({GDP_UNIT})' disagrees with "
+            f"the rates file unit '{GDP_UNIT}'\n"
+        )
+        # a fit that is not lifted models ln S, in the rates file's unit
+        code = main(["fit", str(rates), "--linearization", "ln-r-vs-t", "--out", str(model_file)])
+        assert code == 0
+        assert read_model(model_file).unit == f"ln({GDP_UNIT})"
+
+    @pytest.mark.parametrize("poly", [[], ["--poly-degree", "3", "--grid", "1960:2020:1"]])
+    def test_integrate_keeps_label_and_unit(self, tmp_path, poly):
+        rates, out = tmp_path / "r.csv", tmp_path / "s.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        code = main(["integrate", str(rates), "--anchor", "1960:6000", *poly, "--out", str(out)])
+        assert code == 0
+        back = load_series(out, "t", "value")
+        assert (back.label, back.unit) == ("synthetic gdp/cap", GDP_UNIT)
+
+
+class TestRatesFileFitFlags:
+    @pytest.mark.parametrize("flag", ["--time-column", "--value-column"])
+    def test_column_flag_is_refused_before_any_file_is_read(self, tmp_path, capsys, flag):
+        out = tmp_path / "m.txt"
+        code = main([
+            "fit", str(tmp_path / "missing.csv"), "--linearization", "r-vs-t", flag, "zzz",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies only to recip-s-vs-t; "
+            "a rates file's columns are t, rate and size\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        # the default value is no refusal
+        rates = tmp_path / "r.csv"
+        assert main(["rates", str(GDP_FIXTURE), "--out", str(rates)]) == 0
+        default = {"--time-column": "t", "--value-column": "value"}[flag]
+        code = main(["fit", str(rates), "--linearization", "r-vs-t", flag, default, "--out", str(out)])
+        assert code == 0
+
+
+def test_every_option_has_help():
+    import argparse
+
+    from growthcast.cli import build_parser
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    missing = [
+        f"{command} {'/'.join(action.option_strings) or action.dest}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if not action.help
+    ]
+    assert missing == []

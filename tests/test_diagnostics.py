@@ -537,3 +537,32 @@ class TestEveryTestAccountedFor:
         order = [ModelKind.EXP_CONST, *(kind for kind, _, _ in diagnostics._LINE_TESTS)]
         ranked = [c.model_kind for c in report.candidates if c.r_squared == 1.0]
         assert ranked == sorted(ranked, key=order.index)
+
+
+#: Series per family that identify names correctly, of 20 drawn by
+#: ``_random_series`` from ``np.random.default_rng([24, FAMILIES.index(family)])``,
+#: as measured when these floors were set. A change that ranks the
+#: families better raises them; none may lower them.
+ACCURACY_FLOORS = {
+    RateMethod.DIRECT: {
+        "exp_const": 0, "linear_t": 4, "hyperbolic": 19, "linear_s": 10, "loglog_t": 1,
+        "loglog_s": 8, "rate_recip_linear": 4, "rate_ln_linear": 12, "rate_shifted_exp": 0,
+    },
+    RateMethod.REFINED: {
+        "exp_const": 0, "linear_t": 5, "hyperbolic": 20, "linear_s": 11, "loglog_t": 2,
+        "loglog_s": 9, "rate_recip_linear": 8, "rate_ln_linear": 11, "rate_shifted_exp": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("method", [RateMethod.DIRECT, RateMethod.REFINED])
+def test_identification_accuracy_floor(method):
+    counts = {}
+    for family in FAMILIES:
+        rng = np.random.default_rng([24, FAMILIES.index(family)])
+        series = [_random_series(rng, family, calendar=False) for _ in range(20)]
+        counts[family] = sum(
+            identify(ts, method=method).winner.model_kind.value == family for ts in series
+        )
+    floors = ACCURACY_FLOORS[method]
+    assert {f: n for f, n in counts.items() if n < floors[f]} == {}, counts

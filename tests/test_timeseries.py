@@ -200,6 +200,18 @@ class TestTransformSeries:
         assert transformed_unit("", TransformKind.LOG) == "ln"
         assert transformed_unit("", TransformKind.RECIPROCAL) == "1/"
 
+    @pytest.mark.parametrize("unit", ["", "u", "1990 Int. GK$", "ln(u)", "(u)", "a) (b"])
+    def test_log_argument_unit_inverts_the_log_unit(self, unit):
+        from growthcast.timeseries import log_argument_unit
+
+        assert log_argument_unit(transformed_unit(unit, TransformKind.LOG)) == unit
+
+    @pytest.mark.parametrize("unit", ["", "u", "1/(u)", "1/", "ln u", "ln(u", "lnu)"])
+    def test_log_argument_unit_keeps_any_other_unit(self, unit):
+        from growthcast.timeseries import log_argument_unit
+
+        assert log_argument_unit(unit) == unit
+
 
 def _cell(rng, x):
     """One well-formed text for the float x, in one of several spellings."""
@@ -428,6 +440,8 @@ class TestReaderMatchesCsv:
             pytest.param("t,v\n", id="header-only"),
             pytest.param("t,v\n1,2\n2," + "9" * 131_073 + "\n", id="cell-over-the-limit"),
             pytest.param("t,v,x\n1,2," + "9" * 131_073 + "\n", id="optional-over-the-limit"),
+            pytest.param('t,"v\n1,2\n2,3\n', id="quote-in-the-header"),
+            pytest.param('t,"v\n1,2\n2,1_0\n', id="quote-in-the-header-then-a-refused-cell"),
         ],
     )
     @pytest.mark.parametrize("delimiter", [",", " "])

@@ -26,8 +26,11 @@ beyond the float range and of the log of a non-positive value, and
 ``diagnose`` on two series whose rates' mean or rms is beyond the float
 range. Appended after those: ``diagnose`` on a series of values near
 1e-300, whose hyperbolic and ``linear_s`` lines are degenerate, and
-``forecast`` and ``integrate --poly-degree 1`` on a one-point grid;
-360 runs in all. Every
+``forecast`` and ``integrate --poly-degree 1`` on a one-point grid.
+Appended after those: a ``--scan-aux`` fit and a lifted ``r-vs-s``
+fit (of log rates), each with ``--unit``, a rates-file fit given
+``--time-column`` (refused), and ``diagnose`` on a series whose header
+line holds an unclosed quote; 364 runs in all. Every
 invocation gets its own directory under OUT_DIR holding the files it
 wrote, its stdout, its stderr and its exit code; inputs are copied into
 OUT_DIR and named by relative paths, so the tree does not depend on
@@ -125,6 +128,8 @@ TINY_VALUES = (
 )
 # a --grid that gives one point
 ONE_POINT_GRID = "0:1:5"
+# a header line with an unclosed quote, which runs on into the body
+QUOTED_HEADER = 't,"value\n0,1\n1,2\n2,4\n3,8\n4,16\n5,32\n6,64\n7,128\n'
 # invalid flag values, run on the first fixture after everything else:
 # name -> command and flags
 INVALID_FLAGS = {
@@ -179,6 +184,8 @@ def run_pipeline(out: Path) -> int:
     for name, text in RATE_MOMENT_OVERFLOW.items():
         (inputs / f"rate_{name}_overflow.csv").write_text(text, encoding="utf-8")
     (inputs / "tiny_values.csv").write_text(TINY_VALUES, encoding="utf-8")
+    (inputs / "quoted_header.csv").write_text(QUOTED_HEADER, encoding="utf-8")
+    rates_files = {}  # (stem, method, transform) -> rates file
 
     for stem, (t_range, anchor, grid) in FIXTURES.items():
         series = f"../../inputs/{stem}.csv"
@@ -199,7 +206,7 @@ def run_pipeline(out: Path) -> int:
                 )
                 if code != 0:
                     continue
-                rates = f"{d}/rates.csv"
+                rates = rates_files[stem, method, transform] = f"{d}/rates.csv"
                 for lin, variants in RATE_FITS.items():
                     for variant in variants:
                         for extra in ([], ["--range", t_range]):
@@ -301,6 +308,25 @@ def run_pipeline(out: Path) -> int:
     rec.run(
         "integrate-poly-one-point-grid", "integrate", "../../inputs/overflow_rates.csv",
         "--anchor", "0:1", "--poly-degree", "1", "--grid", ONE_POINT_GRID, "--out", "series.csv",
+    )
+    stem = next(iter(FIXTURES))
+    rates, log_rates = (rates_files[stem, "direct", t] for t in ("none", "log"))
+    rec.run(
+        f"{stem}-direct-none-fit-shifted-ln-vs-t-scan-aux-unit", "fit", rates,
+        "--linearization", "shifted-ln-vs-t", "--scan-aux", "40:160", "--unit", "foo",
+        "--out", "model.txt",
+    )
+    rec.run(
+        f"{stem}-direct-log-fit-r-vs-s-unit", "fit", log_rates,
+        "--linearization", "r-vs-s", "--unit", "1990 Int. GK$", "--out", "model.txt",
+    )
+    rec.run(
+        f"{stem}-direct-none-fit-time-column", "fit", rates,
+        "--linearization", "r-vs-t", "--time-column", "zzz", "--out", "model.txt",
+    )
+    rec.run(
+        "quoted_header-diagnose", "diagnose", "../../inputs/quoted_header.csv",
+        "--out", "report.txt",
     )
     return rec.count
 
