@@ -224,7 +224,7 @@ def run_case(name: str, out_dir: Path) -> CaseResult:
                 rates = rate_at(models[scenario], t)
             rs = RateSeries(t, rates, np.ones_like(t), source_label=table["label"])
             path = out_dir / f"{name}_{table['stem']}.csv"
-            write_rates(path, rs, unit="1/year")
+            write_rates(path, rs)
             files.append(str(path))
 
     checks = tuple(_run_check(c, models, projections) for c in case["checks"])

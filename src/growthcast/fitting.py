@@ -9,11 +9,11 @@ are stated once, in ``_LINEARIZATIONS``, and every fit that yields a
 model (``fit_rate_model``, ``fit_reciprocal_series`` and the aux scan's
 final fit) goes through one body, ``_fit``. Notices travel in the
 results (``FitReport.warnings``, ``PolyFit.warnings``, drop counts);
-no call here emits a Python warning. Every line fit, one or
-many at once (``diagnostics.identify`` fits all its tests together), is
-one batched pass of ``_fit_lines``, whose sums are ``np.add.reduce``
-calls, not BLAS products: a fitted line does not depend on the BLAS
-thread count.
+no call here emits a Python warning. A one-row fit is ``_line_fit``'s
+pass over 1-d arrays; ``diagnostics.identify`` fits all its tests
+together in one block by ``_fit_lines``, the same arithmetic with mask
+factors. Both take their sums with ``np.add.reduce``, with no BLAS call,
+so a fitted line does not depend on the BLAS thread count.
 
 =================  ======================  ===========================
 linearization      line fitted             resulting model
@@ -208,34 +208,57 @@ def _fit_lines(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     """Ordinary least squares through closed-form normal equations.
 
-    The one-row case of :func:`_fit_lines`. r_squared is 1 - SSres/SStot,
-    defined as 1 when the data are exactly constant (SStot = SSres = 0).
-    Fewer than 2 distinct x values, or sums beyond the float range, are a
-    DegenerateFitError.
+    The arithmetic of :func:`_fit_lines` on one row, with its bits.
+    r_squared is 1 - SSres/SStot, defined as 1 when the data are exactly
+    constant (SStot = SSres = 0). A non-finite entry is a
+    ValidationError; fewer than 2 distinct x values, or sums beyond the
+    float range, are a DegenerateFitError.
     """
     return _line_fit(*_pair(xs, ys))
 
 
 def _pair(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` and ``ys`` as float arrays; a ValidationError unless 1-d of equal length."""
+    """``xs`` and ``ys`` as float arrays; a ValidationError unless 1-d of
+    equal length, then unless every entry is finite (``xs`` checked first)."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("xs and ys must be 1-d arrays of equal length")
+    for name, arr in (("xs", x), ("ys", y)):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contain non-finite entries")
     return x, y
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
-    """:func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted."""
-    lines = _fit_lines(x[None], y[None], np.ones((1, x.size), dtype=bool))
-    if not lines.distinct[0]:
+    """:func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted.
+
+    :func:`_fit_lines`' arithmetic without its mask factors, each exactly
+    1.0 on a row that keeps every point: every field and refusal keeps
+    the bits of a one-row ``_fit_lines`` call."""
+    n = x.size
+    if n < 2 or not x.max() > x.min():
         raise DegenerateFitError(
             f"line fit needs at least 2 distinct x values, got {np.unique(x).size}"
         )
-    if not lines.finite[0]:
-        raise DegenerateFitError("line fit sums are beyond the float range")
-    # intercept, slope, rms_residual and r_squared lead both records
-    return LineFit(*(v.item() for v in lines[:4]), n_points=x.size, dropped_points=dropped)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xm = np.add.reduce(x) / n
+        ym = np.add.reduce(y) / n
+        dx = x - xm
+        dy = y - ym
+        sxx = np.add.reduce(dx * dx)
+        slope = np.add.reduce(dx * dy) / sxx
+        intercept = ym - slope * xm
+        resid = y - (intercept + slope * x)
+        ss_res = np.add.reduce(resid * resid)
+        ss_tot = np.add.reduce(dy * dy)
+        if not np.isfinite((sxx, slope, intercept, ss_res, ss_tot)).all():
+            raise DegenerateFitError("line fit sums are beyond the float range")
+        r2 = np.where(
+            ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
+        )
+        rms = np.sqrt(ss_res / n)
+    return LineFit(float(intercept), float(slope), float(rms), float(r2), n, dropped)
 
 
 def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> PolyFit:

@@ -120,7 +120,7 @@ def integrate_discrete(rs: RateSeries, anchor: Anchor) -> TimeSeries:
 
     # factors[i] = 1 + R dt of the step between grid[i] and grid[i + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = 1.0 + step_rates * np.diff(grid)
+        factors = 1.0 + step_rates * (grid[1:] - grid[:-1])
     # the first collapsing step forward, else the backward one nearest the anchor
     i = _first_at(factors <= 0, anchor_idx)
     if i is not None:

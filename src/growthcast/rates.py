@@ -204,7 +204,7 @@ def _rate_arrays(
         raise DomainError(f"{method.value} rates undefined: series value 0 at t={times[i]}")
     with np.errstate(all="ignore"):
         if method is RateMethod.DIRECT:
-            rates = np.diff(values) / (values[:-1] * np.diff(times))
+            rates = (values[1:] - values[:-1]) / (values[:-1] * (times[1:] - times[:-1]))
             times, sizes = times[1:], values[1:]
         else:
             rates = _local_poly_gradients(times, values, cfg) / values

@@ -41,6 +41,8 @@ from growthcast.fitting import (
     _LINEARIZATIONS,
     FitReport,
     LinearizationKind,
+    LineFit,
+    _fit_lines,
     _line_coords,
     _Lines,
     fit_line,
@@ -639,6 +641,21 @@ def fit_lines_separate(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines
     finite = np.isfinite(sxx) & np.isfinite(slope) & np.isfinite(intercept)
     finite &= np.isfinite(ss_res) & np.isfinite(ss_tot)
     return _Lines(intercept, slope, rms, r2, n.astype(int), distinct, finite)
+
+
+def line_fit_one_row(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
+    """``fitting._line_fit`` as the one-row call of ``_fit_lines`` it was.
+
+    :func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted."""
+    lines = _fit_lines(x[None], y[None], np.ones((1, x.size), dtype=bool))
+    if not lines.distinct[0]:
+        raise DegenerateFitError(
+            f"line fit needs at least 2 distinct x values, got {np.unique(x).size}"
+        )
+    if not lines.finite[0]:
+        raise DegenerateFitError("line fit sums are beyond the float range")
+    # intercept, slope, rms_residual and r_squared lead both records
+    return LineFit(*(v.item() for v in lines[:4]), n_points=x.size, dropped_points=dropped)
 
 
 def constant_rate_candidate_mean(rs: RateSeries) -> Candidate:

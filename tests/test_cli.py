@@ -1027,6 +1027,16 @@ class TestReproduceCommand:
         assert "line integration consistency" in report
         assert report.count("PASS") == 3
 
+    def test_uk_rate_tables_carry_no_unit(self, tmp_path):
+        # a rates file's unit is that of its size column, a placeholder 1.0
+        # in the rate-law tables: a rate unit there would mislabel it
+        code = main(["reproduce", "uk-gdpcap", "--out", str(tmp_path / "rep")])
+        assert code == 0
+        for stem in ("line", "poly"):
+            rs, meta = read_rates(tmp_path / "rep" / f"uk-gdpcap_{stem}_rates.csv")
+            assert "unit" not in meta
+            assert (rs.sizes == 1.0).all()
+
     def test_japan_report_footnotes_rounding(self, tmp_path):
         code = main(["reproduce", "japan-gdp", "--out", str(tmp_path / "rep")])
         assert code == 0

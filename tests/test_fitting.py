@@ -108,6 +108,78 @@ class TestFitLine:
             fit = fit_line(x, y)
             assert 0.0 <= fit.r_squared <= 1.0
 
+    def test_empty_input_degenerate(self):
+        with pytest.raises(DegenerateFitError) as exc:
+            fit_line([], [])
+        assert str(exc.value) == "line fit needs at least 2 distinct x values, got 0"
+
+    @pytest.mark.parametrize(
+        "xs, ys, name",
+        [
+            ([math.nan, 1.0], [1.0, 2.0], "xs"),
+            ([0.0, 1.0, -math.inf], [1.0, 2.0, 3.0], "xs"),
+            ([0.0, 1.0], [1.0, math.inf], "ys"),
+            ([math.nan, 1.0], [math.nan, 2.0], "xs"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, xs, ys, name):
+        with pytest.raises(ValidationError) as exc:
+            fit_line(xs, ys)
+        assert str(exc.value) == f"{name} contain non-finite entries"
+
+
+class TestFitLineMatchesOneRowBlock:
+    """fit_line against the one-row ``_fit_lines`` call it was (``oracles.line_fit_one_row``)."""
+
+    @staticmethod
+    def _outcome(fit, x, y):
+        try:
+            line = fit(x, y)
+        except GrowthcastError as exc:
+            return type(exc), str(exc)
+        floats = (line.intercept, line.slope, line.rms_residual, line.r_squared)
+        assert all(type(v) is float for v in floats)
+        return np.array(floats).tobytes(), line.n_points, line.dropped_points
+
+    @staticmethod
+    def _draw(rng, case):
+        n = int(rng.integers(2, 401))
+        x = rng.normal(size=n)
+        y = rng.normal(size=n)
+        kind = case % 8
+        if kind == 0:  # scales far from 1, each way
+            x *= 10.0 ** rng.integers(-300, 301)
+            y *= 10.0 ** rng.integers(-300, 301)
+        elif kind == 1:  # constant y
+            y[:] = rng.normal() * 10.0 ** rng.integers(-5, 6)
+        elif kind == 2:  # repeated inexact x, at times all one value
+            x = np.round(x, 1) if case % 16 == 2 else np.full(n, 0.1)
+            x[: int(rng.integers(0, 2))] = 0.7
+        elif kind == 3:  # sums beyond the float range
+            y *= 10.0 ** rng.uniform(150.0, 160.0)
+        elif kind in (4, 5):  # calendar years, yearly or jittered
+            x = 1800.0 + rng.integers(0, 200) + np.arange(n)
+            if kind == 5:
+                x += rng.uniform(0.0, 0.9, n)
+            y = 0.03 * np.exp(-0.02 * (x - x[0])) + rng.normal(0.0, 1e-3, n)
+        elif kind == 6:  # two distinct x values
+            x = np.where(rng.random(n) < 0.5, 1950.0, 1951.0)
+        else:  # strided views, as a caller's slices arrive
+            x = rng.normal(size=2 * n)[::2] * 1e3
+            y = rng.normal(size=3 * n)[1::3]
+        return x, y
+
+    def test_bits_and_errors_of_random_inputs(self):
+        rng = np.random.default_rng(25)
+        refusals = 0
+        for case in range(2400):
+            x, y = self._draw(rng, case)
+            got = self._outcome(fit_line, x, y)
+            want = self._outcome(oracles.line_fit_one_row, *fitting._pair(x, y))
+            assert got == want, case
+            refusals += isinstance(got[0], type)
+        assert 300 < refusals < 1200  # both outcomes are drawn often
+
 
 class TestFitLines:
     """The batched kernel behind fit_line and identify."""
@@ -279,6 +351,21 @@ class TestFitPolynomial:
         with pytest.raises(ValidationError) as exc:
             fit_polynomial(xs, ys, 1)
         assert str(exc.value) == "xs and ys must be 1-d arrays of equal length"
+
+    @pytest.mark.parametrize(
+        "xs, ys, name",
+        [
+            ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "xs"),
+            ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0], "xs"),
+            ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], "ys"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, capfd, xs, ys, name):
+        # refused by name before LAPACK sees it, which would print on stderr
+        with pytest.raises(ValidationError) as exc:
+            fit_polynomial(xs, ys, 1)
+        assert str(exc.value) == f"{name} contain non-finite entries"
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "t, rates",

@@ -118,6 +118,16 @@ class TestDirectRates:
         np.testing.assert_allclose(back.values, ts.values, rtol=1e-12)
         np.testing.assert_array_equal(back.times, ts.times)
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.4])
+    def test_bits_of_the_diff_formula(self, jitter):
+        # slice differences make the subtraction np.diff makes
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 150, 4097):
+            t = 1950.0 + np.arange(n) + rng.uniform(-jitter, jitter, n)
+            v = 100.0 * np.cumprod(1.0 + rng.normal(0.02, 0.05, n))
+            want = np.diff(v) / (v[:-1] * np.diff(t))
+            assert direct_rates(series(t, v)).rates.tobytes() == want.tobytes()
+
 
 class TestRefinedRates:
     def test_constant_series_rates_zero(self):
