@@ -161,8 +161,8 @@ def identify(
     NumericError. Ties in r^2 (to 1e-10) are broken by fewer dropped
     points, then by the order of ``_LINE_TESTS``.
 
-    Every line test is one uncompacted row of one :func:`fitting._fit_lines`
-    block, filled from arrays: the rates of ln S get no record of their own.
+    Every line test is one uncompacted row of a masked :func:`fitting._fit_lines`
+    block, the one line kernel; the rates of ln S get no record of their own.
     """
     rs = estimate_rates(ts, method, cfg)
 

@@ -9,11 +9,11 @@ are stated once, in ``_LINEARIZATIONS``, and every fit that yields a
 model (``fit_rate_model``, ``fit_reciprocal_series`` and the aux scan's
 final fit) goes through one body, ``_fit``. Notices travel in the
 results (``FitReport.warnings``, ``PolyFit.warnings``, drop counts);
-no call here emits a Python warning. A one-row fit is ``_line_fit``'s
-pass over 1-d arrays; ``diagnostics.identify`` fits all its tests
-together in one block by ``_fit_lines``, the same arithmetic with mask
-factors. Both take their sums with ``np.add.reduce``, with no BLAS call,
-so a fitted line does not depend on the BLAS thread count.
+no call here emits a Python warning. Every line is fitted by one
+kernel, ``_fit_lines``: on 1-d arrays without a mask for a one-row fit
+(``_line_fit``), on one masked block for ``diagnostics.identify``'s
+tests. Its sums are ``np.add.reduce`` calls, not BLAS, so a fitted line
+does not depend on the BLAS thread count.
 
 =================  ======================  ===========================
 linearization      line fitted             resulting model
@@ -149,7 +149,7 @@ class FitReport:
 
 
 class _Lines(NamedTuple):
-    """Per-row results of :func:`_fit_lines`; a row fits where both flags hold."""
+    """Per-row (or scalar) results of :func:`_fit_lines`; a row fits where both flags hold."""
 
     intercept: np.ndarray
     slope: np.ndarray
@@ -160,16 +160,16 @@ class _Lines(NamedTuple):
     finite: np.ndarray  # every sum inside the float range
 
 
-def _fit_lines(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
-    """Ordinary least-squares lines through many point sets at once.
+def _fit_lines(x: np.ndarray, y: np.ndarray, keep: Optional[np.ndarray] = None) -> _Lines:
+    """Ordinary least-squares lines: the one place their sums are taken.
 
-    Row i of the (k, n) arrays ``x`` and ``y`` holds one point set, and
-    the boolean ``keep`` marks the points it keeps; the others, padding
-    included, must hold finite values and are zeroed before any sum.
-    Every sum is an ``np.add.reduce`` along the rows, so no BLAS call is
-    made and the result does not depend on the BLAS thread count. A row
-    that keeps all its points gets the bits a one-row call on those
-    points gets; dropped or padded cells change the summation order, so
+    Without ``keep``, the 1-d ``x`` and ``y`` are one point set and each
+    field is a scalar. With it, row i of the (k, n) arrays holds one
+    point set, ``keep`` marks the points it keeps, and mask factors zero
+    the others (padding included, which must be finite) before any sum.
+    Every sum is an ``np.add.reduce`` along a row, so no BLAS call is
+    made. A kept cell's factor is exactly 1.0, so a row that keeps all
+    its points gets the bits of a call without ``keep`` on that row;
     elsewhere the sums agree with the compacted points to rounding.
 
     A row is ``distinct`` when its largest and smallest kept x differ,
@@ -179,40 +179,49 @@ def _fit_lines(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines:
     float range. r_squared is 1 - SSres/SStot, defined as 1 when the
     kept y are exactly constant (SStot = SSres = 0).
     """
-    w = keep.astype(float)
+    # rows as columns, so a row's moments broadcast as they are; the F-order
+    # products keep each row contiguous, so reduce's default axis 0 sums it
+    # as a 1-d call would, whatever the block's layout
+    xs, ys = x.T, y.T
+    if keep is None:
+        w = 1.0
+        n = count = xs.shape[0]
+        top = bottom = xs
+    else:
+        w = keep.T.astype(float, order="F")
+        n = np.add.reduce(w)
+        count = n.astype(int)
+        top, bottom = np.where(keep.T, xs, _UNKEPT_X)
+        xs, ys = np.multiply(xs, w, order="F"), np.multiply(ys, w, order="F")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        n = np.add.reduce(w, axis=1)
-        xw = x * w
-        yw = y * w
-        xm = np.add.reduce(xw, axis=1) / n
-        ym = np.add.reduce(yw, axis=1) / n
+        xm = np.add.reduce(xs) / n
+        ym = np.add.reduce(ys) / n
         # kept cells get x - xm, y - ym exactly; dropped ones stay 0
-        dx = xw - xm[:, None] * w
-        dy = yw - ym[:, None] * w
-        sxx = np.add.reduce(dx * dx, axis=1)
-        slope = np.add.reduce(dx * dy, axis=1) / sxx
+        dx = xs - xm * w
+        dy = ys - ym * w
+        sxx = np.add.reduce(dx * dx)
+        slope = np.add.reduce(dx * dy) / sxx
         intercept = ym - slope * xm
-        resid = yw - (intercept[:, None] * w + slope[:, None] * xw)
-        ss_res = np.add.reduce(resid * resid, axis=1)
-        ss_tot = np.add.reduce(dy * dy, axis=1)
+        resid = ys - (intercept * w + slope * xs)
+        ss_res = np.add.reduce(resid * resid)
+        ss_tot = np.add.reduce(dy * dy)
         r2 = np.where(
             ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
         )
         rms = np.sqrt(ss_res / n)
-    top, bottom = np.where(keep, x, _UNKEPT_X)
-    distinct = np.maximum.reduce(top, axis=1) > np.minimum.reduce(bottom, axis=1)
-    finite = np.isfinite((sxx, slope, intercept, ss_res, ss_tot)).all(axis=0)
-    return _Lines(intercept, slope, rms, r2, n.astype(int), distinct, finite)
+    distinct = np.maximum.reduce(top) > np.minimum.reduce(bottom)
+    finite = np.logical_and.reduce(np.isfinite((sxx, slope, intercept, ss_res, ss_tot)))
+    return _Lines(intercept, slope, rms, r2, count, distinct, finite)
 
 
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     """Ordinary least squares through closed-form normal equations.
 
-    The arithmetic of :func:`_fit_lines` on one row, with its bits.
-    r_squared is 1 - SSres/SStot, defined as 1 when the data are exactly
-    constant (SStot = SSres = 0). A non-finite entry is a
-    ValidationError; fewer than 2 distinct x values, or sums beyond the
-    float range, are a DegenerateFitError.
+    One row of :func:`_fit_lines`, without a mask. r_squared is
+    1 - SSres/SStot, defined as 1 when the data are exactly constant
+    (SStot = SSres = 0). A non-finite entry is a ValidationError; fewer
+    than 2 distinct x values, or sums beyond the float range, are a
+    DegenerateFitError.
     """
     return _line_fit(*_pair(xs, ys))
 
@@ -231,46 +240,34 @@ def _pair(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.ndar
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
-    """:func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted.
-
-    :func:`_fit_lines`' arithmetic without its mask factors, each exactly
-    1.0 on a row that keeps every point: every field and refusal keeps
-    the bits of a one-row ``_fit_lines`` call."""
-    n = x.size
-    if n < 2 or not x.max() > x.min():
+    """:func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted:
+    :func:`_fit_lines` without a mask, its refusals raised as DegenerateFitErrors."""
+    if x.size < 2 or not (line := _fit_lines(x, y)).distinct:
         raise DegenerateFitError(
             f"line fit needs at least 2 distinct x values, got {np.unique(x).size}"
         )
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xm = np.add.reduce(x) / n
-        ym = np.add.reduce(y) / n
-        dx = x - xm
-        dy = y - ym
-        sxx = np.add.reduce(dx * dx)
-        slope = np.add.reduce(dx * dy) / sxx
-        intercept = ym - slope * xm
-        resid = y - (intercept + slope * x)
-        ss_res = np.add.reduce(resid * resid)
-        ss_tot = np.add.reduce(dy * dy)
-        if not np.isfinite((sxx, slope, intercept, ss_res, ss_tot)).all():
-            raise DegenerateFitError("line fit sums are beyond the float range")
-        r2 = np.where(
-            ss_tot == 0.0, ss_res == 0.0, np.minimum(1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
-        )
-        rms = np.sqrt(ss_res / n)
-    return LineFit(float(intercept), float(slope), float(rms), float(r2), n, dropped)
+    if not line.finite:
+        raise DegenerateFitError("line fit sums are beyond the float range")
+    # intercept, slope, rms_residual and r_squared lead both records
+    return LineFit(*map(float, line[:4]), line.n_points, dropped)
 
 
 def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> PolyFit:
-    """Least-squares polynomial of the given degree (>= 1).
+    """Least-squares polynomial of the given integer degree (>= 1).
 
     The abscissa is internally mapped to [-1, 1] for conditioning, which
     matters for degree-6 fits on raw calendar years; the raw-basis
     coefficients are mapped back for reporting. The fit notes when it is
-    in the interpolation regime (as many coefficients as points). A fit
-    whose coefficients or residuals leave the float range is a DomainError.
+    in the interpolation regime (as many coefficients as points), and
+    when its least-squares matrix has a rank below degree + 1 (numpy's
+    ``RankWarning`` case, here a note: the coefficients are still
+    finite). A degree that is not an int or a numpy integer is a
+    ValidationError; a fit whose coefficients or residuals leave the
+    float range is a DomainError.
     """
     x, y = _pair(xs, ys)
+    if not isinstance(degree, (int, np.integer)):
+        raise ValidationError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     n_distinct = np.unique(x).size
@@ -279,11 +276,12 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
             f"degree {degree} needs at least {degree + 1} distinct x values, "
             f"got {n_distinct}"
         )
-    notes = ()
+    notes = []
     if n_distinct == degree + 1:
-        notes = ("interpolation regime: polynomial degree equals point count minus one",)
+        notes.append("interpolation regime: polynomial degree equals point count minus one")
     with np.errstate(over="ignore", invalid="ignore"):
-        series = np.polynomial.Polynomial.fit(x, y, degree)
+        # full=True returns the rank instead of warning on a low one
+        series, (_, rank, _, _) = np.polynomial.Polynomial.fit(x, y, degree, full=True)
         resid = y - series(x)
         rms = math.sqrt(float(np.add.reduce(resid * resid)) / x.size)
         raw = series.convert().coef
@@ -291,13 +289,18 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> Pol
         raise DomainError("polynomial fit is beyond the float range")
     if raw.size < degree + 1:  # trailing exact zeros are trimmed by numpy
         raw = np.pad(raw, (0, degree + 1 - raw.size))
+    if rank < degree + 1:
+        notes.append(
+            f"poorly conditioned: the least-squares matrix has rank {rank}, "
+            f"below the {degree + 1} coefficients of degree {degree}"
+        )
     return PolyFit(
         coefficients=raw,
         degree=degree,
         rms_residual=rms,
         t_min=float(x.min()),
         t_max=float(x.max()),
-        warnings=notes,
+        warnings=tuple(notes),
         _series=series,
     )
 

@@ -644,9 +644,13 @@ def fit_lines_separate(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> _Lines
 
 
 def line_fit_one_row(x: np.ndarray, y: np.ndarray, dropped: int = 0) -> LineFit:
-    """``fitting._line_fit`` as the one-row call of ``_fit_lines`` it was.
+    """``fitting._line_fit`` as a one-row masked block of ``_fit_lines``.
 
-    :func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points noted."""
+    :func:`fit_line` of 1-d float arrays of equal length, ``dropped`` points
+    noted. This calls the live kernel, as ``_line_fit`` does (there without
+    a mask), so it checks the masked and the keep-less paths against each
+    other, not the arithmetic: ``fit_lines_separate`` is the independent
+    reference for that."""
     lines = _fit_lines(x[None], y[None], np.ones((1, x.size), dtype=bool))
     if not lines.distinct[0]:
         raise DegenerateFitError(

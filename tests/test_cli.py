@@ -777,6 +777,30 @@ class TestIntegrateCommand:
         )
         assert out.exists()
 
+    def test_polynomial_low_rank_is_one_warning_line(self, tmp_path):
+        # numpy's RankWarning must not reach stderr: the low rank is the
+        # fit's own note, printed as one warning: line, and the run exits 0
+        t = np.arange(1881.0, 2001.0)
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n" + "".join(
+            f"{a!r},{0.02 + 0.01 * math.sin(a / 7.0)!r},1.0\n" for a in t.tolist()
+        ))
+        out = tmp_path / "x.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(growthcast.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthcast.cli", "integrate", str(rates), "--anchor",
+             "1950:2000", "--poly-degree", "40", "--grid", "1950:2000:1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning:" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: poorly conditioned: ")
+        assert np.isfinite(load_series(out, "t", "value").values).all()
+
 
 class TestDiagnoseCommand:
     def test_identifies_logistic_fixture(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -181,6 +182,21 @@ class TestFitLineMatchesOneRowBlock:
         assert 300 < refusals < 1200  # both outcomes are drawn often
 
 
+class TestFitLinesWithoutMask:
+    """The keep-less call against the one-call-per-sum reference on one kept row."""
+
+    def test_bits_of_one_call_per_sum(self):
+        rng = np.random.default_rng(26)
+        for case in range(2400):
+            x, y = TestFitLineMatchesOneRowBlock._draw(rng, case)
+            got = fitting._fit_lines(x, y)
+            want = oracles.fit_lines_separate(x[None], y[None], np.ones((1, x.size), dtype=bool))
+            for name, a, b in zip(got._fields, got, want):
+                a = np.asarray(a)
+                assert a.shape == () and b.shape == (1,), (case, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, name)
+
+
 class TestFitLines:
     """The batched kernel behind fit_line and identify."""
 
@@ -282,6 +298,35 @@ class TestFitPolynomial:
     def test_degree_zero_rejected_by_fit(self):
         with pytest.raises(ValidationError):
             fit_polynomial([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 0)
+
+    def test_degree_must_be_an_integer(self):
+        # as SmoothingConfig's degree: an int or a numpy integer, not 2.0
+        x = np.arange(10.0)
+        for degree in (2.5, 2.0, "2", None, np.float64(3.0)):
+            with pytest.raises(ValidationError) as exc:
+                fit_polynomial(x, 1.0 + x**2, degree)
+            assert str(exc.value) == f"degree must be an integer, got {degree!r}"
+        p = fit_polynomial(x, 1.0 + x**2, np.int64(2))
+        assert p.degree == 2
+        np.testing.assert_allclose(p.coefficients, [1.0, 0.0, 1.0], atol=1e-9)
+
+    def test_low_rank_is_a_note_not_a_warning(self):
+        # 51 yearly points cannot carry 41 coefficients to full rank, even
+        # mapped to [-1, 1]: numpy would emit a RankWarning here
+        t = np.arange(1950.0, 2001.0)
+        rates = 0.02 + 0.01 * np.sin(t / 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = fit_polynomial(t, rates, 40)
+        # the rank itself is LAPACK's cutoff, so it is not pinned here
+        (note,) = p.warnings
+        assert re.fullmatch(
+            r"poorly conditioned: the least-squares matrix has rank (\d+), "
+            r"below the 41 coefficients of degree 40", note
+        )
+        assert np.isfinite(p.coefficients).all() and p.rms_residual < 1e-3
+        # a well-posed fit has no such note
+        assert fit_polynomial(t, rates, 6).warnings == ()
 
     def test_degree_six_on_calendar_years_is_conditioned(self):
         # rates of a couple percent over 179 calendar years: the scaled

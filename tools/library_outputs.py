@@ -1,17 +1,28 @@
-"""Record, bit for bit, every output of the benchmark's short-batch op.
+"""Record, bit for bit, the library's outputs on the benchmark's inputs.
 
     python tools/library_outputs.py OUT_DIR
 
-Drives ``perfbench/ops.ShortBatch`` (read-only: its inputs, its op,
-nothing under ``perfbench/`` is written) on this checkout's ``src`` for
-seeds 7, 11 and 3, over the 900 series as generated and the 900 as
-drawn (calendar years, no ill-posed draw replaced). Each (seed, draw)
-pair gets one file in OUT_DIR with one block per op: the identify
-report, the direct rates, the fit, the fitted model, its features, both
-projections (normalized model included), the scenario table and the
-scalars, every float written as its hex form and every array as its
-dtype, shape and raw bytes in hex. An op that raises is written as its
-error type and text.
+Reads the benchmark's inputs and ops from ``perfbench/`` (read-only:
+nothing under ``perfbench/`` is written) and runs them on this
+checkout's ``src`` for seeds 7, 11 and 3, as generated and as drawn
+(calendar years, no ill-posed draw replaced).
+
+- short-batch: ``perfbench/ops.ShortBatch`` over its 900 series. Each
+  (seed, draw) pair gets one file, ``seed<n>-<draw>.txt``, with one
+  block per op: the identify report, the direct rates, the fit, the
+  fitted model, its features, both projections (normalized model
+  included), the scenario table and the scalars.
+- long-series: the 4 series of ``gen.long_series`` (2·10⁴ points,
+  uniform and jittered), built in memory, with no file read or
+  written. Each (seed, draw) pair gets ``long-seed<n>-<draw>.txt``,
+  with one block per series: ``identify`` on direct and on refined
+  rates, both given the law's a, the shifted law's fit on refined
+  rates at that a, and the aux scan over [a/2, 2a], as the long-series
+  op calls them. These are the fits whose rows are 2·10⁴ points long.
+
+Every float is written as its hex form and every array as its dtype,
+shape and raw bytes in hex. An op or a call that raises is written as
+its error type and text.
 
 Two trees compare with ``diff -r``: a change that claims to keep the
 bits of the library's outputs must give the tree of its parent commit.
@@ -70,6 +81,36 @@ def record(wl) -> str:
     return "\n".join(lines) + "\n"
 
 
+def record_long(gc, seed: int, as_drawn: bool) -> str:
+    """The long-series fits of each series of the pool, one block each."""
+    import gen
+    import ops
+
+    fitting, rates = gc.fitting, gc.rates
+    lines = []
+    for k in range(ops.LongSeries.pool):
+        s = gen.long_series(seed, k, gen.LONG_N, as_drawn)
+        a = s.params["a"]
+        ts = gc.timeseries.TimeSeries(s.times, s.values, label="long", unit="u")
+        lines.append(f"series {k} {'uniform' if s.uniform else 'jittered'} a={as_hex(a)}")
+        refined = rates.RateMethod.REFINED
+        shifted = fitting.LinearizationKind.SHIFTED_LN_VS_T
+        calls = {
+            "ident_direct": lambda: gc.diagnostics.identify(ts, aux_a=a),
+            "ident_refined": lambda: gc.diagnostics.identify(ts, method=refined, aux_a=a),
+            "fit": lambda: fitting.fit_rate_model(rates.refined_rates(ts), shifted, aux_a=a),
+            "scan": lambda: fitting.scan_shifted_aux(rates.refined_rates(ts), 0.5 * a, 2.0 * a),
+        }
+        for key, call in calls.items():
+            try:
+                out = call()
+            except Exception as exc:  # a call's failure is an output too
+                lines.append(f"  {key} error: {type(exc).__name__}: {exc}")
+                continue
+            lines.append(f"  {key}: {as_hex(out)}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/library_outputs.py OUT_DIR", file=sys.stderr)
@@ -82,10 +123,12 @@ def main(argv: list[str]) -> int:
     gc = ops.import_growthcast()
     for seed in SEEDS:
         for as_drawn in (False, True):
+            draw = "as-drawn" if as_drawn else "generated"
             wl = ops.ShortBatch(seed, out_dir, as_drawn=as_drawn)
             wl.gc = gc
-            name = f"seed{seed}-{'as-drawn' if as_drawn else 'generated'}.txt"
-            (out_dir / name).write_text(record(wl), encoding="utf-8")
+            (out_dir / f"seed{seed}-{draw}.txt").write_text(record(wl), encoding="utf-8")
+            text = record_long(gc, seed, as_drawn)
+            (out_dir / f"long-seed{seed}-{draw}.txt").write_text(text, encoding="utf-8")
     return 0
 
 
