@@ -29,7 +29,7 @@ from .forecast import (
     project,
     project_normalized,
 )
-from .models import Model, ModelKind, Params, features, normalize, rate_at, trajectory_at
+from .models import Features, Model, ModelKind, Params, features, normalize, rate_at, trajectory_at
 from .rates import RateSeries
 
 CASE_NAMES = ("uk-gdpcap", "world-pop", "japan-gdp")
@@ -85,7 +85,9 @@ def _scenario_poly(spec: dict) -> PolyFit:
     )
 
 
-def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Projection]) -> CheckResult:
+def _run_check(
+    check: dict, models: dict[str, Model], projections: dict[str, Projection], feats: dict[str, Features]
+) -> CheckResult:
     kind = check["type"]
     scenario = check["scenario"]
 
@@ -108,9 +110,8 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
     elif kind == "rate":
         computed = float(rate_at(models[scenario], check["t"]))
     elif kind in ("feature_s", "feature_t_range"):
-        proj = projections.get(scenario)
-        feat = proj.features if proj is not None else features(models[scenario])
-        computed = feat.s_star if kind == "feature_s" else feat.t_star
+        feat = feats.get(scenario)
+        computed = None if feat is None else (feat.s_star if kind == "feature_s" else feat.t_star)
     elif kind == "stationary_t":
         m = models[scenario]
         computed = m.t_ref - m.params.a / m.params.b
@@ -148,28 +149,17 @@ def _run_check(check: dict, models: dict[str, Model], projections: dict[str, Pro
     )
 
 
-def _feature_summary_lines(
+def _scenario_features(
     models: dict[str, Model], projections: dict[str, Projection]
-) -> list[str]:
-    lines = []
+) -> dict[str, Features]:
+    """Each scenario's feature: its projection's, else its model's unless that needs C."""
+    feats = {}
     for name, m in models.items():
-        if name in projections:
-            feat = projections[name].features
-        else:
-            try:
-                feat = features(m)
-            except DomainError:
-                # maximum value needs an anchor; the zero-crossing time does not
-                if m.kind is ModelKind.LINEAR_T and m.params.b < 0:
-                    t_star = m.t_ref - m.params.a / m.params.b
-                    lines.append(
-                        f"feature  {name}: rate zero-crossing at t = {format_float(t_star)} "
-                        "(maximum value requires an anchor)\n"
-                    )
-                continue
-        text = format_features(feat) + ("" if not feat.note else f", ({feat.note})")
-        lines.append(f"feature  {name}: {text}\n")
-    return lines
+        try:
+            feats[name] = projections[name].features if name in projections else features(m)
+        except DomainError:  # the feature's kind or time needs the unset C
+            continue
+    return feats
 
 
 def run_case(name: str, out_dir: Path) -> CaseResult:
@@ -227,13 +217,16 @@ def run_case(name: str, out_dir: Path) -> CaseResult:
             write_rates(path, rs)
             files.append(str(path))
 
-    checks = tuple(_run_check(c, models, projections) for c in case["checks"])
+    feats = _scenario_features(models, projections)
+    checks = tuple(_run_check(c, models, projections, feats) for c in case["checks"])
     report_path = out_dir / f"{name}_report.txt"
     lines = [f"# case: {name} ({case['title']})\n"]
     if unit:
         lines.append(f"# unit: {unit}\n")
     lines.extend(c.line() + "\n" for c in checks)
-    lines.extend(_feature_summary_lines(models, projections))
+    for scenario, feat in feats.items():
+        note = "" if not feat.note else f", ({feat.note})"
+        lines.append(f"feature  {scenario}: {format_features(feat)}{note}\n")
     for note in case.get("footnotes", ()):
         lines.append(f"note: {note}\n")
     write_text(report_path, "".join(lines))

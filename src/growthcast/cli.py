@@ -222,6 +222,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     rs, meta = read_rates(args.input, delimiter=args.delimiter)
     anchor = _parse_pair(args.anchor, "--anchor")
+    warnings: tuple[str, ...] = ()
     if args.poly_degree is None:
         out_series = integrate_discrete(rs, anchor)
     else:
@@ -231,12 +232,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         from .fitting import fit_polynomial
 
         poly = fit_polynomial(rs.times, rs.rates, args.poly_degree)
-        for w in poly.warnings:
+        warnings = poly.warnings
+        for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         out_series = integrate_rate_function(poly, anchor, grid)
     # the series rebuilt is the rates file's size column: it keeps that file's label and unit
     out_series = replace(out_series, **{k: meta[k] for k in ("label", "unit") if k in meta})
-    write_series(args.out, out_series)
+    write_series(args.out, out_series, warnings=warnings)
     return 0
 
 

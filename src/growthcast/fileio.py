@@ -113,8 +113,10 @@ def _one_line(key: str, value: str) -> str:
     return value
 
 
-def _meta_block(meta: dict[str, str]) -> str:
-    return "".join(f"# {k}: {_one_line(k, v)}\n" for k, v in meta.items() if v != "")
+def _meta_block(meta: dict[str, str], warnings: Sequence[str] = ()) -> str:
+    """The ``# key: value`` lines of ``meta``'s nonempty values, then one ``# warning:`` line per note."""
+    lines = [f"# {k}: {_one_line(k, v)}\n" for k, v in meta.items() if v != ""]
+    return "".join(lines + [f"# warning: {w}\n" for w in warnings])
 
 
 # Shortest round-trip digits: the Schubfach algorithm (R. Giulietti, "The
@@ -397,8 +399,8 @@ def _write_table(path: PathLike, head: str, *columns: np.ndarray) -> None:
             fh.write(buf.translate(None, _PAD))
 
 
-def write_series(path: PathLike, ts: TimeSeries) -> None:
-    head = _meta_block({"label": ts.label, "unit": ts.unit}) + "t,value\n"
+def write_series(path: PathLike, ts: TimeSeries, warnings: Sequence[str] = ()) -> None:
+    head = _meta_block({"label": ts.label, "unit": ts.unit}, warnings) + "t,value\n"
     _write_table(path, head, ts.times, ts.values)
 
 
@@ -521,8 +523,8 @@ def write_projection(path: PathLike, proj: Projection) -> None:
         "anchor": f"t0 = {format_float(proj.anchor[0])}, s0 = {format_float(proj.anchor[1])}",
         "feature": format_features(feat) + ("" if not feat.note else f" ({feat.note})"),
     }
-    head = _meta_block(meta) + "".join(f"# warning: {w}\n" for w in proj.warnings)
-    _write_table(path, head + "t,value\n", proj.series.times, proj.series.values)
+    head = _meta_block(meta, proj.warnings) + "t,value\n"
+    _write_table(path, head, proj.series.times, proj.series.values)
 
 
 def write_scenario_table(path: PathLike, report: ScenarioReport) -> None:

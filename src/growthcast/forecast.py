@@ -146,8 +146,10 @@ def integrate_rate_function(
     """Trajectory of a polynomial rate law via its exact antiderivative.
 
     ln S(t) = ln s0 + P(t) - P(t0); evaluation refuses any point outside
-    the polynomial's fitted range. A size beyond the float range is a
-    NumericError naming the first such grid time.
+    the polynomial's fitted range. A grid point at t0 reproduces s0 to
+    the rounding of exp(ln s0), as the closed-form projections do. A
+    size beyond the float range is a NumericError naming the first such
+    grid time.
     """
     t0, s0 = anchor
     _check_anchor(t0, s0)

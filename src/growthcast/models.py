@@ -36,7 +36,8 @@ refuses every kind's C that is not float-representable by one DomainError;
 ``trajectory_at``, ``log_trajectory_at`` and ``rate_at`` evaluate quietly,
 and their callers name an inf or nan;
 ``features`` makes a feature time beyond the range NONE and leaves such a
-size out, each with a note.
+size out, each with a note, as it leaves out a size that needs C when C is
+unset; a feature whose kind or time needs C is a DomainError until it is set.
 
 LINEAR_S with b < 0 is logistic growth (approaches a/|b|); with b > 0 it
 is pseudo-hyperbolic (diverges at a finite time). HYPERBOLIC is kept as
@@ -176,8 +177,9 @@ class Features:
     """Critical point of a trajectory: at most one per model.
 
     MAXIMUM carries both the year and the value, ASYMPTOTE the value
-    only, SINGULARITY the year only. NONE is an explicit result (e.g.
-    plain exponential growth), never an error; the note says why.
+    only, SINGULARITY the year only; a value that needs C or is beyond
+    the float range is left out. NONE is an explicit result (e.g. plain
+    exponential growth), never an error. The note says why.
     """
 
     kind: FeatureKind
@@ -400,8 +402,10 @@ def rate_at(m: Model, t: ArrayLike, s: Optional[ArrayLike] = None) -> ArrayLike:
     model must be normalized and s defaults to trajectory_at(m, t). For
     the lifted kinds the returned value is the growth rate of S itself,
     obtained by chain rule from the rate of F = ln S:
-    (1/S) dS/dt = dF/dt = F * R_F. Quiet: a rate beyond the float range
-    is inf or nan, with no numpy warning.
+    (1/S) dS/dt = dF/dt = F * R_F. Without ``s`` a lifted kind takes F
+    from log_trajectory_at(m, t), so its rate stays finite where S is
+    beyond the float range. Quiet: a rate beyond the float range is inf
+    or nan, with no numpy warning.
     """
     with np.errstate(all="ignore"):
         return _rate(m, t, s)
@@ -415,13 +419,15 @@ def _rate(m: Model, t: ArrayLike, s: Optional[ArrayLike]) -> ArrayLike:
     kind = _LIFT_BASE.get(m.kind, m.kind)
 
     if m.kind in SIZE_DEPENDENT_KINDS:
-        if s is None:
-            s = trajectory_at(m, tt if not scalar else float(tt))
-        s_arr = np.asarray(s, dtype=float)
-        if kind is not m.kind:
+        if kind is m.kind:
+            s_arr = np.asarray(trajectory_at(m, tt) if s is None else s, dtype=float)
+        elif s is None:  # the base law sees F = ln S, taken where S may overflow
+            s_arr = np.asarray(log_trajectory_at(m, tt), dtype=float)
+        else:
+            s_arr = np.asarray(s, dtype=float)
             if (s_arr <= 0).any():
                 raise DomainError(f"{m.kind.value} rate needs s > 0 (it scales with ln s)")
-            s_arr = np.log(s_arr)  # the base law sees F = ln S
+            s_arr = np.log(s_arr)
     else:
         s_arr = None
 
@@ -454,14 +460,16 @@ def _rate(m: Model, t: ArrayLike, s: Optional[ArrayLike]) -> ArrayLike:
 def features(m: Model) -> Features:
     """The model's critical point: maximum, asymptote, singularity, or NONE.
 
-    Kinds whose feature location or value depends on the normalization
-    constant require a normalized model. A feature whose time is beyond
-    the float range is NONE, and a size beyond it is left out (s_star
-    None); the note names the feature.
+    A feature whose kind or time depends on the normalization constant
+    requires a normalized model; a size that does is left out (s_star
+    None). A feature whose time is beyond the float range is NONE, and
+    a size beyond it is left out; each note names the feature.
     """
     feat = _critical_point(m)
     if feat.t_star is not None and not math.isfinite(feat.t_star):
         return Features(FeatureKind.NONE, note=f"{feat.kind.value} time is beyond the float range")
+    if feat.s_star is None and feat.kind in (FeatureKind.MAXIMUM, FeatureKind.ASYMPTOTE):
+        return replace(feat, note=f"{feat.kind.value} size requires an anchor")
     if feat.s_star is not None and not math.isfinite(feat.s_star):
         return replace(feat, s_star=None, note=f"{feat.kind.value} size is beyond the float range")
     return feat
@@ -480,7 +488,8 @@ def _critical_point(m: Model) -> Features:
         flip = lifted and _require_c(m) < 0
         t_star = m.t_ref - p.a / p.b if p.b != 0 else None
         if p.b != 0 and (p.b < 0) != flip:
-            return Features(FeatureKind.MAXIMUM, t_star=t_star, s_star=trajectory_at(m, t_star))
+            s_star = trajectory_at(m, t_star) if m.is_normalized else None
+            return Features(FeatureKind.MAXIMUM, t_star=t_star, s_star=s_star)
         if flip and p.b < 0:
             where = f"at t = {t_star}" if math.isfinite(t_star) else "beyond the float range"
             return Features(
@@ -515,7 +524,7 @@ def _critical_point(m: Model) -> Features:
 
     if kind is ModelKind.RATE_LN_LINEAR:
         if p.b < 0:
-            return Features(FeatureKind.ASYMPTOTE, s_star=_require_c(m))
+            return Features(FeatureKind.ASYMPTOTE, s_star=p.C)
         return Features(FeatureKind.NONE, note="b > 0: super-exponential but finite at all times")
 
     # RATE_SHIFTED_EXP

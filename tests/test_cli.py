@@ -13,7 +13,7 @@ import pytest
 import growthcast
 from growthcast import RateSeries, fit_line, load_series
 from growthcast.cli import main
-from growthcast.fileio import read_model, read_rates, write_rates
+from growthcast.fileio import read_model, read_rates, write_rates, write_series
 
 DATA = Path(__file__).parent / "data"
 GDP_FIXTURE = DATA / "gdp_per_capita.csv"
@@ -777,6 +777,23 @@ class TestIntegrateCommand:
         )
         assert out.exists()
 
+    def test_polynomial_notes_are_filed_in_the_series(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        rates.write_text("t,rate,size\n0,0.10,1\n1,0.12,1\n2,0.09,1\n3,0.11,1\n")
+        out = tmp_path / "x.csv"
+        code = main([
+            "integrate", str(rates), "--anchor", "0:100", "--poly-degree", "3",
+            "--grid", "0:3:1", "--out", str(out),
+        ])
+        assert code == 0
+        note = "interpolation regime: polynomial degree equals point count minus one"
+        assert capsys.readouterr().err == f"warning: {note}\n"
+        assert f"\n# warning: {note}\nt,value\n" in out.read_text()
+        # the note is a comment: the series reads back as the one without it
+        plain = tmp_path / "plain.csv"
+        write_series(plain, load_series(out, "t", "value"))
+        assert plain.read_text() == out.read_text().replace(f"# warning: {note}\n", "")
+
     def test_polynomial_low_rank_is_one_warning_line(self, tmp_path):
         # numpy's RankWarning must not reach stderr: the low rank is the
         # fit's own note, printed as one warning: line, and the run exits 0
@@ -1032,7 +1049,7 @@ class TestReproduceCommand:
         from growthcast import ConfigError, cases
 
         with pytest.raises(ConfigError) as exc:
-            cases._run_check({"type": "bogus", "scenario": "x"}, {}, {})
+            cases._run_check({"type": "bogus", "scenario": "x"}, {}, {}, {})
         assert str(exc.value) == "unknown check type 'bogus' in case data"
 
     def test_world_pop_table_contents(self, tmp_path, capsys):
@@ -1067,6 +1084,31 @@ class TestReproduceCommand:
         report = (tmp_path / "rep" / "japan-gdp_report.txt").read_text()
         assert "2006" in report  # the published-year discrepancy is documented
         assert "PASS" in report
+
+    def test_japan_maximum_is_the_standard_feature_line(self, tmp_path):
+        # the linear-t maximum's year needs no anchor, its size does
+        code = main(["reproduce", "japan-gdp", "--out", str(tmp_path / "rep")])
+        assert code == 0
+        lines = (tmp_path / "rep" / "japan-gdp_report.txt").read_text().splitlines()
+        assert lines[5] == (
+            "feature  maximum: maximum, t_star = 1999.9999999999998, "
+            "(maximum size requires an anchor)"
+        )
+
+    @pytest.mark.parametrize("kind, params", [
+        ("linear_t", {"a": 0.2, "b": -0.01}),
+        ("hyperbolic", {"b": 0.01}),
+    ])
+    def test_feature_check_needing_an_anchor_fails_as_a_check(self, kind, params):
+        from growthcast import cases
+
+        spec = {"name": "x", "kind": kind, **params}
+        models = {"x": cases._scenario_model(spec, "")}
+        feats = cases._scenario_features(models, {})
+        check = {"id": "x size", "type": "feature_s", "scenario": "x", "expected": 1.0, "rel_tol": 0.1}
+        result = cases._run_check(check, models, {}, feats)
+        assert not result.passed and result.computed is None
+        assert result.line() == "FAIL  x size: computed n/a, expected 1.0 (rel diff nan% vs tol 10.0%)"
 
 
 class TestDeterminism:

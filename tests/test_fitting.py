@@ -291,6 +291,18 @@ class TestFitPolynomial:
         assert p.rms_residual <= 1e-9
         assert fit_polynomial(np.arange(5.0), np.arange(5.0) ** 2, 3).warnings == ()
 
+    def test_all_zero_rates_keep_every_coefficient(self):
+        # numpy trims the converted coefficients of a zero fit to [0.]; the
+        # fit pads them back to degree + 1
+        from growthcast import integrate_rate_function
+
+        p = fit_polynomial(np.arange(10.0), np.zeros(10), 3)
+        assert np.array_equal(p.coefficients, np.zeros(4))
+        assert p.rms_residual == 0.0 and p.warnings == ()
+        grid = np.linspace(0.0, 9.0, 7)
+        out = integrate_rate_function(p, (2.0, 2000.0), grid)
+        assert np.array_equal(out.values, np.exp(np.full(grid.shape, math.log(2000.0))))
+
     def test_underdetermined(self):
         with pytest.raises(DegenerateFitError):
             fit_polynomial([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 6)

@@ -173,6 +173,18 @@ class TestRateAt:
         m = model(ModelKind.LOGLOG_T, a=0.1, b=0.01)
         assert rate_at(m, 2.0, s=math.e**3) == pytest.approx((0.1 + 0.02) * 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("kind, b, want", [
+        (ModelKind.LOGLOG_T, 0.0, 37.5544513),  # 0.02 F
+        (ModelKind.LOGLOG_S, -1e-5, 9.6817940),  # F (0.02 - 1e-5 F)
+    ])
+    def test_lifted_rate_is_finite_where_the_size_overflows(self, kind, b, want):
+        m = normalize(model(kind, a=0.02, b=b), 0.0, 1e300)
+        assert trajectory_at(m, 50.0) == math.inf
+        f = log_trajectory_at(m, 50.0)  # the chain rule's F = ln S, on the base law's t' or F
+        assert rate_at(m, 50.0) == f * (0.02 + b * (f if kind is ModelKind.LOGLOG_S else 50.0))
+        assert rate_at(m, 50.0) == pytest.approx(want, rel=1e-8)
+        assert np.isfinite(rate_at(m, np.array([50.0, 60.0]))).all()
+
 
 class TestTrajectoryAt:
     @pytest.mark.parametrize(
@@ -449,9 +461,27 @@ class TestFeatures:
         assert m.t_ref - m.params.a / m.params.b == pytest.approx(2000.0, abs=0.1)
 
     def test_maximum_value_requires_normalization(self):
-        m = model(ModelKind.LINEAR_T, a=0.2, b=-0.01)
-        with pytest.raises(DomainError):
-            features(m)
+        # the maximum's time needs no C: only its size is left out
+        m = model(ModelKind.LINEAR_T, a=0.2, b=-0.01, t_ref=1950.0)
+        f = features(m)
+        assert f.kind is FeatureKind.MAXIMUM
+        assert f.t_star == m.t_ref - m.params.a / m.params.b
+        assert f.s_star is None and f.note == "maximum size requires an anchor"
+        # a feature whose kind or time needs C is still refused
+        for unset in (
+            model(ModelKind.HYPERBOLIC, b=0.01),
+            model(ModelKind.LINEAR_S, a=0.1, b=0.01),
+            model(ModelKind.LOGLOG_T, a=0.1, b=-0.01),
+        ):
+            with pytest.raises(DomainError, match=unset.kind.value):
+                features(unset)
+
+    def test_asymptote_value_requires_normalization(self):
+        # the rate_ln_linear asymptote is C itself
+        f = features(model(ModelKind.RATE_LN_LINEAR, a=2.179e10, b=-1.406e-2))
+        assert f.kind is FeatureKind.ASYMPTOTE
+        assert f.t_star is None and f.s_star is None
+        assert f.note == "asymptote size requires an anchor"
 
     def test_maximum_beyond_float_range_has_no_value(self):
         m = normalize(model(ModelKind.LINEAR_T, a=0.3, b=-1e-5), 0.0, 100.0)

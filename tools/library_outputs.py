@@ -11,7 +11,10 @@ checkout's ``src`` for seeds 7, 11 and 3, as generated and as drawn
   (seed, draw) pair gets one file, ``seed<n>-<draw>.txt``, with one
   block per op: the identify report, the direct rates, the fit, the
   fitted model, its features, both projections (normalized model
-  included), the scenario table and the scalars.
+  included), the scenario table and the scalars. Then the evaluators
+  that the op does not call on these models: ``features`` of the fitted
+  model before it is normalized, and ``rate_at`` and
+  ``log_trajectory_at`` of the projection's model over its grid.
 - long-series: the 4 series of ``gen.long_series`` (2·10⁴ points,
   uniform and jittered), built in memory, with no file read or
   written. Each (seed, draw) pair gets ``long-seed<n>-<draw>.txt``,
@@ -65,10 +68,19 @@ def as_hex(obj) -> str:
     raise TypeError(f"no hex form for {type(obj).__name__}")
 
 
+def call_line(key: str, call) -> str:
+    """``key`` and the hex form of ``call()``, or of the error it raises."""
+    try:
+        return f"  {key}: {as_hex(call())}"
+    except Exception as exc:  # a call's failure is an output too
+        return f"  {key} error: {type(exc).__name__}: {exc}"
+
+
 def record(wl) -> str:
     """Every op of ``wl``'s pool, one block each."""
     from spans import Tracer
 
+    models = wl.gc.models
     lines = []
     for i in range(wl.pass_size):
         lines.append(f"op {i} {wl.items[i].family}")
@@ -78,6 +90,10 @@ def record(wl) -> str:
             lines.append(f"  error: {type(exc).__name__}: {exc}")
             continue
         lines.extend(f"  {key}: {as_hex(out[key])}" for key in OUTPUTS)
+        m, t = out["proj"].model, out["proj"].series.times
+        lines.append(call_line("fit_feat", lambda: models.features(out["model"])))
+        lines.append(call_line("rate", lambda: models.rate_at(m, t)))
+        lines.append(call_line("log_traj", lambda: models.log_trajectory_at(m, t)))
     return "\n".join(lines) + "\n"
 
 
@@ -101,13 +117,7 @@ def record_long(gc, seed: int, as_drawn: bool) -> str:
             "fit": lambda: fitting.fit_rate_model(rates.refined_rates(ts), shifted, aux_a=a),
             "scan": lambda: fitting.scan_shifted_aux(rates.refined_rates(ts), 0.5 * a, 2.0 * a),
         }
-        for key, call in calls.items():
-            try:
-                out = call()
-            except Exception as exc:  # a call's failure is an output too
-                lines.append(f"  {key} error: {type(exc).__name__}: {exc}")
-                continue
-            lines.append(f"  {key}: {as_hex(out)}")
+        lines.extend(call_line(key, call) for key, call in calls.items())
     return "\n".join(lines) + "\n"
 
 
